@@ -1,10 +1,11 @@
 """Exact verification of polynomial generalized continued fraction conjectures.
 
 The pipeline: parse the coefficient polynomials and the target constant,
-compute exact convergents of the three-term recurrence, factor it into a
-first-order cascade via a coupling (c, d), map the continued fraction to
-the reciprocal of a series, certify convergence with the exact term-ratio
-limit, sum to the requested precision, and compare against the target.
+factor the three-term recurrence into a first-order cascade via a coupling
+(c, d), check the structural identities in one exact integer walk of the
+recurrence, map the continued fraction to the reciprocal of a series,
+certify convergence with the exact term-ratio limit, sum to the requested
+precision, and compare against the target.
 """
 
 from .errors import (
@@ -17,7 +18,6 @@ from .errors import (
     NegativeSqrt,
     NonPolynomial,
     NotConvergent,
-    OutOfDomain,
     ProblemFileError,
     UnknownSymbol,
     ZeroDenominatorConvergent,
@@ -34,7 +34,7 @@ from .expr import (
     parse_rational,
 )
 from .factorize import Coupling, find_couplings, verify_coupling
-from .gcf import ConvergentTriple, GcfProblem, casoratian, convergents
+from .gcf import ConvergentTriple, GcfProblem, StructuralWalk, convergents, structural_walk
 from .numerics import (
     PrecisionReal,
     agree_to_digits,
@@ -46,27 +46,16 @@ from .poly import FactoredPolynomial, Polynomial, factor_rational
 from .series import (
     RatioCertificate,
     TermStream,
-    central_binomial_sum,
     partial_sums,
     ratio_certificate,
     sum_to_precision,
     terms,
 )
-from .verify import (
-    AuxiliaryTrace,
-    VerificationReport,
-    auxiliary_trace,
-    check_boundary_selection,
-    check_numerator_product,
-    check_reciprocal_identity,
-    pincherle_evidence,
-    verify_conjecture,
-)
+from .verify import VerificationReport, check_boundary_selection, verify_conjecture
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxiliaryTrace",
     "BoundaryRuleViolation",
     "ConstExpr",
     "ConvergentTriple",
@@ -81,11 +70,11 @@ __all__ = [
     "NegativeSqrt",
     "NonPolynomial",
     "NotConvergent",
-    "OutOfDomain",
     "Polynomial",
     "PrecisionReal",
     "ProblemFileError",
     "RatioCertificate",
+    "StructuralWalk",
     "TermStream",
     "UnknownSymbol",
     "VerificationReport",
@@ -94,13 +83,8 @@ __all__ = [
     "ZeroPartialNumerator",
     "ZeroPolynomial",
     "agree_to_digits",
-    "auxiliary_trace",
-    "casoratian",
     "central_binomial",
-    "central_binomial_sum",
     "check_boundary_selection",
-    "check_numerator_product",
-    "check_reciprocal_identity",
     "const_expr_to_text",
     "convergents",
     "eval_const_expr",
@@ -110,9 +94,9 @@ __all__ = [
     "parse_polynomial",
     "parse_rational",
     "partial_sums",
-    "pincherle_evidence",
     "ratio_certificate",
     "rational_to_real",
+    "structural_walk",
     "sum_to_precision",
     "terms",
     "verify_conjecture",

@@ -69,10 +69,6 @@ class NotConvergent(GcfForgeError):
     """The ratio certificate does not classify the series as convergent."""
 
 
-class OutOfDomain(GcfForgeError):
-    """Argument outside the domain of the requested summation."""
-
-
 class BoundaryRuleViolation(GcfForgeError):
     """b0 != d(1); the selection rule required by the pipeline fails."""
 

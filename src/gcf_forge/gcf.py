@@ -1,19 +1,23 @@
-"""Exact convergents of a generalized continued fraction.
+"""Convergents of a generalized continued fraction, and one integer walk.
 
 Both the numerator sequence A_n and the denominator sequence B_n obey the
 same three-term recurrence y_n = b(n) y_{n-1} + a(n) y_{n-2}; they differ
 only in their initial frames (A_{-1}, A_0) = (1, b0) and (B_{-1}, B_0) =
-(0, 1). Everything here is exact rational arithmetic.
+(0, 1). :func:`convergents` tabulates them as reduced fractions;
+:func:`structural_walk` makes the single pass that every structural check
+of the pipeline reads, in plain integers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable
 
-from .errors import InvalidProblem
+from .errors import BoundaryRuleViolation, InvalidProblem, ZeroDenominatorConvergent
 from .expr import ConstExpr
+from .factorize import Coupling
 from .poly import Polynomial, integer_roots_from
 
 DEFAULT_DEPTH = 512
@@ -52,19 +56,6 @@ class ConvergentTriple:
     x: Fraction | None = field(default=None)
 
 
-def iterate_recurrence(
-    a: Polynomial, b: Polynomial, y_minus_one: Fraction, y_zero: Fraction
-) -> Iterator[Fraction]:
-    """Yield y_0, y_1, ... of y_n = b(n) y_{n-1} + a(n) y_{n-2}, exactly."""
-    y_prev, y_curr = Fraction(y_minus_one), Fraction(y_zero)
-    yield y_curr
-    n = 1
-    while True:
-        y_prev, y_curr = y_curr, b(n) * y_curr + a(n) * y_prev
-        yield y_curr
-        n += 1
-
-
 def convergents(problem: GcfProblem, depth: int = DEFAULT_DEPTH) -> list[ConvergentTriple]:
     """Exact triples (n, A_n, B_n, x_n) for n = 0..depth.
 
@@ -73,31 +64,125 @@ def convergents(problem: GcfProblem, depth: int = DEFAULT_DEPTH) -> list[Converg
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    numerators = iterate_recurrence(problem.a, problem.b, Fraction(1), problem.b0)
-    denominators = iterate_recurrence(problem.a, problem.b, Fraction(0), Fraction(1))
-    out: list[ConvergentTriple] = []
-    for n in range(depth + 1):
-        A = next(numerators)
-        B = next(denominators)
+    A_prev, A = Fraction(1), problem.b0
+    B_prev, B = Fraction(0), Fraction(1)
+    out = [ConvergentTriple(0, A, B, A)]
+    for n in range(1, depth + 1):
+        an, bn = problem.a(n), problem.b(n)
+        A_prev, A = A, bn * A + an * A_prev
+        B_prev, B = B, bn * B + an * B_prev
         out.append(ConvergentTriple(n, A, B, A / B if B != 0 else None))
     return out
 
 
-def casoratian(problem: GcfProblem, upto: int) -> list[Fraction]:
-    """W_n = A_n B_{n-1} - A_{n-1} B_n for n = 0..upto, exactly.
+@dataclass(frozen=True)
+class StructuralWalk:
+    """What one pass over n = 0..depth found; see :func:`structural_walk`.
 
-    W_0 = -1 from the initial frames, and W_n = -a(n) W_{n-1} thereafter;
-    nonvanishing W certifies the two frames stay linearly independent.
+    Each *_depth is the largest n <= depth such that the identity holds at
+    every m <= n (-1 when it fails already at n = 0); the two that need a
+    coupling are None without one. A convergent is None where B_n = 0.
     """
-    if upto < 0:
-        raise ValueError("upto must be nonnegative")
-    numerators = iterate_recurrence(problem.a, problem.b, Fraction(1), problem.b0)
-    denominators = iterate_recurrence(problem.a, problem.b, Fraction(0), Fraction(1))
-    A_prev, B_prev = Fraction(1), Fraction(0)  # the n = -1 frame values
-    out: list[Fraction] = []
-    for _ in range(upto + 1):
-        A = next(numerators)
-        B = next(denominators)
-        out.append(A * B_prev - A_prev * B)
-        A_prev, B_prev = A, B
-    return out
+
+    exact_identity_depth: int | None  # x_n * S_n = 1
+    numerator_product_depth: int | None  # A_n = prod_{j<=n+1} d(j)
+    casoratian_depth: int  # W_0 = -1, W_n = -a(n) W_{n-1}
+    monotone: bool  # x_0 > x_1 > ... > x_depth, all defined
+    halfway: Fraction | None  # x at n = (depth + 1) // 2
+    last: Fraction | None  # x_depth
+    last_defined: Fraction  # x_n at the largest n <= depth with B_n != 0
+
+
+def _integer_values(p: Polynomial, scale: int) -> Callable[[int], int]:
+    """n -> scale * p(n) in ints; scale must clear every coefficient denominator."""
+    coefficients = [scale // q.denominator * q.numerator for q in reversed(p.coefficients)]
+
+    def value(n: int) -> int:
+        acc = 0
+        for coefficient in coefficients:
+            acc = acc * n + coefficient
+        return acc
+
+    return value
+
+
+def structural_walk(
+    problem: GcfProblem, depth: int, coupling: Coupling | None = None
+) -> StructuralWalk:
+    """Walk the recurrence once, in ints, and check every structural identity.
+
+    With L the lcm of all coefficient denominators (of c and d too, when a
+    coupling is given), A'_n = L^(n+1) A_n and B'_n = L^(n+1) B_n obey
+    y_n = (L b(n)) y_{n-1} + (L^2 a(n)) y_{n-2} with integer coefficients.
+    Alongside them run the cross product W'_n = L^(2n+1) W_n, the product
+    D'_n = prod_{j<=n+1} L d(j) = L^(n+1) prod d(j), and the cascade
+    T'_n = (L d(n+1)) T'_{n-1} + L prod_{j<=n} L c(j) = L^(n+1) S_n prod d(j),
+    so x_n S_n = 1 reads A' T' = B' D' and A_n = prod d(j) reads A' = D'.
+    x_{n-1} > x_n iff W'_n B'_{n-1} B'_n < 0.
+
+    A coupling must satisfy the boundary rule b0 = d(1)
+    (BoundaryRuleViolation otherwise); B_n = 0 while the reciprocal
+    identity still holds raises ZeroDenominatorConvergent.
+    """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    polynomials = [problem.a, problem.b]
+    if coupling is not None:
+        if problem.b0 != coupling.d(1):
+            raise BoundaryRuleViolation(f"b0 = {problem.b0} but d(1) = {coupling.d(1)}")
+        polynomials += [coupling.c, coupling.d]
+    L = math.lcm(
+        problem.b0.denominator, *(q.denominator for p in polynomials for q in p.coefficients)
+    )
+    a = _integer_values(problem.a, L * L)
+    b = _integer_values(problem.b, L)
+    halfway = (depth + 1) // 2
+
+    A_prev, A = 1, L // problem.b0.denominator * problem.b0.numerator
+    B_prev, B = 0, L
+    W = -L  # A'_0 B'_{-1} - A'_{-1} B'_0, that is L W_0 with W_0 = -1
+    casoratian_depth = 0
+    monotone = True
+    half = last_defined = (A, B)
+    numerator_depth = identity_depth = None
+    if coupling is not None:
+        c = _integer_values(coupling.c, L)
+        d = _integer_values(coupling.d, L)
+        D = d(1)
+        C = T = L
+        numerator_depth = identity_depth = 0  # both hold at n = 0 since b0 = d(1)
+    for n in range(1, depth + 1):
+        an, bn = a(n), b(n)
+        A_prev, A = A, bn * A + an * A_prev
+        B_prev, B = B, bn * B + an * B_prev
+        W, W_prev = A * B_prev - A_prev * B, W
+        if casoratian_depth == n - 1 and W == -an * W_prev:
+            casoratian_depth = n
+        if B != 0:
+            last_defined = (A, B)
+        # the product W B_{n-1} B_n is negative iff an odd number of factors is
+        monotone = monotone and 0 not in (W, B) and ((W < 0) ^ (B_prev < 0) ^ (B < 0))
+        if n == halfway:
+            half = (A, B)
+        if coupling is not None:
+            dn = d(n + 1)
+            D *= dn
+            C *= c(n)
+            T = dn * T + C
+            if numerator_depth == n - 1 and A == D:
+                numerator_depth = n
+            if identity_depth == n - 1:
+                if B == 0:
+                    raise ZeroDenominatorConvergent(n)
+                if A * T == B * D:
+                    identity_depth = n
+
+    return StructuralWalk(
+        exact_identity_depth=identity_depth,
+        numerator_product_depth=numerator_depth,
+        casoratian_depth=casoratian_depth,
+        monotone=monotone,
+        halfway=Fraction(*half) if half[1] else None,
+        last=Fraction(A, B) if B else None,
+        last_defined=Fraction(*last_defined),
+    )

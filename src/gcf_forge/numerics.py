@@ -108,13 +108,23 @@ def real_reciprocal(x: PrecisionReal) -> PrecisionReal:
     return PrecisionReal(value, x.precision_bits)
 
 
-def agree_to_digits(x: PrecisionReal, y: PrecisionReal, digits: int) -> bool:
-    """True iff |x - y| <= 10^(-digits) * max(1, |y|), computed exactly.
+def agreement_digits(x: Fraction, y: Fraction, cap: int) -> int:
+    """Largest D <= cap with |x - y| <= 10^-D * max(1, |y|), exactly."""
+    gap = abs(x - y)
+    scale = max(Fraction(1), abs(y))
+    digits = 0
+    while digits < cap and gap * 10 ** (digits + 1) <= scale:
+        digits += 1
+    return digits
+
+
+def matched_digits(x: PrecisionReal, y: PrecisionReal, digits: int) -> int:
+    """:func:`agreement_digits` of two binary floats, capped at `digits`.
 
     Operands must carry at least ceil(digits * log2(10)) mantissa bits --
-    the information bound below which they cannot answer the question.
-    Callers wanting headroom should budget 4 bits per digit, as
-    :func:`working_precision` does.
+    the information bound below which they cannot answer the question --
+    or InsufficientPrecision is raised. Callers wanting headroom should
+    budget 4 bits per digit, as :func:`working_precision` does.
     """
     if digits < 1:
         raise ValueError("digits must be positive")
@@ -124,9 +134,12 @@ def agree_to_digits(x: PrecisionReal, y: PrecisionReal, digits: int) -> bool:
             f"comparing to {digits} digits needs {need} bits; "
             f"operands carry {x.precision_bits} and {y.precision_bits}"
         )
-    xf, yf = x.to_fraction(), y.to_fraction()
-    tolerance = Fraction(1, 10**digits) * max(Fraction(1), abs(yf))
-    return abs(xf - yf) <= tolerance
+    return agreement_digits(x.to_fraction(), y.to_fraction(), digits)
+
+
+def agree_to_digits(x: PrecisionReal, y: PrecisionReal, digits: int) -> bool:
+    """True iff |x - y| <= 10^(-digits) * max(1, |y|), computed exactly."""
+    return matched_digits(x, y, digits) == digits
 
 
 def central_binomial(m: int) -> int:

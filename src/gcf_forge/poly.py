@@ -227,6 +227,16 @@ def _positive_divisors(m: int) -> list[int]:
     return small + large[::-1]
 
 
+def _integer_form(ints: list[int], num: int, den: int) -> int:
+    """den^deg * p(num/den) for p with integer coefficients ints (lowest first)."""
+    acc = ints[-1]
+    scale = 1
+    for c in reversed(ints[:-1]):
+        scale *= den
+        acc = acc * num + c * scale
+    return acc
+
+
 def _deflate(p: Polynomial, root: Fraction) -> Polynomial:
     # synthetic division by (n - root); caller guarantees p(root) == 0
     coeffs = p.coefficients
@@ -268,13 +278,19 @@ def factor_rational(p: Polynomial) -> FactoredPolynomial:
         ints = [int(c * denom_lcm) for c in monic.coefficients]
         g = math.gcd(*ints)
         ints = [c // g for c in ints]
+        # rational-root theorem: a root num/den in lowest terms has num | ints[0]
+        # and den | ints[-1]; it lies within the Cauchy bound P/Q, and it
+        # zeroes the integer form sum ints[i] num^i den^(deg-i)
+        bound = cauchy_root_bound(monic)
+        P, Q = bound.numerator, bound.denominator
+        numerators = _positive_divisors(ints[0])
         candidates = sorted(
-            {
-                Fraction(s * num, den)
-                for num in _positive_divisors(ints[0])
-                for den in _positive_divisors(ints[-1])
-                for s in (1, -1)
-            }
+            Fraction(s * num, den)
+            for den in _positive_divisors(ints[-1])
+            for num in numerators
+            if num * Q <= P * den and math.gcd(num, den) == 1
+            for s in (1, -1)
+            if _integer_form(ints, s * num, den) == 0
         )
         for r in candidates:
             mult = 0
@@ -305,22 +321,6 @@ def integer_roots_from(p: Polynomial, start: int = 1) -> list[int]:
         raise ZeroPolynomial("every integer is a root of the zero polynomial")
     roots = factor_rational(p).rational_roots()
     return [int(r) for r, _ in roots if r.denominator == 1 and r >= start]
-
-
-def positive_on_integers_from(p: Polynomial, start: int = 1) -> bool:
-    """Decide p(n) > 0 for every integer n >= start, exactly.
-
-    Beyond the Cauchy root bound the sign is the leading sign; the finite
-    stretch up to the bound is checked by direct evaluation. The scan is
-    proportional to the bound, which is small for desk-scale inputs.
-    """
-    if p.is_zero:
-        return False
-    bound = math.floor(cauchy_root_bound(p))
-    for k in range(start, bound + 1):
-        if p(k) <= 0:
-            return False
-    return p.leading_coefficient > 0
 
 
 def split_assignments(items: list[tuple[Polynomial, int]]):

@@ -15,9 +15,9 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator
 
-from .errors import NotConvergent, OutOfDomain, ZeroDenominatorFactor
+from .errors import NotConvergent, ZeroDenominatorFactor
 from .factorize import Coupling
-from .numerics import PrecisionReal, central_binomial, rational_to_real, working_precision
+from .numerics import PrecisionReal, rational_to_real, working_precision
 from .poly import Polynomial, cauchy_root_bound, integer_roots_from
 
 CONVERGENT = "convergent"
@@ -130,7 +130,8 @@ def _geometric_onset(certificate: RatioCertificate, rho_bar: Fraction) -> int:
     guards = [D, rho_bar * D - num, rho_bar * D + num]
     bound = max(cauchy_root_bound(g) for g in guards if not g.is_zero)
     K = max(math.floor(bound) + 1, certificate.valid_from)
-    assert D(K) > 0 and abs(num(K)) <= rho_bar * D(K)
+    if not (D(K) > 0 and abs(num(K)) <= rho_bar * D(K)):
+        raise NotConvergent(f"no geometric onset certified at k = {K}")
     return K
 
 
@@ -162,34 +163,3 @@ def sum_to_precision(coupling: Coupling, digits: int) -> tuple[PrecisionReal, in
         if k >= onset and abs(term) * tail_factor <= threshold:
             break
     return rational_to_real(total, working_precision(digits)), used
-
-
-def central_binomial_sum(z: Fraction | int, digits: int) -> PrecisionReal:
-    """Sum over m >= 1 of z^m / (m^2 * C(2m, m)) to within 10^(-digits).
-
-    Exact rational accumulation; consecutive terms shrink by the factor
-    z*m^2/((2m+1)(2m+2)) <= z/4 < 1, giving a geometric tail bound.
-    Defined for 0 <= z < 4.
-    """
-    if digits < 1:
-        raise ValueError("digits must be positive")
-    z = Fraction(z)
-    if z < 0 or z >= 4:
-        raise OutOfDomain("argument must satisfy 0 <= z < 4")
-    bits = working_precision(digits)
-    if z == 0:
-        return rational_to_real(0, bits)
-    ratio = z / 4
-    tail_factor = ratio / (1 - ratio)
-    threshold = Fraction(1, 2 * 10**digits)
-    term = z / central_binomial(1)  # m = 1: z / (1 * 2)
-    total = Fraction(0)
-    m = 1
-    while True:
-        total += term
-        if term * tail_factor <= threshold:
-            break
-        term *= z * m * m
-        term /= (2 * m + 1) * (2 * m + 2)
-        m += 1
-    return rational_to_real(total, bits)

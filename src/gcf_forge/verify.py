@@ -1,10 +1,11 @@
 """End-to-end pipeline: couple, decouple, certify, sum, compare.
 
 Given a problem, the pipeline finds a coupling, confirms the boundary
-selection rule b0 = d(1), checks the structural identities exactly (the
-auxiliary traces, the numerator product collapse, the reciprocal identity
-x_n * S_n = 1, the Casoratian recursion), certifies series convergence,
-sums to high precision, and compares the reciprocal against the target.
+selection rule b0 = d(1), checks the structural identities exactly in one
+integer walk of the recurrence (the numerator product collapse, the
+reciprocal identity x_n * S_n = 1, the Casoratian recursion, monotone
+convergents), certifies series convergence, sums to high precision, and
+compares the reciprocal against the target.
 """
 
 from __future__ import annotations
@@ -12,15 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BoundaryRuleViolation, NotConvergent, ZeroDenominatorConvergent
 from .expr import const_expr_to_text, eval_const_expr
 from .factorize import Coupling, find_couplings
-from .gcf import ConvergentTriple, GcfProblem, casoratian, convergents, iterate_recurrence
-from .numerics import PrecisionReal, rational_to_real, real_reciprocal, working_precision
-from .series import CONVERGENT, ratio_certificate, partial_sums, sum_to_precision
-
-NUMERATOR = "numerator"
-DENOMINATOR = "denominator"
+from .gcf import GcfProblem, structural_walk
+from .numerics import (
+    PrecisionReal,
+    agreement_digits,
+    matched_digits,
+    rational_to_real,
+    real_reciprocal,
+    working_precision,
+)
+from .series import CONVERGENT, ratio_certificate, sum_to_precision
 
 VERIFIED = "verified"
 REFUTED_AT_DEPTH = "refuted-at-depth"
@@ -31,144 +35,9 @@ INCONCLUSIVE = "inconclusive"
 DIGIT_MARGIN = 10
 
 
-@dataclass(frozen=True)
-class AuxiliaryTrace:
-    """w_k = y_k - d(k+1) y_{k-1} along one frame's solution sequence.
-
-    Identically zero on the numerator frame when b0 = d(1); propagates as
-    w_k = c(k) w_{k-1} on the denominator frame.
-    """
-
-    frame: str
-    w: tuple[Fraction, ...]
-
-
-def auxiliary_trace(
-    problem: GcfProblem, coupling: Coupling, frame: str, depth: int
-) -> AuxiliaryTrace:
-    """Exact w_0..w_depth from the chosen frame's actual solution values."""
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    if frame == NUMERATOR:
-        y_prev, seq = Fraction(1), iterate_recurrence(
-            problem.a, problem.b, Fraction(1), problem.b0
-        )
-    elif frame == DENOMINATOR:
-        y_prev, seq = Fraction(0), iterate_recurrence(
-            problem.a, problem.b, Fraction(0), Fraction(1)
-        )
-    else:
-        raise ValueError(f"frame must be {NUMERATOR!r} or {DENOMINATOR!r}")
-    w: list[Fraction] = []
-    for k in range(depth + 1):
-        y_curr = next(seq)
-        w.append(y_curr - coupling.d(k + 1) * y_prev)
-        y_prev = y_curr
-    return AuxiliaryTrace(frame, tuple(w))
-
-
 def check_boundary_selection(problem: GcfProblem, coupling: Coupling) -> bool:
     """True iff b0 = d(1) exactly, the rule that zeroes the numerator trace."""
     return problem.b0 == coupling.d(1)
-
-
-def check_numerator_product(
-    problem: GcfProblem, coupling: Coupling, depth: int
-) -> int:
-    """Largest n <= depth with A_m = prod_{j=1..m+1} d(j) for all m <= n.
-
-    Returns -1 when even A_0 mismatches (e.g. a perturbed b0). Expected to
-    reach the full depth whenever the boundary rule holds.
-    """
-    numerators = iterate_recurrence(problem.a, problem.b, Fraction(1), problem.b0)
-    product = Fraction(1)
-    deepest = -1
-    for n in range(depth + 1):
-        A = next(numerators)
-        product *= coupling.d(n + 1)
-        if A != product:
-            break
-        deepest = n
-    return deepest
-
-
-def check_reciprocal_identity(
-    problem: GcfProblem, coupling: Coupling, depth: int
-) -> int:
-    """Largest n <= depth with x_n * S_n = 1 exactly; expected: depth."""
-    if not check_boundary_selection(problem, coupling):
-        raise BoundaryRuleViolation(
-            f"b0 = {problem.b0} but d(1) = {coupling.d(1)}"
-        )
-    triples = convergents(problem, depth)
-    sums = partial_sums(coupling, depth + 1)
-    deepest = -1
-    for n in range(depth + 1):
-        x = triples[n].x
-        if x is None:
-            raise ZeroDenominatorConvergent(n)
-        if x * sums[n] != 1:
-            break
-        deepest = n
-    return deepest
-
-
-def casoratian_recursion_depth(problem: GcfProblem, depth: int) -> int:
-    """Largest n <= depth with W_0 = -1 and W_m = -a(m) W_{m-1} throughout."""
-    w = casoratian(problem, depth)
-    if w[0] != -1:
-        return -1
-    deepest = 0
-    for m in range(1, depth + 1):
-        if w[m] != -problem.a(m) * w[m - 1]:
-            break
-        deepest = m
-    return deepest
-
-
-def _strictly_decreasing(triples: list[ConvergentTriple]) -> bool:
-    values = [t.x for t in triples]
-    if any(v is None for v in values):
-        return False
-    return all(earlier > later for earlier, later in zip(values, values[1:]))
-
-
-def _agreement_digits(x: Fraction, y: Fraction, cap: int) -> int:
-    """Largest D <= cap with |x - y| <= 10^-D * max(1, |y|), exactly."""
-    gap = abs(x - y)
-    scale = max(Fraction(1), abs(y))
-    digits = 0
-    while digits < cap and gap * 10 ** (digits + 1) <= scale:
-        digits += 1
-    return digits
-
-
-def pincherle_evidence(
-    problem: GcfProblem, coupling: Coupling, depth: int, digits: int
-) -> tuple[bool, int]:
-    """Empirical minimality evidence: monotone convergents and Cauchy digits.
-
-    cauchy_digits counts the leading decimals on which x_depth agrees with
-    x_{depth//2} (capped at `digits`). Requires a convergent certificate.
-    """
-    certificate = ratio_certificate(coupling)
-    if certificate.classification != CONVERGENT:
-        raise NotConvergent(
-            f"series is {certificate.classification}; no minimality evidence"
-        )
-    triples = convergents(problem, depth)
-    return _convergent_behavior(triples, digits)
-
-
-def _convergent_behavior(
-    triples: list[ConvergentTriple], digits: int
-) -> tuple[bool, int]:
-    monotone = _strictly_decreasing(triples)
-    last = triples[-1].x
-    halfway = triples[len(triples) // 2].x if len(triples) > 1 else None
-    if last is None or halfway is None:
-        return monotone, 0
-    return monotone, _agreement_digits(halfway, last, digits)
 
 
 @dataclass(frozen=True)
@@ -224,101 +93,56 @@ def verify_conjecture(
         raise ValueError("depth must be at least 4")
 
     bits = working_precision(digits + DIGIT_MARGIN)
-    echo = _problem_echo(problem, name)
     couplings = find_couplings(problem.a, problem.b)
     eligible = [cp for cp in couplings if check_boundary_selection(problem, cp)]
-    triples = convergents(problem, depth)
-
     target_value = (
         eval_const_expr(problem.target, bits) if problem.target is not None else None
     )
+    coupling = eligible[0] if eligible else None
+    walk = structural_walk(problem, depth, coupling)
+    certificate = ratio_certificate(coupling) if coupling is not None else None
+    convergent = certificate is not None and certificate.classification == CONVERGENT
 
-    if not eligible:
-        # no usable coupling: report a direct numerical convergent estimate
-        monotone, cauchy_digits = _convergent_behavior(triples, digits)
-        estimate = next(
-            (t.x for t in reversed(triples) if t.x is not None), None
-        )
-        gcf_value = rational_to_real(estimate, bits) if estimate is not None else None
-        digits_matched = None
-        if target_value is not None and gcf_value is not None:
-            digits_matched = _agreement_digits(
-                gcf_value.to_fraction(), target_value.to_fraction(), digits
-            )
-        return VerificationReport(
-            problem=echo,
-            coupling=None,
-            other_couplings=tuple(couplings),
-            boundary_rule_holds=False,
-            exact_identity_depth=None,
-            numerator_product_depth=None,
-            casoratian_depth=None,
-            rho=None,
-            classification=None,
-            series_value=None,
-            gcf_value=gcf_value,
-            target_value=target_value,
-            digits_matched=digits_matched,
-            monotone_convergents=monotone,
-            cauchy_digits=cauchy_digits,
-            terms_used=None,
-            digits_requested=digits,
-            depth=depth,
-            verdict=INCONCLUSIVE,
-        )
-
-    coupling = eligible[0]
-    others = tuple(cp for cp in couplings if cp != coupling)
-    exact_identity_depth = check_reciprocal_identity(problem, coupling, depth)
-    numerator_product_depth = check_numerator_product(problem, coupling, depth)
-    casoratian_depth = casoratian_recursion_depth(problem, depth)
-    certificate = ratio_certificate(coupling)
-
-    if certificate.classification == CONVERGENT:
+    if convergent:
         series_value, terms_used = sum_to_precision(coupling, digits + DIGIT_MARGIN)
         gcf_value = real_reciprocal(series_value)
-        monotone, cauchy_digits = pincherle_evidence(problem, coupling, depth, digits)
     else:
+        # no usable series: report the deepest defined convergent instead
         series_value, terms_used = None, None
-        estimate = next((t.x for t in reversed(triples) if t.x is not None), None)
-        gcf_value = rational_to_real(estimate, bits) if estimate is not None else None
-        monotone, cauchy_digits = _convergent_behavior(triples, digits)
+        gcf_value = rational_to_real(walk.last_defined, bits)
 
     digits_matched = None
-    if target_value is not None and gcf_value is not None:
-        digits_matched = _agreement_digits(
-            gcf_value.to_fraction(), target_value.to_fraction(), digits
-        )
+    if target_value is not None:
+        digits_matched = matched_digits(gcf_value, target_value, digits)
+    cauchy_digits = 0
+    if walk.halfway is not None and walk.last is not None:
+        cauchy_digits = agreement_digits(walk.halfway, walk.last, digits)
 
     structural_ok = (
-        exact_identity_depth == depth
-        and numerator_product_depth == depth
-        and casoratian_depth == depth
+        walk.exact_identity_depth == depth
+        and walk.numerator_product_depth == depth
+        and walk.casoratian_depth == depth
     )
-    if (
-        problem.target is not None
-        and certificate.classification == CONVERGENT
-        and structural_ok
-    ):
+    if problem.target is not None and convergent and structural_ok:
         verdict = VERIFIED if digits_matched >= digits else REFUTED_AT_DEPTH
     else:
         verdict = INCONCLUSIVE
 
     return VerificationReport(
-        problem=echo,
+        problem=_problem_echo(problem, name),
         coupling=coupling,
-        other_couplings=others,
-        boundary_rule_holds=True,
-        exact_identity_depth=exact_identity_depth,
-        numerator_product_depth=numerator_product_depth,
-        casoratian_depth=casoratian_depth,
-        rho=certificate.rho,
-        classification=certificate.classification,
+        other_couplings=tuple(cp for cp in couplings if cp != coupling),
+        boundary_rule_holds=coupling is not None,
+        exact_identity_depth=walk.exact_identity_depth,
+        numerator_product_depth=walk.numerator_product_depth,
+        casoratian_depth=walk.casoratian_depth if coupling is not None else None,
+        rho=certificate.rho if certificate is not None else None,
+        classification=certificate.classification if certificate is not None else None,
         series_value=series_value,
         gcf_value=gcf_value,
         target_value=target_value,
         digits_matched=digits_matched,
-        monotone_convergents=monotone,
+        monotone_convergents=walk.monotone,
         cauchy_digits=cauchy_digits,
         terms_used=terms_used,
         digits_requested=digits,

@@ -86,3 +86,30 @@ def close_to(value: Fraction, reference: Fraction, digits: int) -> bool:
     """|value - reference| <= 10^(-digits) * max(1, |reference|), exactly."""
     tolerance = Fraction(1, 10**digits) * max(Fraction(1), abs(reference))
     return abs(value - reference) <= tolerance
+
+
+def central_binomial_sum(z: Fraction | int, digits: int) -> Fraction:
+    """Sum over m >= 1 of z^m / (m^2 * C(2m, m)) with |error| < 10^(-digits).
+
+    Defined for 0 <= z < 4. Consecutive terms shrink by the factor
+    z*m^2/((2m+1)(2m+2)) <= z/4 < 1, so the tail after a term is below
+    term * (z/4) / (1 - z/4). At z = 2 the sum is pi^2/8, at z = 1 pi^2/18:
+    a second route to the constants the coupling-induced series reaches.
+    """
+    z = Fraction(z)
+    if not 0 <= z < 4:
+        raise ValueError("argument must satisfy 0 <= z < 4")
+    ratio = z / 4
+    tail_factor = ratio / (1 - ratio)
+    threshold = Fraction(1, 2 * 10**digits)
+    term = z / 2  # m = 1: z / (1^2 * C(2, 1))
+    total = Fraction(0)
+    m = 1
+    while term:
+        total += term
+        if term * tail_factor <= threshold:
+            break
+        term *= z * m * m
+        term /= (2 * m + 1) * (2 * m + 2)
+        m += 1
+    return total

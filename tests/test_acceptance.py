@@ -13,19 +13,23 @@ from fractions import Fraction
 from gcf_forge import (
     Coupling,
     Polynomial,
-    auxiliary_trace,
-    casoratian,
-    central_binomial_sum,
     convergents,
     find_couplings,
     partial_sums,
     ratio_certificate,
+    structural_walk,
     terms,
     verify_coupling,
 )
 from gcf_forge.cli import main
 
-from oracles import close_to, eight_over_pi_squared, pi_squared_over_8, pi_squared_over_18
+from oracles import (
+    central_binomial_sum,
+    close_to,
+    eight_over_pi_squared,
+    pi_squared_over_8,
+    pi_squared_over_18,
+)
 
 N = Polynomial.variable()
 
@@ -103,37 +107,41 @@ def test_criterion_5_closed_form_terms(quartic_coupling):
 
 
 def test_criterion_6_central_binomial_cross_check():
-    z2 = central_binomial_sum(2, 50)
-    assert close_to(z2.to_fraction(), pi_squared_over_8(60), 50)
-    z1 = central_binomial_sum(1, 30)
-    assert close_to(z1.to_fraction(), pi_squared_over_18(40), 30)
+    assert close_to(central_binomial_sum(2, 50), pi_squared_over_8(60), 50)
+    assert close_to(central_binomial_sum(1, 30), pi_squared_over_18(40), 30)
     report(6, "sum(2) = pi^2/8 to 50 digits; sum(1) = pi^2/18 to 30 digits")
 
 
 def test_criterion_7_casoratian_law(quartic_problem):
-    w = casoratian(quartic_problem, 100)
+    rows = convergents(quartic_problem, 100)
+    frames = [(Fraction(1), Fraction(0))] + [(t.A, t.B) for t in rows]
+    w = [A * Bp - Ap * B for (Ap, Bp), (A, B) in zip(frames, frames[1:])]
     assert w[0] == -1
     for n in range(1, 101):
         assert w[n] == -quartic_problem.a(n) * w[n - 1]
+    assert structural_walk(quartic_problem, 100).casoratian_depth == 100
     report(7, "W_0 = -1 and W_n = -a(n) W_{n-1} exactly for n <= 100")
 
 
 def test_criterion_8_minimal_solution_collapse(quartic_problem, quartic_coupling):
-    numerator = auxiliary_trace(quartic_problem, quartic_coupling, "numerator", 100)
-    assert all(value == 0 for value in numerator.w)
-
     rows = convergents(quartic_problem, 100)
+    d, c = quartic_coupling.d, quartic_coupling.c
+    numerator = [Fraction(1)] + [t.A for t in rows]
+    assert all(numerator[k + 1] == d(k + 1) * numerator[k] for k in range(101))
+
     product = Fraction(1)
     for n in range(101):
-        product *= quartic_coupling.d(n + 1)
+        product *= d(n + 1)
         assert rows[n].A == product, f"product law broke at n = {n}"
 
-    denominator = auxiliary_trace(
-        quartic_problem, quartic_coupling, "denominator", 100
-    )
-    assert denominator.w[0] == 1
+    denominator = [Fraction(0)] + [t.B for t in rows]
+    trace = [denominator[k + 1] - d(k + 1) * denominator[k] for k in range(101)]
+    assert trace[0] == 1
     for k in range(1, 101):
-        assert denominator.w[k] == quartic_coupling.c(k) * denominator.w[k - 1]
+        assert trace[k] == c(k) * trace[k - 1]
+
+    walk = structural_walk(quartic_problem, 100, quartic_coupling)
+    assert walk.numerator_product_depth == walk.exact_identity_depth == 100
     report(8, "numerator trace = 0, A_n = prod d(j), denominator trace = prod c(j)")
 
 

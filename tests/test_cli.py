@@ -163,6 +163,27 @@ class TestVerify:
         rebuilt = report_from_dict(doc)
         assert report_to_dict(rebuilt) == doc
 
+    def test_precision_override_below_digits_exits_three(self, tmp_path, monkeypatch, capsys):
+        # 40-bit roundings of value and target agree to 30 "digits" although
+        # the two differ in the 20th; the comparison must refuse, not verify
+        path = write_problem(
+            tmp_path,
+            "p.json",
+            b0="1",
+            a="-(2*n^4 - n^3)",
+            b="3*n^2 + 3*n + 1",
+            target="8/pi^2 + 1/10^20",
+        )
+        argv = ["verify", path, "--digits", "30", "--depth", "64"]
+        monkeypatch.delenv("GCF_FORGE_PRECISION_BITS", raising=False)
+        assert main(argv) == EXIT_REFUTED
+        assert "digits matched: 20" in capsys.readouterr().out
+        monkeypatch.setenv("GCF_FORGE_PRECISION_BITS", "40")
+        assert main(argv) == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert "verdict" not in captured.out
+        assert "needs 100 bits" in captured.err
+
     def test_missing_file_is_parse_error(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "nope.json")]) == EXIT_PARSE
 

@@ -1,17 +1,74 @@
+import math
+import operator
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gcf_forge import (
+    BoundaryRuleViolation,
     ConvergentTriple,
+    Coupling,
     GcfProblem,
     InvalidProblem,
     Polynomial,
-    casoratian,
+    StructuralWalk,
+    ZeroDenominatorConvergent,
     convergents,
+    partial_sums,
+    structural_walk,
 )
+from gcf_forge.poly import integer_roots_from
 
 N = Polynomial.variable()
+
+
+def cross_products(rows: list[ConvergentTriple]) -> list[Fraction]:
+    """W_n = A_n B_{n-1} - A_{n-1} B_n for n = 0..len(rows)-1, by definition."""
+    frames = [(Fraction(1), Fraction(0))] + [(t.A, t.B) for t in rows]
+    return [A * B_prev - A_prev * B for (A_prev, B_prev), (A, B) in zip(frames, frames[1:])]
+
+
+def holds_to(checks) -> int:
+    """Largest n with checks[0..n] all true; -1 when checks[0] fails."""
+    deepest = -1
+    for ok in checks:
+        if not ok:
+            break
+        deepest += 1
+    return deepest
+
+
+def reference_walk(problem: GcfProblem, rows: list[ConvergentTriple], coupling=None):
+    """Every StructuralWalk field at depth len(rows) - 1, from the convergent
+    rows, partial_sums() and cross products."""
+    depth = len(rows) - 1
+    w = cross_products(rows)
+    xs = [t.x for t in rows]
+    numerator_depth = identity_depth = None
+    if coupling is not None:
+        products = accumulate((coupling.d(j) for j in range(1, depth + 2)), operator.mul)
+        numerator_depth = holds_to(t.A == p for t, p in zip(rows, products))
+        identity_depth = -1
+        for t, s in zip(rows, partial_sums(coupling, depth + 1)):
+            if t.x is None:
+                raise ZeroDenominatorConvergent(t.n)
+            if t.x * s != 1:
+                break
+            identity_depth = t.n
+    return StructuralWalk(
+        exact_identity_depth=identity_depth,
+        numerator_product_depth=numerator_depth,
+        casoratian_depth=holds_to(
+            [w[0] == -1] + [w[n] == -problem.a(n) * w[n - 1] for n in range(1, depth + 1)]
+        ),
+        monotone=None not in xs and all(p > q for p, q in zip(xs, xs[1:])),
+        halfway=xs[(depth + 1) // 2],
+        last=xs[-1],
+        last_defined=next(x for x in reversed(xs) if x is not None),
+    )
 
 
 def brute_force_frames(b0, a_of, b_of, depth):
@@ -91,25 +148,114 @@ class TestProblemValidation:
 
 
 class TestCasoratian:
+    """W_n from the definition on convergents, against the walk's depth."""
+
     def test_initial_value(self, quartic_problem):
-        assert casoratian(quartic_problem, 0) == [Fraction(-1)]
+        assert cross_products(convergents(quartic_problem, 0)) == [Fraction(-1)]
+        assert structural_walk(quartic_problem, 0).casoratian_depth == 0
 
     def test_first_values(self, quartic_problem):
-        w = casoratian(quartic_problem, 2)
+        w = cross_products(convergents(quartic_problem, 2))
         assert w == [Fraction(-1), Fraction(-1), Fraction(-24)]
 
     def test_determinant_recursion_to_100(self, quartic_problem):
-        w = casoratian(quartic_problem, 100)
+        w = cross_products(convergents(quartic_problem, 100))
         a = quartic_problem.a
         for n in range(1, 101):
             assert w[n] == -a(n) * w[n - 1]
+        assert structural_walk(quartic_problem, 100).casoratian_depth == 100
 
     def test_never_vanishes(self, quartic_problem):
-        assert all(value != 0 for value in casoratian(quartic_problem, 100))
+        assert all(value != 0 for value in cross_products(convergents(quartic_problem, 100)))
 
     def test_matches_definition_from_convergents(self, quartic_problem):
+        # x_{n-1} - x_n = -W_n / (B_{n-1} B_n): the sign the walk reads
         rows = convergents(quartic_problem, 30)
-        w = casoratian(quartic_problem, 30)
+        w = cross_products(rows)
         for n in range(1, 31):
-            direct = rows[n].A * rows[n - 1].B - rows[n - 1].A * rows[n].B
-            assert w[n] == direct
+            assert rows[n - 1].x - rows[n].x == -w[n] / (rows[n - 1].B * rows[n].B) > 0
+        assert structural_walk(quartic_problem, 30).monotone
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def euler_couplings(draw) -> Coupling:
+    """c, d of degree <= 2 with rational coefficients and nonzero leads."""
+
+    def polynomial():
+        lower = draw(st.lists(rationals, max_size=2))
+        lead = draw(rationals.filter(lambda q: q != 0))
+        return Polynomial(lower + [lead])
+
+    return Coupling(c=polynomial(), d=polynomial())
+
+
+def euler_problem(coupling: Coupling) -> GcfProblem:
+    """a = -c d, b = c + d(n+1), b0 = d(1); rejects a(n) = 0 for some n >= 1."""
+    c, d = coupling.c, coupling.d
+    try:
+        return GcfProblem(b0=d(1), a=-(c * d), b=c + d.shift(1))
+    except InvalidProblem:
+        assume(False)
+
+
+class TestStructuralWalk:
+    @settings(max_examples=25, deadline=None)
+    @given(euler_couplings(), st.sampled_from([0, 2, 5]))
+    def test_matches_fraction_reference(self, coupling, agree):
+        # agree > 0 hands the walk a coupling that matches the problem's only
+        # up to index agree, so the checks must stop where the reference stops
+        problem = euler_problem(coupling)
+        if agree:
+            bump = math.prod((N - i for i in range(1, agree + 1)), start=Polynomial.constant(1))
+            coupling = Coupling(c=coupling.c + bump, d=coupling.d + bump)
+            assume(not integer_roots_from(coupling.d, start=1))
+        table = convergents(problem, 40)
+        for depth in range(41):
+            rows = table[: depth + 1]
+            assert structural_walk(problem, depth) == reference_walk(problem, rows)
+            try:
+                expected = reference_walk(problem, rows, coupling)
+            except ZeroDenominatorConvergent as err:
+                with pytest.raises(ZeroDenominatorConvergent) as got:
+                    structural_walk(problem, depth, coupling)
+                assert got.value.index == err.index
+                continue
+            assert structural_walk(problem, depth, coupling) == expected
+
+    def test_period_six_zero_denominators(self):
+        # b0 = 1, a = -1, b = 1: B_n = 0 at n = 2, 5, 8, 11
+        problem = GcfProblem(
+            b0=Fraction(1), a=Polynomial.constant(-1), b=Polynomial.constant(1)
+        )
+        rows = convergents(problem, 11)
+        walk = structural_walk(problem, 11)
+        assert walk == reference_walk(problem, rows)
+        assert walk.last is None
+        assert walk.last_defined == rows[10].x
+        assert not walk.monotone
+        assert walk.exact_identity_depth is None and walk.numerator_product_depth is None
+
+    def test_perturbed_b0_violates_boundary_rule(self, quartic_problem, quartic_coupling):
+        shifted = GcfProblem(
+            b0=quartic_problem.b0 + Fraction(1, 3), a=quartic_problem.a, b=quartic_problem.b
+        )
+        with pytest.raises(BoundaryRuleViolation):
+            structural_walk(shifted, 10, quartic_coupling)
+
+    def test_vanishing_partial_sum_is_a_zero_denominator(self):
+        # c = -n, d = 1: S_1 = 1 - 1 = 0, so B_1 = S_1 * d(1) d(2) = 0
+        coupling = Coupling(c=-N, d=Polynomial.constant(1))
+        problem = euler_problem(coupling)
+        with pytest.raises(ZeroDenominatorConvergent) as err:
+            reference_walk(problem, convergents(problem, 5), coupling)
+        assert err.value.index == 1
+        with pytest.raises(ZeroDenominatorConvergent) as err:
+            structural_walk(problem, 5, coupling)
+        assert err.value.index == 1
+
+    def test_negative_depth_rejected(self, quartic_problem):
+        with pytest.raises(ValueError):
+            structural_walk(quartic_problem, -1)

@@ -5,11 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gcf_forge import Polynomial, ZeroPolynomial, factor_rational
-from gcf_forge.poly import (
-    cauchy_root_bound,
-    integer_roots_from,
-    positive_on_integers_from,
-)
+from gcf_forge.poly import cauchy_root_bound, integer_roots_from
 
 N = Polynomial.variable()
 
@@ -156,10 +152,3 @@ class TestRootAnalysis:
         p = (N - 3) * (N - Fraction(1, 2)) * N
         assert integer_roots_from(p, start=1) == [3]
         assert integer_roots_from(p, start=4) == []
-
-    def test_positive_on_integers(self):
-        assert positive_on_integers_from(3 * N**2 + 3 * N + 1, start=1)
-        assert not positive_on_integers_from(-(2 * N**4 - N**3), start=1)
-        # sign change between integers without an integer root
-        assert not positive_on_integers_from(N**2 - 2, start=1)
-        assert positive_on_integers_from(N**2 + 1, start=1)

@@ -6,23 +6,16 @@ from gcf_forge import (
     BoundaryRuleViolation,
     Coupling,
     GcfProblem,
-    NotConvergent,
     Polynomial,
-    auxiliary_trace,
     check_boundary_selection,
-    check_numerator_product,
-    check_reciprocal_identity,
     convergents,
     parse_const_expr,
-    pincherle_evidence,
+    structural_walk,
     verify_conjecture,
 )
-from gcf_forge.verify import (
-    INCONCLUSIVE,
-    REFUTED_AT_DEPTH,
-    VERIFIED,
-    casoratian_recursion_depth,
-)
+from gcf_forge import verify
+from gcf_forge.numerics import agreement_digits
+from gcf_forge.verify import INCONCLUSIVE, REFUTED_AT_DEPTH, VERIFIED
 
 from oracles import close_to, eight_over_pi_squared
 
@@ -33,29 +26,41 @@ def perturbed(problem: GcfProblem, b0) -> GcfProblem:
     return GcfProblem(b0=Fraction(b0), a=problem.a, b=problem.b)
 
 
+def auxiliary_trace(problem, coupling, frame, depth) -> list[Fraction]:
+    """w_k = y_k - d(k+1) y_{k-1}, k = 0..depth, on one frame's convergent rows."""
+    rows = convergents(problem, depth)
+    if frame == "numerator":
+        ys = [Fraction(1)] + [t.A for t in rows]
+    else:
+        ys = [Fraction(0)] + [t.B for t in rows]
+    return [ys[k + 1] - coupling.d(k + 1) * ys[k] for k in range(depth + 1)]
+
+
 class TestAuxiliaryTrace:
     def test_numerator_trace_vanishes(self, quartic_problem, quartic_coupling):
         trace = auxiliary_trace(quartic_problem, quartic_coupling, "numerator", 50)
-        assert all(value == 0 for value in trace.w)
+        assert all(value == 0 for value in trace)
+        walk = structural_walk(quartic_problem, 50, quartic_coupling)
+        assert walk.numerator_product_depth == 50
 
     def test_denominator_trace_first_values(self, quartic_problem, quartic_coupling):
         trace = auxiliary_trace(quartic_problem, quartic_coupling, "denominator", 2)
-        assert list(trace.w) == [Fraction(1), Fraction(1), Fraction(4)]
+        assert trace == [Fraction(1), Fraction(1), Fraction(4)]
 
     def test_denominator_trace_propagation(self, quartic_problem, quartic_coupling):
+        # w_k = prod c(j) is the cascade behind B_n = S_n prod d(j)
         trace = auxiliary_trace(quartic_problem, quartic_coupling, "denominator", 50)
         c = quartic_coupling.c
         for k in range(1, 51):
-            assert trace.w[k] == c(k) * trace.w[k - 1]
+            assert trace[k] == c(k) * trace[k - 1]
+        walk = structural_walk(quartic_problem, 50, quartic_coupling)
+        assert walk.exact_identity_depth == 50
 
     def test_perturbed_frame_breaks_kernel(self, quartic_problem, quartic_coupling):
         shifted = perturbed(quartic_problem, quartic_coupling.d(1) + 1)
-        trace = auxiliary_trace(shifted, quartic_coupling, "numerator", 3)
-        assert trace.w[0] == 1
-
-    def test_unknown_frame_rejected(self, quartic_problem, quartic_coupling):
-        with pytest.raises(ValueError):
-            auxiliary_trace(quartic_problem, quartic_coupling, "sideways", 3)
+        assert auxiliary_trace(shifted, quartic_coupling, "numerator", 3)[0] == 1
+        with pytest.raises(BoundaryRuleViolation):
+            structural_walk(shifted, 3, quartic_coupling)
 
 
 class TestBoundaryAndCollapse:
@@ -72,7 +77,8 @@ class TestBoundaryAndCollapse:
         assert check_boundary_selection(problem, Coupling(c=N, d=N))
 
     def test_numerator_product_full_depth(self, quartic_problem, quartic_coupling):
-        assert check_numerator_product(quartic_problem, quartic_coupling, 50) == 50
+        walk = structural_walk(quartic_problem, 50, quartic_coupling)
+        assert walk.numerator_product_depth == 50
 
     def test_numerator_product_small_values(self, quartic_problem, quartic_coupling):
         d = quartic_coupling.d
@@ -82,48 +88,53 @@ class TestBoundaryAndCollapse:
     def test_numerator_product_perturbed_sentinel(
         self, quartic_problem, quartic_coupling
     ):
-        assert (
-            check_numerator_product(perturbed(quartic_problem, 2), quartic_coupling, 10)
-            == -1
-        )
+        # the product law fails already at n = 0, and the walk refuses the frame
+        shifted = perturbed(quartic_problem, 2)
+        assert convergents(shifted, 0)[0].A != quartic_coupling.d(1)
+        with pytest.raises(BoundaryRuleViolation):
+            structural_walk(shifted, 10, quartic_coupling)
 
     def test_reciprocal_identity_full_depth(self, quartic_problem, quartic_coupling):
-        assert check_reciprocal_identity(quartic_problem, quartic_coupling, 100) == 100
+        walk = structural_walk(quartic_problem, 100, quartic_coupling)
+        assert walk.exact_identity_depth == 100
 
     def test_reciprocal_identity_requires_boundary(
         self, quartic_problem, quartic_coupling
     ):
         with pytest.raises(BoundaryRuleViolation):
-            check_reciprocal_identity(
-                perturbed(quartic_problem, 2), quartic_coupling, 10
-            )
+            structural_walk(perturbed(quartic_problem, 2), 10, quartic_coupling)
 
     def test_casoratian_recursion_depth(self, quartic_problem):
-        assert casoratian_recursion_depth(quartic_problem, 100) == 100
+        assert structural_walk(quartic_problem, 100).casoratian_depth == 100
 
     def test_trace_and_product_agree(self, quartic_problem, quartic_coupling):
         # two views of the same collapse: zero trace iff product law holds
         trace = auxiliary_trace(quartic_problem, quartic_coupling, "numerator", 40)
-        depth = check_numerator_product(quartic_problem, quartic_coupling, 40)
-        assert all(value == 0 for value in trace.w) == (depth == 40)
+        walk = structural_walk(quartic_problem, 40, quartic_coupling)
+        assert all(value == 0 for value in trace) == (walk.numerator_product_depth == 40)
 
 
 class TestPincherleEvidence:
     def test_monotone_decreasing(self, quartic_problem, quartic_coupling):
-        monotone, cauchy_digits = pincherle_evidence(
-            quartic_problem, quartic_coupling, 64, 30
-        )
-        assert monotone
-        assert cauchy_digits >= 5
+        walk = structural_walk(quartic_problem, 64, quartic_coupling)
+        assert walk.monotone
+        assert agreement_digits(walk.halfway, walk.last, 30) >= 5
 
     def test_first_step_decreases(self, quartic_problem):
         rows = convergents(quartic_problem, 1)
         assert rows[0].x == 1 > rows[1].x == Fraction(6, 7)
 
     def test_requires_convergent_certificate(self):
-        problem = GcfProblem(b0=Fraction(1), a=-(N**2), b=2 * N + 1)
-        with pytest.raises(NotConvergent):
-            pincherle_evidence(problem, Coupling(c=N, d=N), 16, 10)
+        # c = d = n gives rho = 1: no certified series, so no verdict either way
+        problem = GcfProblem(
+            b0=Fraction(1), a=-(N**2), b=2 * N + 1, target=parse_const_expr("1")
+        )
+        report = verify_conjecture(problem, digits=10, depth=16)
+        assert report.coupling == Coupling(c=N, d=N)
+        assert report.classification == "inconclusive"
+        assert report.series_value is None
+        assert report.verdict == INCONCLUSIVE
+        assert close_to(report.gcf_value.to_fraction(), convergents(problem, 16)[-1].x, 30)
 
 
 class TestVerifyConjecture:
@@ -187,6 +198,17 @@ class TestVerifyConjecture:
         gap = abs(report.gcf_value.to_fraction() - x_depth)
         tolerance = Fraction(1, 10**report.cauchy_digits) * max(1, abs(x_depth))
         assert gap <= tolerance
+
+    def test_one_walk_per_call(self, quartic_problem, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return structural_walk(*args)
+
+        monkeypatch.setattr(verify, "structural_walk", counted)
+        verify_conjecture(quartic_problem, digits=10, depth=16)
+        assert len(calls) == 1
 
     def test_parameter_preconditions(self, quartic_problem):
         with pytest.raises(ValueError):
