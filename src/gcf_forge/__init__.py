@@ -38,14 +38,12 @@ from .gcf import ConvergentTriple, GcfProblem, StructuralWalk, convergents, stru
 from .numerics import (
     PrecisionReal,
     agree_to_digits,
-    central_binomial,
     rational_to_real,
     working_precision,
 )
 from .poly import FactoredPolynomial, Polynomial, factor_rational
 from .series import (
     RatioCertificate,
-    TermStream,
     partial_sums,
     ratio_certificate,
     sum_to_precision,
@@ -75,7 +73,6 @@ __all__ = [
     "ProblemFileError",
     "RatioCertificate",
     "StructuralWalk",
-    "TermStream",
     "UnknownSymbol",
     "VerificationReport",
     "ZeroDenominatorConvergent",
@@ -83,7 +80,6 @@ __all__ = [
     "ZeroPartialNumerator",
     "ZeroPolynomial",
     "agree_to_digits",
-    "central_binomial",
     "check_boundary_selection",
     "const_expr_to_text",
     "convergents",

@@ -48,12 +48,8 @@ _OPTIONAL_FIELDS = ("target", "name")
 
 @dataclass(frozen=True)
 class ProblemFile:
-    """A problem document: raw field text plus the parsed problem."""
+    """A problem document: its name plus the parsed problem."""
 
-    b0_text: str
-    a_text: str
-    b_text: str
-    target_text: str | None
     name: str | None
     problem: GcfProblem
 
@@ -85,14 +81,7 @@ def load_problem_file(path: str | Path) -> ProblemFile:
     target_text = doc.get("target")
     target = parse_const_expr(target_text) if target_text is not None else None
     problem = GcfProblem(b0=b0, a=a, b=b, target=target)
-    return ProblemFile(
-        b0_text=doc["b0"],
-        a_text=doc["a"],
-        b_text=doc["b"],
-        target_text=target_text,
-        name=doc.get("name"),
-        problem=problem,
-    )
+    return ProblemFile(name=doc.get("name"), problem=problem)
 
 
 # --- report serialization ----------------------------------------------------

@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 from .errors import BoundaryRuleViolation, InvalidProblem, ZeroDenominatorConvergent
 from .expr import ConstExpr
 from .factorize import Coupling
-from .poly import Polynomial, integer_roots_from
+from .poly import Polynomial, common_denominator, integer_roots_from, integer_values
+from .series import cascade
 
 DEFAULT_DEPTH = 512
 
@@ -93,19 +93,6 @@ class StructuralWalk:
     last_defined: Fraction  # x_n at the largest n <= depth with B_n != 0
 
 
-def _integer_values(p: Polynomial, scale: int) -> Callable[[int], int]:
-    """n -> scale * p(n) in ints; scale must clear every coefficient denominator."""
-    coefficients = [scale // q.denominator * q.numerator for q in reversed(p.coefficients)]
-
-    def value(n: int) -> int:
-        acc = 0
-        for coefficient in coefficients:
-            acc = acc * n + coefficient
-        return acc
-
-    return value
-
-
 def structural_walk(
     problem: GcfProblem, depth: int, coupling: Coupling | None = None
 ) -> StructuralWalk:
@@ -114,15 +101,16 @@ def structural_walk(
     With L the lcm of all coefficient denominators (of c and d too, when a
     coupling is given), A'_n = L^(n+1) A_n and B'_n = L^(n+1) B_n obey
     y_n = (L b(n)) y_{n-1} + (L^2 a(n)) y_{n-2} with integer coefficients.
-    Alongside them run the cross product W'_n = L^(2n+1) W_n, the product
-    D'_n = prod_{j<=n+1} L d(j) = L^(n+1) prod d(j), and the cascade
-    T'_n = (L d(n+1)) T'_{n-1} + L prod_{j<=n} L c(j) = L^(n+1) S_n prod d(j),
-    so x_n S_n = 1 reads A' T' = B' D' and A_n = prod d(j) reads A' = D'.
+    Alongside them run the cross product W'_n = L^(2n+1) W_n and the series
+    :func:`~gcf_forge.series.cascade` at scale L, whose D'_n = L^(n+1) prod d(j)
+    and T'_n = L^(n+1) S_n prod d(j), so x_n S_n = 1 reads A' T' = B' D' and
+    A_n = prod d(j) reads A' = D'.
     x_{n-1} > x_n iff W'_n B'_{n-1} B'_n < 0.
 
     A coupling must satisfy the boundary rule b0 = d(1)
     (BoundaryRuleViolation otherwise); B_n = 0 while the reciprocal
-    identity still holds raises ZeroDenominatorConvergent.
+    identity still holds raises ZeroDenominatorConvergent, and d(j) = 0 at
+    some j <= depth + 1 raises ZeroDenominatorFactor.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -131,11 +119,9 @@ def structural_walk(
         if problem.b0 != coupling.d(1):
             raise BoundaryRuleViolation(f"b0 = {problem.b0} but d(1) = {coupling.d(1)}")
         polynomials += [coupling.c, coupling.d]
-    L = math.lcm(
-        problem.b0.denominator, *(q.denominator for p in polynomials for q in p.coefficients)
-    )
-    a = _integer_values(problem.a, L * L)
-    b = _integer_values(problem.b, L)
+    L = math.lcm(problem.b0.denominator, common_denominator(*polynomials))
+    a = integer_values(problem.a, L * L)
+    b = integer_values(problem.b, L)
     halfway = (depth + 1) // 2
 
     A_prev, A = 1, L // problem.b0.denominator * problem.b0.numerator
@@ -146,10 +132,8 @@ def structural_walk(
     half = last_defined = (A, B)
     numerator_depth = identity_depth = None
     if coupling is not None:
-        c = _integer_values(coupling.c, L)
-        d = _integer_values(coupling.d, L)
-        D = d(1)
-        C = T = L
+        steps = cascade(coupling, L)
+        _, D, T = next(steps)
         numerator_depth = identity_depth = 0  # both hold at n = 0 since b0 = d(1)
     for n in range(1, depth + 1):
         an, bn = a(n), b(n)
@@ -165,10 +149,7 @@ def structural_walk(
         if n == halfway:
             half = (A, B)
         if coupling is not None:
-            dn = d(n + 1)
-            D *= dn
-            C *= c(n)
-            T = dn * T + C
+            _, D, T = next(steps)
             if numerator_depth == n - 1 and A == D:
                 numerator_depth = n
             if identity_depth == n - 1:

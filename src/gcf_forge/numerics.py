@@ -18,8 +18,6 @@ from mpmath.libmp import from_rational, round_nearest, to_rational
 
 from .errors import DivisionByZero, InsufficientPrecision
 
-Rational = Fraction
-
 #: bits of mantissa budgeted per requested decimal digit (a digit needs ~3.33)
 BITS_PER_DIGIT = 4
 GUARD_BITS = 64
@@ -140,10 +138,3 @@ def matched_digits(x: PrecisionReal, y: PrecisionReal, digits: int) -> int:
 def agree_to_digits(x: PrecisionReal, y: PrecisionReal, digits: int) -> bool:
     """True iff |x - y| <= 10^(-digits) * max(1, |y|), computed exactly."""
     return matched_digits(x, y, digits) == digits
-
-
-def central_binomial(m: int) -> int:
-    """(2m)! / (m!)^2 for m >= 0."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return math.comb(2 * m, m)

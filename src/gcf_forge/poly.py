@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Callable
 
 from .errors import ZeroPolynomial
 
@@ -214,6 +215,24 @@ class FactoredPolynomial:
         return [(-f.coefficients[0], m) for f, m in self.factors if f.degree == 1]
 
 
+def common_denominator(*polys: Polynomial) -> int:
+    """The lcm of every coefficient denominator of the given polynomials."""
+    return math.lcm(*(q.denominator for p in polys for q in p.coefficients))
+
+
+def integer_values(p: Polynomial, scale: int) -> Callable[[int], int]:
+    """n -> scale * p(n) in ints; scale must clear every coefficient denominator."""
+    coefficients = [scale // q.denominator * q.numerator for q in reversed(p.coefficients)]
+
+    def value(n: int) -> int:
+        acc = 0
+        for coefficient in coefficients:
+            acc = acc * n + coefficient
+        return acc
+
+    return value
+
+
 def _positive_divisors(m: int) -> list[int]:
     m = abs(m)
     small, large = [], []
@@ -274,7 +293,7 @@ def factor_rational(p: Polynomial) -> FactoredPolynomial:
 
     if monic.degree >= 1:
         # primitive integer form for rational-root candidates
-        denom_lcm = math.lcm(*(c.denominator for c in monic.coefficients))
+        denom_lcm = common_denominator(monic)
         ints = [int(c * denom_lcm) for c in monic.coefficients]
         g = math.gcd(*ints)
         ints = [c // g for c in ints]

@@ -1,70 +1,65 @@
-"""Series induced by a coupling: exact terms, ratio certificate, summation.
+"""Series induced by a coupling: the integer cascade, ratio certificate, summation.
 
 The k-th term is t_k = prod_{j=1..k} c(j) / prod_{j=1..k+1} d(j). The
 consecutive-term ratio is the exact rational function c(k+1)/d(k+2), whose
-limit classifies convergence; when it converges, the series is summed in
-exact rational arithmetic under a certified geometric tail bound and
-converted to a binary float once, at the end.
+limit classifies convergence. Terms and partial sums come from one
+first-order cascade in plain ints; when the series converges it is summed on
+that cascade under a certified geometric tail bound and converted to a
+binary float once, at the end.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterator
 
 from .errors import NotConvergent, ZeroDenominatorFactor
 from .factorize import Coupling
 from .numerics import PrecisionReal, rational_to_real, working_precision
-from .poly import Polynomial, cauchy_root_bound, integer_roots_from
+from .poly import Polynomial, cauchy_root_bound, common_denominator, integer_values
 
 CONVERGENT = "convergent"
 DIVERGENT = "divergent"
 INCONCLUSIVE = "inconclusive"
 
 
-class TermStream(Iterator[Fraction]):
-    """Sequential exact term iterator; one multiply per product per step.
+def cascade(coupling: Coupling, scale: int) -> Iterator[tuple[int, int, int]]:
+    """(C_k, D_k, T_k) for k = 0, 1, ... in ints: t_k = C_k/D_k, S_k = T_k/D_k.
 
-    Construction fails with ZeroDenominatorFactor if d has an integer root
-    j >= 1, since t_k would divide by d(j) = 0 from k = j-1 on.
+    scale is any L that clears every coefficient denominator of c and d.
+    C_k = L prod_{j<=k} L c(j), D_k = prod_{j<=k+1} L d(j) and
+    T_k = (L d(k+1)) T_{k-1} + C_k, so no step reduces a fraction. Raises
+    ZeroDenominatorFactor(j) when the next term needs d(j) = 0.
     """
+    c = integer_values(coupling.c, scale)
+    d = integer_values(coupling.d, scale)
+    C, D, T = scale, 1, 0
+    for j in itertools.count(1):
+        dj = d(j)
+        if dj == 0:
+            raise ZeroDenominatorFactor(j)
+        D *= dj
+        T = dj * T + C
+        yield C, D, T
+        C *= c(j)
 
-    def __init__(self, coupling: Coupling):
-        roots = integer_roots_from(coupling.d, start=1)
-        if roots:
-            raise ZeroDenominatorFactor(roots[0])
-        self.coupling = coupling
-        self.k = 0
-        self.num = Fraction(1)  # prod_{j=1..k} c(j)
-        self.den = coupling.d(1)  # prod_{j=1..k+1} d(j)
 
-    def __iter__(self) -> "TermStream":
-        return self
-
-    def __next__(self) -> Fraction:
-        term = self.num / self.den
-        self.k += 1
-        self.num *= self.coupling.c(self.k)
-        self.den *= self.coupling.d(self.k + 1)
-        return term
+def _cascade(coupling: Coupling) -> Iterator[tuple[int, int, int]]:
+    """:func:`cascade` at the coupling's own scale."""
+    return cascade(coupling, common_denominator(coupling.c, coupling.d))
 
 
 def terms(coupling: Coupling, count: int) -> list[Fraction]:
     """Exact t_0 .. t_{count-1}."""
-    return list(islice(TermStream(coupling), count))
+    return [Fraction(C, D) for C, D, _ in itertools.islice(_cascade(coupling), count)]
 
 
 def partial_sums(coupling: Coupling, count: int) -> list[Fraction]:
     """Exact prefix sums S_n = t_0 + ... + t_n for n = 0..count-1."""
-    out: list[Fraction] = []
-    acc = Fraction(0)
-    for term in islice(TermStream(coupling), count):
-        acc += term
-        out.append(acc)
-    return out
+    return [Fraction(T, D) for _, D, T in itertools.islice(_cascade(coupling), count)]
 
 
 @dataclass(frozen=True)
@@ -72,19 +67,16 @@ class RatioCertificate:
     """Exact consecutive-term ratio t_{k+1}/t_k and its limit.
 
     numerator/denominator form the rational function of k; rho is the
-    exact limit (None encodes an infinite limit). The ratio identity is
-    meaningful for k >= valid_from, past any integer pole of the
-    denominator polynomial.
+    exact limit (None encodes an infinite limit).
     """
 
     numerator: Polynomial  # c(k+1)
     denominator: Polynomial  # d(k+2)
     rho: Fraction | None
     classification: str
-    valid_from: int = 0
 
     def at(self, k: int) -> Fraction:
-        """Exact ratio value at integer k >= valid_from."""
+        """Exact ratio value at an integer k where the denominator does not vanish."""
         return self.numerator(k) / self.denominator(k)
 
 
@@ -112,9 +104,7 @@ def ratio_certificate(coupling: Coupling) -> RatioCertificate:
         classification = DIVERGENT
     else:
         classification = INCONCLUSIVE
-    poles = integer_roots_from(den, start=0) if not den.is_zero else []
-    valid_from = max(poles) + 1 if poles else 0
-    return RatioCertificate(num, den, rho, classification, valid_from)
+    return RatioCertificate(num, den, rho, classification)
 
 
 def _geometric_onset(certificate: RatioCertificate, rho_bar: Fraction) -> int:
@@ -129,7 +119,8 @@ def _geometric_onset(certificate: RatioCertificate, rho_bar: Fraction) -> int:
     D = den if den.leading_coefficient > 0 else -den
     guards = [D, rho_bar * D - num, rho_bar * D + num]
     bound = max(cauchy_root_bound(g) for g in guards if not g.is_zero)
-    K = max(math.floor(bound) + 1, certificate.valid_from)
+    # K exceeds the Cauchy bound of D, hence every pole of the ratio
+    K = math.floor(bound) + 1
     if not (D(K) > 0 and abs(num(K)) <= rho_bar * D(K)):
         raise NotConvergent(f"no geometric onset certified at k = {K}")
     return K
@@ -138,10 +129,12 @@ def _geometric_onset(certificate: RatioCertificate, rho_bar: Fraction) -> int:
 def sum_to_precision(coupling: Coupling, digits: int) -> tuple[PrecisionReal, int]:
     """Sum the series to within 10^(-digits); returns (value, terms used).
 
-    Terms are accumulated exactly; the tail after index k >= K is bounded
+    Terms come from :func:`cascade`; the tail after index k >= K is bounded
     by |t_k| * rho_bar / (1 - rho_bar) with rho_bar = (|rho|+1)/2, where K
-    is certified by :func:`_geometric_onset`. Conversion to binary floats
-    happens once, after the bound drops below half the error budget.
+    is certified by :func:`_geometric_onset`. With p/q that tail factor, the
+    stop rule |t_k| p/q <= 1/(2 10^digits) is the integer comparison
+    2 10^digits p |C_k| <= q |D_k|. Conversion to a binary float happens
+    once, after the bound drops below half the error budget.
     """
     if digits < 1:
         raise ValueError("digits must be positive")
@@ -153,13 +146,12 @@ def sum_to_precision(coupling: Coupling, digits: int) -> tuple[PrecisionReal, in
     rho_bar = (abs(certificate.rho) + 1) / 2
     onset = _geometric_onset(certificate, rho_bar)
     tail_factor = rho_bar / (1 - rho_bar)
-    threshold = Fraction(1, 2 * 10**digits)
-
-    total = Fraction(0)
-    used = 0
-    for k, term in enumerate(TermStream(coupling)):
-        total += term
-        used = k + 1
-        if k >= onset and abs(term) * tail_factor <= threshold:
+    budget = 2 * 10**digits * tail_factor.numerator
+    q = tail_factor.denominator
+    for k, (C, D, T) in enumerate(_cascade(coupling)):
+        # a nonzero budget |C| has at least budget.bit_length() + C.bit_length() - 1
+        # bits, so bit lengths rule the stop out without forming the large products
+        near = budget.bit_length() + C.bit_length() <= q.bit_length() + D.bit_length() + 1
+        if k >= onset and (near or C == 0) and budget * abs(C) <= q * abs(D):
             break
-    return rational_to_real(total, working_precision(digits)), used
+    return rational_to_real(Fraction(T, D), working_precision(digits)), k + 1

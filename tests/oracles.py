@@ -88,6 +88,25 @@ def close_to(value: Fraction, reference: Fraction, digits: int) -> bool:
     return abs(value - reference) <= tolerance
 
 
+def fraction_series_sum(c, d, digits: int, onset: int, tail_factor: Fraction):
+    """(S, terms used) for the series t_k = prod_{j<=k} c(j) / prod_{j<=k+1} d(j).
+
+    The reference summation loop: reduced fractions, one term at a time,
+    stopping at the first k >= onset with |t_k| * tail_factor <= 1/(2 10^digits).
+    c and d are callables on the positive integers.
+    """
+    threshold = Fraction(1, 2 * 10**digits)
+    total = Fraction(0)
+    term = 1 / Fraction(d(1))
+    k = 0
+    while True:
+        total += term
+        if k >= onset and abs(term) * tail_factor <= threshold:
+            return total, k + 1
+        k += 1
+        term = term * c(k) / d(k + 1)
+
+
 def central_binomial_sum(z: Fraction | int, digits: int) -> Fraction:
     """Sum over m >= 1 of z^m / (m^2 * C(2m, m)) with |error| < 10^(-digits).
 

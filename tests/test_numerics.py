@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 from gcf_forge import (
     InsufficientPrecision,
     agree_to_digits,
-    central_binomial,
     rational_to_real,
     working_precision,
 )
@@ -90,22 +88,6 @@ class TestAgreeToDigits:
         x = rational_to_real(Fraction(1), 64)
         with pytest.raises(ValueError):
             agree_to_digits(x, x, 0)
-
-
-class TestCentralBinomial:
-    @pytest.mark.parametrize("m,expected", [(0, 1), (2, 6), (5, 252)])
-    def test_known_values(self, m, expected):
-        assert central_binomial(m) == expected
-
-    def test_factorial_identity_up_to_200(self):
-        for m in range(201):
-            assert (
-                central_binomial(m) * math.factorial(m) ** 2 == math.factorial(2 * m)
-            )
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            central_binomial(-1)
 
 
 def test_working_precision_policy(monkeypatch):

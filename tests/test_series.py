@@ -1,26 +1,32 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gcf_forge import (
     Coupling,
     NotConvergent,
     Polynomial,
-    TermStream,
     ZeroDenominatorFactor,
     partial_sums,
     ratio_certificate,
+    rational_to_real,
     sum_to_precision,
     terms,
+    working_precision,
 )
 
 from gcf_forge import series
+from gcf_forge.poly import common_denominator, integer_roots_from
 
 from oracles import (
     central_binomial_sum,
     close_to,
     fraction_decimal,
+    fraction_series_sum,
     ln2_fraction,
     pi_squared_over_8,
     pi_squared_over_18,
@@ -60,18 +66,51 @@ class TestTerms:
         assert all(s < t for s, t in zip(sums, sums[1:]))
 
     def test_vanishing_denominator_factor(self):
+        # t_2 is the last term that does not divide by d(3) = 0
+        coupling = Coupling(c=N, d=N - 3)
         with pytest.raises(ZeroDenominatorFactor) as err:
-            TermStream(Coupling(c=N, d=N - 3))
+            terms(coupling, 3)
         assert err.value.index == 3
+        assert terms(coupling, 2) == [Fraction(-1, 2), Fraction(1, 2)]
 
     def test_stream_state_tracks_products(self, quartic_coupling):
-        stream = TermStream(quartic_coupling)
-        for _ in range(5):
-            next(stream)
+        L = 3
+        C, D, _ = next(islice(series.cascade(quartic_coupling, L), 5, None))
         c, d = quartic_coupling.c, quartic_coupling.d
-        assert stream.k == 5
-        assert stream.num == math.prod(c(j) for j in range(1, 6))
-        assert stream.den == math.prod(d(j) for j in range(1, 7))
+        assert C == L * math.prod(L * c(j) for j in range(1, 6))
+        assert D == math.prod(L * d(j) for j in range(1, 7))
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def signed_couplings(draw) -> Coupling:
+    """c, d of degree <= 2 with rational coefficients; d has no root in 1, 2, ..."""
+
+    def polynomial():
+        return Polynomial(draw(st.lists(rationals, max_size=2)) + [draw(rationals.filter(bool))])
+
+    coupling = Coupling(c=polynomial(), d=polynomial())
+    assume(not integer_roots_from(coupling.d, start=1))
+    return coupling
+
+
+class TestCascade:
+    @settings(max_examples=40, deadline=None)
+    @given(coupling=signed_couplings(), times=st.sampled_from([1, 6]))
+    def test_matches_fraction_products_and_sums(self, coupling, times):
+        scale = times * common_denominator(coupling.c, coupling.d)
+        c, d = coupling.c, coupling.d
+        numerator, denominator, total = Fraction(1), d(1), Fraction(0)
+        for k, (C, D, T) in enumerate(islice(series.cascade(coupling, scale), 41)):
+            assert all(isinstance(v, int) for v in (C, D, T))
+            assert C == scale ** (k + 1) * numerator
+            assert D == scale ** (k + 1) * denominator
+            total += numerator / denominator
+            assert Fraction(T, D) == total
+            numerator *= c(k + 1)
+            denominator *= d(k + 2)
 
 
 class TestRatioCertificate:
@@ -81,7 +120,6 @@ class TestRatioCertificate:
         assert cert.denominator == 2 * N**2 + 7 * N + 6  # (k+2)(2k+3)
         assert cert.rho == Fraction(1, 2)
         assert cert.classification == "convergent"
-        assert cert.valid_from == 0
 
     def test_ratio_matches_consecutive_terms(self, quartic_coupling):
         cert = ratio_certificate(quartic_coupling)
@@ -110,9 +148,10 @@ class TestRatioCertificate:
         assert growing.classification == "divergent"
 
     def test_pole_pushes_validity_start(self):
-        # d(k+2) = k - 3 vanishes at k = 3, so ratios certify from k = 4 on
-        cert = ratio_certificate(Coupling(c=N, d=N - 5))
-        assert cert.valid_from == 4
+        # d(k+2) = 2k - 6 vanishes at k = 3, so the onset must lie past it
+        cert = ratio_certificate(Coupling(c=N, d=2 * N - 10))
+        assert cert.denominator(3) == 0
+        assert series._geometric_onset(cert, (abs(cert.rho) + 1) / 2) > 3
 
 
 class TestSumToPrecision:
@@ -151,6 +190,29 @@ class TestSumToPrecision:
         monkeypatch.setattr(series, "cauchy_root_bound", lambda p: Fraction(0))
         with pytest.raises(NotConvergent):
             sum_to_precision(Coupling(c=N**2 + 100, d=2 * N**2 - N), 10)
+
+    @pytest.mark.parametrize("digits", [5, 20, 60])
+    @pytest.mark.parametrize(
+        "coupling",
+        [
+            Coupling(c=N**2, d=2 * N**2 - N),
+            GEOMETRIC,
+            Coupling(c=-N, d=2 * N),
+            Coupling(c=Fraction(1, 3) * N + Fraction(1, 2), d=Fraction(3, 2) * N**2 + 1),
+            Coupling(c=Polynomial.constant(3), d=N * (N + 40)),
+            Coupling(c=N - 3, d=2 * N),
+        ],
+        ids=["quartic", "geometric", "alternating", "rational", "wide-onset", "terminating"],
+    )
+    def test_matches_fraction_reference(self, coupling, digits):
+        certificate = ratio_certificate(coupling)
+        rho_bar = (abs(certificate.rho) + 1) / 2
+        onset = series._geometric_onset(certificate, rho_bar)
+        total, used = fraction_series_sum(
+            coupling.c, coupling.d, digits, onset, rho_bar / (1 - rho_bar)
+        )
+        expected = (rational_to_real(total, working_precision(digits)), used)
+        assert sum_to_precision(coupling, digits) == expected
 
     def test_error_budget_is_met(self, quartic_coupling):
         # against a much finer run of the same series, exact to 10^-40

@@ -13,7 +13,7 @@ from gcf_forge import (
     structural_walk,
     verify_conjecture,
 )
-from gcf_forge import verify
+from gcf_forge import factorize, poly, verify
 from gcf_forge.numerics import agreement_digits
 from gcf_forge.verify import INCONCLUSIVE, REFUTED_AT_DEPTH, VERIFIED
 
@@ -209,6 +209,21 @@ class TestVerifyConjecture:
         monkeypatch.setattr(verify, "structural_walk", counted)
         verify_conjecture(quartic_problem, digits=10, depth=16)
         assert len(calls) == 1
+
+    def test_one_factorization_per_call(self, quartic_problem, monkeypatch):
+        # the coupling search factors -a; nothing downstream factors again
+        calls = []
+        factor_rational = poly.factor_rational
+
+        def counted(p):
+            calls.append(p)
+            return factor_rational(p)
+
+        monkeypatch.setattr(factorize, "factor_rational", counted)
+        monkeypatch.setattr(poly, "factor_rational", counted)
+        report = verify_conjecture(quartic_problem, digits=10, depth=16)
+        assert report.terms_used is not None
+        assert calls == [-quartic_problem.a]
 
     def test_parameter_preconditions(self, quartic_problem):
         with pytest.raises(ValueError):
