@@ -29,7 +29,7 @@ from .numerics import (
     rational_to_real,
     real_from_decimal,
 )
-from .series import partial_sums, ratio_certificate, terms
+from .series import partial_sums, ratio_certificate
 from .verify import REFUTED_AT_DEPTH, VERIFIED, VerificationReport, verify_conjecture
 
 EXIT_OK = 0
@@ -225,10 +225,10 @@ def cmd_series(args) -> int:
         f"ratio: ({certificate.numerator.to_text()}) / ({certificate.denominator.to_text()})"
         f"   rho = {rho}   [{certificate.classification}]"
     )
-    ts = terms(coupling, args.count)
     sums = partial_sums(coupling, args.count)
     print(f"{'k':>5}  {'t_k':>24}  S_k")
-    for k, (t, s) in enumerate(zip(ts, sums)):
+    for k, s in enumerate(sums):
+        t = s - sums[k - 1] if k else s  # t_k = S_k - S_{k-1}, exactly
         if args.exact:
             print(f"{k:>5}  {t!s:>24}  {s}")
         else:

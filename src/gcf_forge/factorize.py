@@ -5,9 +5,11 @@ A coupling must satisfy, as polynomial identities,
     c(n) + d(n+1) = b(n)        and        c(n) * d(n) = -a(n),
 
 which turns the second-order recurrence into a first-order cascade. The
-search factors -a over its rational roots, distributes the monic factors
-(and an indivisible residual, if any) between the two sides in every way,
-and solves exactly for the remaining scalar pair.
+search factors -a over its rational roots and takes every monic divisor Q
+of -a built from those factors (and an indivisible residual, if any) as the
+monic part of d. With d = v*Q, the sum identity fixes c = b - v*Q(n+1), so
+the one unknown left is the scalar v: a root of a monic quadratic, checked
+against the whole product identity.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import ZeroPartialNumerator
-from .poly import Polynomial, factor_rational, split_assignments
+from .poly import Polynomial, factor_rational
 
 
 @dataclass(frozen=True)
@@ -50,90 +52,53 @@ def _coefficient(p: Polynomial, i: int) -> Fraction:
     return p.coefficients[i] if i <= p.degree else Fraction(0)
 
 
-def _solve_scalars(
-    P: Polynomial, Q1: Polynomial, b: Polynomial, content: Fraction
-) -> list[tuple[Fraction, Fraction]]:
-    """Rational (u, v) with u*P + v*Q1 == b and u*v == content, if any.
-
-    P and Q1 are monic, so their coefficient vectors are dependent only
-    when P == Q1; that degenerate direction is handled via the quadratic
-    z^2 - beta*z + content with u + v = beta.
-    """
-    if P == Q1:
-        if b.is_zero:
-            beta = Fraction(0)
-        else:
-            beta = b.leading_coefficient / P.leading_coefficient
-            if P * beta != b:
-                return []
-        discriminant = beta * beta - 4 * content
-        root = _rational_sqrt(discriminant)
-        if root is None:
-            return []
-        u1 = (beta + root) / 2
-        u2 = (beta - root) / 2
-        solutions = [(u1, beta - u1)]
-        if u2 != u1:
-            solutions.append((u2, beta - u2))
-        return solutions
-
-    rows = max(P.degree, Q1.degree, b.degree) + 1
-    pivot = None
-    for i in range(rows):
-        for j in range(i + 1, rows):
-            det = _coefficient(P, i) * _coefficient(Q1, j) - _coefficient(
-                P, j
-            ) * _coefficient(Q1, i)
-            if det != 0:
-                pivot = (i, j, det)
-                break
-        if pivot:
-            break
-    if pivot is None:  # unreachable for distinct monic P, Q1
-        return []
-    i, j, det = pivot
-    u = (_coefficient(b, i) * _coefficient(Q1, j) - _coefficient(b, j) * _coefficient(Q1, i)) / det
-    v = (_coefficient(P, i) * _coefficient(b, j) - _coefficient(P, j) * _coefficient(b, i)) / det
-    # the two pivot rows determine (u, v); every remaining row must concur
-    for k in range(rows):
-        if u * _coefficient(P, k) + v * _coefficient(Q1, k) != _coefficient(b, k):
-            return []
-    if u * v != content:
-        return []
-    return [(u, v)]
+def _divisors(items: list[tuple[Polynomial, int]]):
+    """(Q, Q(n+1), R) for every monic divisor Q of P = prod f^m, with Q*R == P."""
+    one = Polynomial.constant(1)
+    triples = [(one, one, one)]
+    for f, m in items:
+        shifted = f.shift(1)
+        powers, shifted_powers = [one], [one]
+        for _ in range(m):
+            powers.append(powers[-1] * f)
+            shifted_powers.append(shifted_powers[-1] * shifted)
+        triples = [
+            (Q * powers[k], Qs * shifted_powers[k], R * powers[m - k])
+            for Q, Qs, R in triples
+            for k in range(m + 1)
+        ]
+    return triples
 
 
 def find_couplings(a: Polynomial, b: Polynomial) -> list[Coupling]:
     """All couplings reachable through rational-root splits of -a.
 
-    The enumeration distributes every monic linear factor (with its
-    multiplicity) and the whole residual, if one exists, between the c
-    and d sides, then solves for the scalar pair exactly. An empty result
+    With -a = kappa*Q*R (Q, R monic, kappa the signed content), each monic Q
+    built from the linear factors of -a and the whole residual, if any, gives
+    d = v*Q and c = b - v*Q(n+1); c*d == -a then reads v*c == kappa*R. Its
+    row at degree deg Q is v^2 - b_q*v + kappa*R_q = 0, and each nonzero
+    rational root v is kept iff the whole identity holds. An empty result
     means no coupling exists *within this search space*; factorizations
     needing irrational or complex splits are out of reach by design.
     """
     if a.is_zero:
         raise ZeroPartialNumerator("a(n) is identically zero")
     factored = factor_rational(-a)
-    signed_content = factored.content * factored.sign
+    kappa = factored.content * factored.sign
     items = list(factored.factors)
-
-    residual_sides = (True, False) if factored.residual is not None else (True,)
-    found: dict[tuple, Coupling] = {}
-    for base_P, base_Q in split_assignments(items):
-        for residual_to_P in residual_sides:
-            P, Q = base_P, base_Q
-            if factored.residual is not None:
-                if residual_to_P:
-                    P = P * factored.residual
-                else:
-                    Q = Q * factored.residual
-            for u, v in _solve_scalars(P, Q.shift(1), b, signed_content):
-                coupling = Coupling(c=u * P, d=v * Q)
-                if verify_coupling(a, b, coupling):
-                    key = (coupling.c.coefficients, coupling.d.coefficients)
-                    found.setdefault(key, coupling)
+    if factored.residual is not None:
+        items.append((factored.residual, 1))
+    found: list[Coupling] = []
+    for Q, Qs, R in _divisors(items):
+        b_q = _coefficient(b, Q.degree)
+        root = _rational_sqrt(b_q * b_q - 4 * kappa * _coefficient(R, Q.degree))
+        if root is None:
+            continue
+        for v in {(b_q + root) / 2, (b_q - root) / 2}:
+            c = b - v * Qs
+            if v and v * c == kappa * R:
+                found.append(Coupling(c=c, d=v * Q))
     return sorted(
-        found.values(),
+        found,
         key=lambda cp: (cp.c.degree, cp.c.coefficients, cp.d.coefficients),
     )

@@ -107,13 +107,17 @@ def real_reciprocal(x: PrecisionReal) -> PrecisionReal:
 
 
 def agreement_digits(x: Fraction, y: Fraction, cap: int) -> int:
-    """Largest D <= cap with |x - y| <= 10^-D * max(1, |y|), exactly."""
+    """Largest D in 0..cap with |x - y| <= 10^-D * max(1, |y|), exactly.
+
+    10^D <= r = max(1, |y|) / |x - y| iff 10^D <= floor(r); D = cap if x == y.
+    """
     gap = abs(x - y)
-    scale = max(Fraction(1), abs(y))
-    digits = 0
-    while digits < cap and gap * 10 ** (digits + 1) <= scale:
-        digits += 1
-    return digits
+    if cap <= 0 or not gap:
+        return max(cap, 0)
+    ratio = max(Fraction(1), abs(y)) / gap
+    whole = max(1, min(ratio.numerator // ratio.denominator, 10**cap))
+    digits = int(math.log10(whole))  # within one of the exact value; correct it
+    return digits - (10**digits > whole) + (10 ** (digits + 1) <= whole)
 
 
 def matched_digits(x: PrecisionReal, y: PrecisionReal, digits: int) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable
 
 from .errors import ZeroPolynomial
@@ -142,8 +141,9 @@ class Polynomial:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -341,17 +341,3 @@ def integer_roots_from(p: Polynomial, start: int = 1) -> list[int]:
     roots = factor_rational(p).rational_roots()
     return [int(r) for r, _ in roots if r.denominator == 1 and r >= start]
 
-
-def split_assignments(items: list[tuple[Polynomial, int]]):
-    """All ways to apportion factor multiplicities between two products.
-
-    Yields (left, right) monic polynomial pairs, deterministically ordered.
-    """
-    ranges = [range(m + 1) for _, m in items]
-    for picks in product(*ranges):
-        left = Polynomial.constant(1)
-        right = Polynomial.constant(1)
-        for (factor, mult), take in zip(items, picks):
-            left = left * factor**take
-            right = right * factor ** (mult - take)
-        yield left, right

@@ -1,12 +1,14 @@
 """Independent reference computations used to freeze expected values.
 
 Everything here is exact rational arithmetic built from first principles
-(Machin's arctangent formula, long division, alternating-series tails);
-nothing imports the package or mpmath, so these references cannot share a
-failure mode with the code under test.
+(Machin's arctangent formula, long division, alternating-series tails) or
+from sympy, which is imported inside the functions that use it so this
+module loads without it. Nothing imports the package or mpmath, so these
+references cannot share a failure mode with the code under test.
 """
 
 from fractions import Fraction
+from itertools import product
 
 
 def fraction_decimal(q: Fraction, digits: int) -> str:
@@ -132,3 +134,89 @@ def central_binomial_sum(z: Fraction | int, digits: int) -> Fraction:
         term /= (2 * m + 1) * (2 * m + 2)
         m += 1
     return total
+
+
+def agreement_digits_loop(x: Fraction, y: Fraction, cap: int) -> int:
+    """Largest D <= cap with |x - y| <= 10^-D * max(1, |y|), one digit at a time."""
+    gap = abs(x - y)
+    scale = max(Fraction(1), abs(y))
+    digits = 0
+    while digits < cap and gap * 10 ** (digits + 1) <= scale:
+        digits += 1
+    return digits
+
+
+def _sympy_poly(coefficients, n):
+    import sympy
+
+    return sympy.Poly(list(reversed([sympy.Rational(str(q)) for q in coefficients])), n, domain="QQ")
+
+
+def _fraction(q) -> Fraction:
+    return Fraction(int(q.p), int(q.q))
+
+
+def _fractions(poly) -> tuple:
+    """Lowest-degree-first Fraction coefficients of a sympy Poly (() for zero)."""
+    return () if poly.is_zero else tuple(_fraction(q) for q in reversed(poly.all_coeffs()))
+
+
+def _sympy_factors(p):
+    """sympy.factor_list over QQ: (monic linear factors with multiplicity, monic rest)."""
+    import sympy
+
+    linear, rest = [], sympy.Poly(1, *p.gens, domain="QQ")
+    for f, m in sympy.factor_list(p)[1]:
+        if f.degree() == 1:
+            linear.append((f.monic(), m))
+        else:
+            rest *= f.monic() ** m
+    return linear, rest
+
+
+def sympy_factor_rational(coefficients):
+    """(leading coefficient, [(rational root, multiplicity)], monic residual or None).
+
+    From sympy.factor_list over QQ: the roots of its linear factors, ascending,
+    and the monic product of every other factor, as Fraction coefficient tuples.
+    """
+    import sympy
+
+    p = _sympy_poly(coefficients, sympy.Symbol("n"))
+    linear, rest = _sympy_factors(p)
+    roots = sorted((_fraction(-f.TC()), m) for f, m in linear)
+    return _fraction(p.LC()), roots, None if rest.degree() == 0 else _fractions(rest)
+
+
+def sympy_couplings(a, b) -> set:
+    """Every coupling (c, d) of the rational-root search space, found with sympy alone.
+
+    a and b are Fraction coefficient sequences, lowest degree first. -a is
+    factored over QQ with sympy.factor_list; every split of its monic linear
+    factors (with multiplicity) and of the whole monic rest between c = u*P
+    and d = v*Q is solved for rational (u, v) with u*P(n) + v*Q(n+1) = b(n)
+    and u*v = kappa by sympy.solve. Returns {(c, d)} as coefficient tuples.
+    """
+    import sympy
+
+    n, u, v = sympy.symbols("n u v")
+    minus_a = -_sympy_poly(a, n)
+    kappa = minus_a.LC()
+    items, rest = _sympy_factors(minus_a)
+    if rest.degree() > 0:
+        items.append((rest, 1))
+    target = _sympy_poly(b, n).as_expr()
+    found = set()
+    for picks in product(*(range(m + 1) for _, m in items)):
+        P = Q = sympy.Integer(1)
+        for (f, m), take in zip(items, picks):
+            P *= f.as_expr() ** take
+            Q *= f.as_expr() ** (m - take)
+        residual = sympy.Poly(sympy.expand(u * P + v * Q.subs(n, n + 1) - target), n)
+        equations = residual.coeffs() + [u * v - kappa]
+        for solution in sympy.solve(equations, [u, v], dict=True):
+            if solution[u].is_rational and solution[v].is_rational:
+                c = sympy.Poly(sympy.expand(solution[u] * P), n, domain="QQ")
+                d = sympy.Poly(sympy.expand(solution[v] * Q), n, domain="QQ")
+                found.add((_fractions(c), _fractions(d)))
+    return found

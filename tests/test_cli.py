@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from gcf_forge import series
 from gcf_forge.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -108,6 +109,18 @@ class TestSeries:
     def test_without_coupling(self, problems_dir, capsys):
         code = main(["series", str(problems_dir / "no_rational_coupling.json")])
         assert code == EXIT_INCONCLUSIVE
+
+    def test_one_cascade_for_terms_and_sums(self, quartic_file, monkeypatch, capsys):
+        walks = []
+        original = series.cascade
+
+        def counting(*args):
+            walks.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(series, "cascade", counting)
+        assert main(["series", quartic_file, "--count", "5"]) == EXIT_OK
+        assert len(walks) == 1
 
 
 class TestVerify:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,8 @@ from gcf_forge import (
     find_couplings,
     verify_coupling,
 )
+
+from oracles import sympy_couplings
 
 N = Polynomial.variable()
 
@@ -39,11 +43,11 @@ class TestSearchSpace:
         assert all(verify_coupling(-(N**2), 2 * N + 1, cp) for cp in found)
 
     def test_no_rational_scalar_pair(self):
-        # u + v = 1 and u*v = 1 has negative discriminant
+        # d = v, c = 1 - v and c*d = 1 give v^2 - v + 1 = 0: negative discriminant
         assert find_couplings(Polynomial.constant(-1), Polynomial.constant(1)) == []
 
     def test_constant_pair_with_two_solutions(self):
-        # u + v = 3, u*v = 2: both orderings are couplings
+        # v^2 - 3v + 2 = 0 has the roots 1 and 2: both orderings are couplings
         found = find_couplings(Polynomial.constant(-2), Polynomial.constant(3))
         assert found == [
             Coupling(c=Polynomial.constant(1), d=Polynomial.constant(2)),
@@ -67,18 +71,22 @@ class TestSearchSpace:
             find_couplings(Polynomial.zero(), N)
 
 
+roots = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
 @st.composite
 def coupling_instances(draw):
     """Plant a coupling whose product splits over rational roots.
 
-    Keeping c and d products of integer-rooted linear factors guarantees
-    the planted pair lies inside the search space, which is complete only
-    over rational-root splits plus one indivisible residual.
+    c and d are rational multiples of products of rational-rooted linear
+    factors, and at most one of them also carries an irreducible quadratic,
+    so the planted pair lies inside the search space: rational-root splits
+    plus one indivisible residual.
     """
 
     def linear_product() -> Polynomial:
-        p = Polynomial.constant(draw(st.integers(1, 4)))
-        for root in draw(st.lists(st.integers(-4, 4), min_size=0, max_size=2)):
+        p = Polynomial.constant(draw(st.fractions(1, 4, max_denominator=3)))
+        for root in draw(st.lists(roots, min_size=0, max_size=2)):
             p = p * (N - root)
         return p
 
@@ -86,6 +94,12 @@ def coupling_instances(draw):
     d = linear_product()
     if draw(st.booleans()):
         c = -c
+    side = draw(st.sampled_from(["none", "c", "d"]))
+    if side != "none":
+        # n^2 + p*n + q with p^2 < 4q has no real root
+        p = draw(st.integers(-3, 3))
+        quadratic = N**2 + p * N + draw(st.integers(p * p // 4 + 1, p * p // 4 + 4))
+        c, d = (c * quadratic, d) if side == "c" else (c, d * quadratic)
     return -(c * d), c + d.shift(1), Coupling(c=c, d=d)
 
 
@@ -116,3 +130,19 @@ class TestProperties:
         assert first == second
         keys = [(cp.c.degree, cp.c.coefficients, cp.d.coefficients) for cp in first]
         assert keys == sorted(keys)
+
+
+class TestSympyOracle:
+    """find_couplings against sympy.factor_list and sympy.solve, which share
+    neither the rational-root search nor the quadratic in v."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=coupling_instances(), shift=st.sampled_from([0, 0, 1, Fraction(-1, 2)]))
+    def test_same_couplings_as_sympy(self, case, shift):
+        pytest.importorskip("sympy")
+        a, b, _ = case
+        b = b + shift  # a shifted b is, in general, not in Euler form
+        expected = sympy_couplings(a.coefficients, b.coefficients)
+        found = find_couplings(a, b)
+        assert {(cp.c.coefficients, cp.d.coefficients) for cp in found} == expected
+        assert len(found) == len(expected)

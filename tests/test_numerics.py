@@ -10,9 +10,14 @@ from gcf_forge import (
     rational_to_real,
     working_precision,
 )
-from gcf_forge.numerics import PRECISION_ENV_VAR, real_from_decimal, real_reciprocal
+from gcf_forge.numerics import (
+    PRECISION_ENV_VAR,
+    agreement_digits,
+    real_from_decimal,
+    real_reciprocal,
+)
 
-from oracles import eight_over_pi_squared, fraction_decimal
+from oracles import agreement_digits_loop, eight_over_pi_squared, fraction_decimal
 
 rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**6
@@ -88,6 +93,27 @@ class TestAgreeToDigits:
         x = rational_to_real(Fraction(1), 64)
         with pytest.raises(ValueError):
             agree_to_digits(x, x, 0)
+
+
+class TestAgreementDigits:
+    @given(
+        y=rationals,
+        gap=st.one_of(
+            rationals,
+            st.integers(-40, 40).map(lambda e: Fraction(10) ** e),  # |x - y| a power of ten
+        ),
+        relative=st.booleans(),
+        cap=st.integers(-2, 45),
+    )
+    def test_matches_digit_loop(self, y, gap, relative, cap):
+        # a relative gap times max(1, |y|) lands exactly on the 10^-D boundaries
+        x = y + gap * max(1, abs(y)) if relative else y + gap
+        assert agreement_digits(x, y, cap) == agreement_digits_loop(x, y, cap)
+
+    def test_deep_agreement_beyond_decimal_text_limit(self):
+        # 10^-5000 apart: more digits than int's default decimal-text limit
+        y = Fraction(1, 3)
+        assert agreement_digits(y + Fraction(1, 10**5000), y, 6000) == 5000
 
 
 def test_working_precision_policy(monkeypatch):

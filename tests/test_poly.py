@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcf_forge import Polynomial, ZeroPolynomial, factor_rational
 from gcf_forge.poly import cauchy_root_bound, integer_roots_from
+
+from oracles import sympy_factor_rational
 
 N = Polynomial.variable()
 
@@ -71,6 +73,14 @@ class TestArithmetic:
         p = Polynomial((1, 2, 0, 0))
         assert p.coefficients == (Fraction(1), Fraction(2))
         assert p.degree == 1
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_power_is_repeated_product(self, k):
+        p = Polynomial((3, -1, Fraction(1, 2)))
+        expected = Polynomial.constant(1)
+        for _ in range(k):
+            expected = expected * p
+        assert p**k == expected
 
 
 class TestToText:
@@ -140,6 +150,30 @@ class TestFactorRational:
         for r in set(roots):
             assert found[Fraction(r)] == roots.count(r)
         assert f.residual is None
+
+
+@st.composite
+def planted_root_polynomials(draw):
+    """A rational multiple of rational-rooted linear factors, times an optional
+    irreducible quadratic, times an arbitrary polynomial."""
+    p = Polynomial.constant(draw(st.fractions(1, 9, max_denominator=5)))
+    for root in draw(st.lists(st.fractions(-5, 5, max_denominator=4), max_size=4)):
+        p = p * (N - root)
+    if draw(st.booleans()):
+        p = p * (N**2 + draw(st.integers(-2, 2)) * N + 3)  # p^2 < 12: no real root
+    return p * draw(nonzero_polynomials.filter(lambda q: q.degree <= 2))
+
+
+class TestSympyOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(p=planted_root_polynomials())
+    def test_factor_rational_matches_sympy(self, p):
+        pytest.importorskip("sympy")
+        lead, roots, residual = sympy_factor_rational(p.coefficients)
+        f = factor_rational(p)
+        assert f.content * f.sign == lead
+        assert f.rational_roots() == roots
+        assert (None if f.residual is None else f.residual.coefficients) == residual
 
 
 class TestRootAnalysis:
