@@ -9,9 +9,10 @@ grammars the library uses. Exit codes: 0 verified/ok, 1 refuted-at-depth,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -87,26 +88,10 @@ def load_problem_file(path: str | Path) -> ProblemFile:
 # --- report serialization ----------------------------------------------------
 
 
-def _fraction_to_text(q: Fraction) -> str:
-    return str(q) if q.denominator > 1 else str(q.numerator)
-
-
-def _real_to_dict(x: PrecisionReal | None) -> dict | None:
-    if x is None:
-        return None
-    return {"decimal": x.to_decimal(), "precision_bits": x.precision_bits}
-
-
 def _real_from_dict(doc: dict | None) -> PrecisionReal | None:
     if doc is None:
         return None
     return real_from_decimal(doc["decimal"], doc["precision_bits"])
-
-
-def _coupling_to_dict(coupling: Coupling | None) -> dict | None:
-    if coupling is None:
-        return None
-    return {"c": coupling.c.to_text(), "d": coupling.d.to_text()}
 
 
 def _coupling_from_dict(doc: dict | None) -> Coupling | None:
@@ -115,63 +100,44 @@ def _coupling_from_dict(doc: dict | None) -> Coupling | None:
     return Coupling(c=parse_polynomial(doc["c"]), d=parse_polynomial(doc["d"]))
 
 
+def _to_json(value):
+    if isinstance(value, PrecisionReal):
+        return {"decimal": value.to_decimal(), "precision_bits": value.precision_bits}
+    if isinstance(value, Coupling):
+        return {"c": value.c.to_text(), "d": value.d.to_text()}
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    if isinstance(value, dict):
+        return dict(value)
+    return value
+
+
+# report fields whose JSON form is not the value itself; the rest pass through
+_DECODE = {
+    "problem": dict,
+    "coupling": _coupling_from_dict,
+    "other_couplings": lambda docs: tuple(_coupling_from_dict(doc) for doc in docs),
+    "rho": lambda text: None if text in (None, "infinite") else Fraction(text),
+    "series_value": _real_from_dict,
+    "gcf_value": _real_from_dict,
+    "target_value": _real_from_dict,
+}
+
+
 def report_to_dict(report: VerificationReport) -> dict:
-    rho: str | None
-    if report.rho is not None:
-        rho = _fraction_to_text(report.rho)
-    elif report.classification is not None:
-        rho = "infinite"
-    else:
-        rho = None
-    return {
-        "problem": dict(report.problem),
-        "coupling": _coupling_to_dict(report.coupling),
-        "other_couplings": [_coupling_to_dict(cp) for cp in report.other_couplings],
-        "boundary_rule_holds": report.boundary_rule_holds,
-        "exact_identity_depth": report.exact_identity_depth,
-        "numerator_product_depth": report.numerator_product_depth,
-        "casoratian_depth": report.casoratian_depth,
-        "rho": rho,
-        "classification": report.classification,
-        "series_value": _real_to_dict(report.series_value),
-        "gcf_value": _real_to_dict(report.gcf_value),
-        "target_value": _real_to_dict(report.target_value),
-        "digits_matched": report.digits_matched,
-        "monotone_convergents": report.monotone_convergents,
-        "cauchy_digits": report.cauchy_digits,
-        "terms_used": report.terms_used,
-        "digits_requested": report.digits_requested,
-        "depth": report.depth,
-        "verdict": report.verdict,
-    }
+    doc = {f.name: _to_json(getattr(report, f.name)) for f in fields(report)}
+    if report.rho is None and report.classification is not None:
+        doc["rho"] = "infinite"  # a classified series with no finite limit ratio
+    return doc
 
 
 def report_from_dict(doc: dict) -> VerificationReport:
-    rho_text = doc["rho"]
-    rho = Fraction(rho_text) if rho_text not in (None, "infinite") else None
-    return VerificationReport(
-        problem=dict(doc["problem"]),
-        coupling=_coupling_from_dict(doc["coupling"]),
-        other_couplings=tuple(
-            _coupling_from_dict(item) for item in doc["other_couplings"]
-        ),
-        boundary_rule_holds=doc["boundary_rule_holds"],
-        exact_identity_depth=doc["exact_identity_depth"],
-        numerator_product_depth=doc["numerator_product_depth"],
-        casoratian_depth=doc["casoratian_depth"],
-        rho=rho,
-        classification=doc["classification"],
-        series_value=_real_from_dict(doc["series_value"]),
-        gcf_value=_real_from_dict(doc["gcf_value"]),
-        target_value=_real_from_dict(doc["target_value"]),
-        digits_matched=doc["digits_matched"],
-        monotone_convergents=doc["monotone_convergents"],
-        cauchy_digits=doc["cauchy_digits"],
-        terms_used=doc["terms_used"],
-        digits_requested=doc["digits_requested"],
-        depth=doc["depth"],
-        verdict=doc["verdict"],
-    )
+    values = {f.name: doc[f.name] for f in fields(VerificationReport)}
+    for key, decode in _DECODE.items():
+        values[key] = decode(values[key])
+    return VerificationReport(**values)
 
 
 # --- commands -----------------------------------------------------------------
@@ -287,6 +253,7 @@ def _print_report(report: VerificationReport) -> None:
     print(f"verdict: {report.verdict}")
 
 
+@functools.cache  # main runs once per job when called in-process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gcf-forge",
@@ -298,32 +265,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("file")
     p_eval.add_argument("--depth", type=int, default=DEFAULT_TABLE_DEPTH)
     p_eval.add_argument("--exact", action="store_true", help="exact rationals instead of previews")
-    p_eval.set_defaults(func=cmd_eval)
 
     p_fact = sub.add_parser("factorize", help="search for couplings (c, d)")
     p_fact.add_argument("file")
-    p_fact.set_defaults(func=cmd_factorize)
 
     p_series = sub.add_parser("series", help="show the induced series and its ratio certificate")
     p_series.add_argument("file")
     p_series.add_argument("--count", type=int, default=DEFAULT_TABLE_DEPTH)
     p_series.add_argument("--exact", action="store_true", help="exact rationals instead of previews")
-    p_series.set_defaults(func=cmd_series)
 
     p_verify = sub.add_parser("verify", help="run the full verification pipeline")
     p_verify.add_argument("file")
     p_verify.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
     p_verify.add_argument("--depth", type=int, default=DEFAULT_VERIFY_DEPTH)
     p_verify.add_argument("--json", metavar="PATH", help="also write the report as JSON")
-    p_verify.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = globals()[f"cmd_{args.command}"]  # looked up per call, not cached
     try:
-        return args.func(args)
+        return command(args)
     except (ExprSyntaxError, NonPolynomial, ProblemFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

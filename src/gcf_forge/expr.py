@@ -1,4 +1,4 @@
-"""Parsers and evaluation for the two small input languages.
+"""One operator grammar read two ways, and constant evaluation.
 
 Polynomials in the index variable n: integer/rational literals, `+ - * ^`
 (caret takes nonnegative integer exponents), unary minus, parentheses,
@@ -25,7 +25,7 @@ from .numerics import PrecisionReal, _mpf_from_fraction
 from .poly import Polynomial
 
 
-# --- tokenizer -------------------------------------------------------------
+# --- tokenizer and the shared descent ---------------------------------------
 
 _OPERATOR_CHARS = set("+-*/^()")
 
@@ -65,11 +65,19 @@ def _tokenize(source: str) -> list[_Token]:
     return tokens
 
 
-class _ParserBase:
+# Budgets that keep every accepted tree within plain recursion: nesting of
+# parentheses, signs and carets, and the node count of one constant.
+_MAX_NESTING = 100
+_MAX_NODES = 500
+
+
+class _Parser:
+    """Token cursor and precedence descent; subclasses say what operators mean."""
+
     def __init__(self, source: str):
-        self.source = source
         self.tokens = _tokenize(source)
         self.index = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -91,83 +99,93 @@ class _ParserBase:
             raise ExprSyntaxError(f"expected {op!r}", tok.pos)
         return self.advance()
 
-    def expect_end(self):
+    def parse(self):
+        value = self.expression()
         tok = self.peek()
         if tok.kind != "end":
             raise ExprSyntaxError(f"unexpected {tok.text!r}", tok.pos)
-
-
-# --- polynomial grammar ----------------------------------------------------
-
-
-class _PolynomialParser(_ParserBase):
-    def parse(self) -> Polynomial:
-        value = self.expression()
-        self.expect_end()
         return value
 
-    def expression(self) -> Polynomial:
+    def expression(self):
         value = self.term()
         while (tok := self.match_op("+", "-")) is not None:
-            rhs = self.term()
-            value = value + rhs if tok.text == "+" else value - rhs
+            value = self.binary(tok, value, self.term())
         return value
 
-    def term(self) -> Polynomial:
+    def term(self):
         value = self.unary()
         while (tok := self.match_op("*", "/")) is not None:
-            rhs = self.unary()
-            if tok.text == "*":
-                value = value * rhs
-            else:
-                if rhs.degree > 0:
-                    raise NonPolynomial(
-                        "division by an expression containing n", tok.pos
-                    )
-                if rhs.is_zero:
-                    raise DivisionByZero(
-                        f"division by zero (at offset {tok.pos})"
-                    )
-                value = value / rhs.constant_term
+            value = self.binary(tok, value, self.unary())
         return value
 
-    def unary(self) -> Polynomial:
+    def unary(self):
+        self.nesting += 1
+        if self.nesting > _MAX_NESTING:
+            raise ExprSyntaxError("nesting too deep", self.peek().pos)
         if self.match_op("-") is not None:
-            return -self.unary()
-        if self.match_op("+") is not None:
-            return self.unary()
-        return self.power()
+            value = self.negate(self.unary())
+        elif self.match_op("+") is not None:
+            value = self.unary()
+        else:
+            value = self.atom()
+            if (tok := self.match_op("^")) is not None:
+                value = self.power(tok, value, self.unary())
+        self.nesting -= 1
+        return value
 
-    def power(self) -> Polynomial:
-        base = self.atom()
-        if (tok := self.match_op("^")) is not None:
-            exponent = self.unary()
-            if exponent.degree > 0:
-                raise NonPolynomial("exponent contains n", tok.pos)
-            value = exponent.constant_term
-            if value.denominator != 1:
-                raise NonPolynomial("exponent must be an integer", tok.pos)
-            if value < 0:
-                raise NonPolynomial("negative exponent", tok.pos)
-            return base ** int(value)
-        return base
-
-    def atom(self) -> Polynomial:
+    def atom(self):
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            return Polynomial.constant(int(tok.text))
+            return self.literal(int(tok.text))
         if tok.kind == "name":
-            if tok.text == "n":
-                self.advance()
-                return Polynomial.variable()
-            raise UnknownSymbol(tok.text, tok.pos)
+            return self.name(tok)
         if tok.kind == "op" and tok.text == "(":
             self.advance()
             value = self.expression()
             self.expect_op(")")
             return value
         raise ExprSyntaxError("expected a value", tok.pos)
+
+
+# --- polynomial grammar ----------------------------------------------------
+
+
+class _PolynomialParser(_Parser):
+    def binary(self, tok: _Token, left: Polynomial, right: Polynomial) -> Polynomial:
+        if tok.text == "+":
+            return left + right
+        if tok.text == "-":
+            return left - right
+        if tok.text == "*":
+            return left * right
+        if right.degree > 0:
+            raise NonPolynomial("division by an expression containing n", tok.pos)
+        if right.is_zero:
+            raise DivisionByZero(f"division by zero (at offset {tok.pos})")
+        return left / right.constant_term
+
+    def negate(self, value: Polynomial) -> Polynomial:
+        return -value
+
+    def power(self, tok: _Token, base: Polynomial, exponent: Polynomial) -> Polynomial:
+        if exponent.degree > 0:
+            raise NonPolynomial("exponent contains n", tok.pos)
+        value = exponent.constant_term
+        if value.denominator != 1:
+            raise NonPolynomial("exponent must be an integer", tok.pos)
+        if value < 0:
+            raise NonPolynomial("negative exponent", tok.pos)
+        return base ** int(value)
+
+    def literal(self, value: int) -> Polynomial:
+        return Polynomial.constant(value)
+
+    def name(self, tok: _Token) -> Polynomial:
+        if tok.text != "n":
+            raise UnknownSymbol(tok.text, tok.pos)
+        self.advance()
+        return Polynomial.variable()
 
 
 def parse_polynomial(source: str) -> Polynomial:
@@ -240,66 +258,46 @@ class Sqrt(ConstExpr):
     operand: ConstExpr
 
 
-class _ConstParser(_ParserBase):
-    def parse(self) -> ConstExpr:
-        value = self.expression()
-        self.expect_end()
-        return value
+_BINARY_NODES = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+_NODE_SYMBOLS = {kind: symbol for symbol, kind in _BINARY_NODES.items()}
 
-    def expression(self) -> ConstExpr:
-        value = self.term()
-        while (tok := self.match_op("+", "-")) is not None:
-            rhs = self.term()
-            value = Add(value, rhs) if tok.text == "+" else Sub(value, rhs)
-        return value
 
-    def term(self) -> ConstExpr:
-        value = self.unary()
-        while (tok := self.match_op("*", "/")) is not None:
-            rhs = self.unary()
-            value = Mul(value, rhs) if tok.text == "*" else Div(value, rhs)
-        return value
+class _ConstParser(_Parser):
+    size = 0
 
-    def unary(self) -> ConstExpr:
-        if self.match_op("-") is not None:
-            return Neg(self.unary())
-        if self.match_op("+") is not None:
-            return self.unary()
-        return self.power()
+    def node(self, kind: type, *parts) -> ConstExpr:
+        self.size += 1
+        if self.size > _MAX_NODES:
+            raise ExprSyntaxError("constant expression too large", self.peek().pos)
+        return kind(*parts)
 
-    def power(self) -> ConstExpr:
-        base = self.atom()
-        if (tok := self.match_op("^")) is not None:
-            exponent = self.unary()
-            folded = _fold_rational(exponent)
-            if folded is None or folded.denominator != 1:
-                raise ExprSyntaxError("exponent must be an integer", tok.pos)
-            return Pow(base, int(folded))
-        return base
+    def binary(self, tok: _Token, left: ConstExpr, right: ConstExpr) -> ConstExpr:
+        return self.node(_BINARY_NODES[tok.text], left, right)
 
-    def atom(self) -> ConstExpr:
-        tok = self.peek()
-        if tok.kind == "int":
+    def negate(self, value: ConstExpr) -> ConstExpr:
+        return self.node(Neg, value)
+
+    def power(self, tok: _Token, base: ConstExpr, exponent: ConstExpr) -> ConstExpr:
+        folded = _fold_rational(exponent)
+        if folded is None or folded.denominator != 1:
+            raise ExprSyntaxError("exponent must be an integer", tok.pos)
+        return self.node(Pow, base, int(folded))
+
+    def literal(self, value: int) -> ConstExpr:
+        return self.node(Num, Fraction(value))
+
+    def name(self, tok: _Token) -> ConstExpr:
+        name = tok.text.lower()
+        if name == "pi":
             self.advance()
-            return Num(Fraction(int(tok.text)))
-        if tok.kind == "name":
-            name = tok.text.lower()
-            if name == "pi":
-                self.advance()
-                return Pi()
-            if name == "sqrt":
-                self.advance()
-                self.expect_op("(")
-                operand = self.expression()
-                self.expect_op(")")
-                return Sqrt(operand)
+            return self.node(Pi)
+        if name != "sqrt":
             raise UnknownSymbol(tok.text, tok.pos)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            value = self.expression()
-            self.expect_op(")")
-            return value
-        raise ExprSyntaxError("expected a value", tok.pos)
+        self.advance()
+        self.expect_op("(")
+        operand = self.expression()
+        self.expect_op(")")
+        return self.node(Sqrt, operand)
 
 
 def _fold_rational(expr: ConstExpr) -> Fraction | None:
@@ -410,18 +408,12 @@ def _print_node(expr: ConstExpr, slot: int) -> str:
         return "pi"
     if isinstance(expr, Neg):
         return _wrap(f"-{_print_node(expr.operand, _PREC_NEG)}", _PREC_NEG, slot)
-    if isinstance(expr, Add):
-        text = f"{_print_node(expr.left, _PREC_ADD)} + {_print_node(expr.right, _PREC_MUL)}"
-        return _wrap(text, _PREC_ADD, slot)
-    if isinstance(expr, Sub):
-        text = f"{_print_node(expr.left, _PREC_ADD)} - {_print_node(expr.right, _PREC_MUL)}"
-        return _wrap(text, _PREC_ADD, slot)
-    if isinstance(expr, Mul):
-        text = f"{_print_node(expr.left, _PREC_MUL)} * {_print_node(expr.right, _PREC_NEG)}"
-        return _wrap(text, _PREC_MUL, slot)
-    if isinstance(expr, Div):
-        text = f"{_print_node(expr.left, _PREC_MUL)} / {_print_node(expr.right, _PREC_NEG)}"
-        return _wrap(text, _PREC_MUL, slot)
+    if isinstance(expr, (Add, Sub, Mul, Div)):
+        symbol = _NODE_SYMBOLS[type(expr)]
+        prec = _PREC_ADD if symbol in "+-" else _PREC_MUL
+        # a right operand of equal precedence needs parentheses: a - (b - c)
+        text = f"{_print_node(expr.left, prec)} {symbol} {_print_node(expr.right, prec + 1)}"
+        return _wrap(text, prec, slot)
     if isinstance(expr, Pow):
         text = f"{_print_node(expr.base, _PREC_ATOM)}^{expr.exponent}"
         return _wrap(text, _PREC_POW, slot)

@@ -173,19 +173,15 @@ class Polynomial:
                 continue
             mag = abs(coef)
             if deg == 0:
-                body = _fraction_text(mag)
+                body = str(mag)
             else:
                 var = "n" if deg == 1 else f"n^{deg}"
-                body = var if mag == 1 else f"{_fraction_text(mag)}*{var}"
+                body = var if mag == 1 else f"{mag}*{var}"
             if not parts:
                 parts.append(body if coef > 0 else f"-{body}")
             else:
                 parts.append(f"+ {body}" if coef > 0 else f"- {body}")
         return " ".join(parts)
-
-
-def _fraction_text(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,14 @@ from pathlib import Path
 
 import pytest
 
-from gcf_forge import series
+from gcf_forge import cli, series, verify_conjecture
 from gcf_forge.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
     EXIT_REFUTED,
+    build_parser,
     load_problem_file,
     main,
     report_from_dict,
@@ -199,6 +200,58 @@ class TestVerify:
 
     def test_missing_file_is_parse_error(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "nope.json")]) == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"b0": "1", "a": "(" * 1000 + "-n" + ")" * 1000, "b": "n + 1"},
+            {"b0": "1", "a": "-n", "b": "n + 1", "target": " + ".join(["1"] * 5000)},
+        ],
+        ids=["nested-a", "long-target"],
+    )
+    def test_input_past_budget_is_parse_error(self, tmp_path, capsys, fields):
+        path = write_problem(tmp_path, "p.json", **fields)
+        assert main(["verify", path, "--digits", "15", "--depth", "8"]) == EXIT_PARSE
+        assert "offset" in capsys.readouterr().err
+
+    # the verified shape is test_json_report_round_trip above
+    @pytest.mark.parametrize(
+        "source,rho,code",
+        [
+            (
+                dict(b0="1", a="-(2*n^4 - n^3)", b="3*n^2 + 3*n + 1", target="8/pi^2 + 1/10^12"),
+                "1/2",
+                EXIT_REFUTED,
+            ),
+            ("no_rational_coupling.json", None, EXIT_INCONCLUSIVE),
+            ("reciprocal_log2.json", "1/2", EXIT_INCONCLUSIVE),
+            (dict(b0="1", a="-n^3", b="n^2 + n + 1"), "infinite", EXIT_INCONCLUSIVE),
+            (dict(b0="1", a="-n^2", b="2*n + 1"), "1", EXIT_INCONCLUSIVE),
+        ],
+        ids=["refuted", "no-coupling", "no-target", "divergent", "rho-one"],
+    )
+    def test_json_round_trip_by_shape(self, problems_dir, tmp_path, capsys, source, rho, code):
+        if isinstance(source, dict):
+            path = write_problem(tmp_path, "p.json", **source)
+        else:
+            path = str(problems_dir / source)
+        report_path = tmp_path / "report.json"
+        argv = ["verify", path, "--digits", "20", "--depth", "32", "--json", str(report_path)]
+        assert main(argv) == code
+        capsys.readouterr()
+        doc = json.loads(report_path.read_text())
+        assert doc["rho"] == rho
+        assert report_to_dict(report_from_dict(doc)) == doc
+        pf = load_problem_file(path)
+        report = verify_conjecture(pf.problem, digits=20, depth=32, name=pf.name)
+        assert report_from_dict(doc) == report
+
+
+def test_parser_built_once(quartic_file, monkeypatch):
+    assert build_parser() is build_parser()
+    # the cached parser holds no command functions; main looks them up per call
+    monkeypatch.setattr(cli, "cmd_factorize", lambda args: 7)
+    assert main(["factorize", quartic_file]) == 7
 
 
 def test_report_object_round_trip(quartic_file):

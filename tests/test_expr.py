@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from gcf_forge import (
@@ -18,7 +18,20 @@ from gcf_forge import (
     parse_polynomial,
     parse_rational,
 )
-from gcf_forge.expr import Add, Div, Mul, Neg, Num, Pi, Pow, Sqrt, Sub
+from gcf_forge.expr import (
+    _MAX_NESTING,
+    _MAX_NODES,
+    Add,
+    Div,
+    Mul,
+    Neg,
+    Num,
+    Pi,
+    Pow,
+    Sqrt,
+    Sub,
+    _fold_rational,
+)
 
 from oracles import eight_over_pi_squared, fraction_decimal
 
@@ -189,3 +202,116 @@ def const_exprs():
 @given(expr=const_exprs())
 def test_const_expr_print_parse_fixpoint(expr):
     assert parse_const_expr(const_expr_to_text(expr)) == expr
+
+
+# --- precedence against Python's own parser ----------------------------------
+
+
+def arithmetic_trees():
+    # ("lit", k) | ("neg", t) | ("pow", t, e) | (op, left, right); exponents
+    # are 0..3, or k^m with k in {0, 1} so that right-associativity shows
+    exponents = st.one_of(
+        st.integers(min_value=0, max_value=3).map(lambda k: ("lit", k)),
+        st.tuples(
+            st.integers(min_value=0, max_value=1).map(lambda k: ("lit", k)),
+            st.integers(min_value=0, max_value=3).map(lambda k: ("lit", k)),
+        ).map(lambda pair: ("pow", *pair)),
+    )
+    return st.recursive(
+        st.integers(min_value=0, max_value=9).map(lambda k: ("lit", k)),
+        lambda inner: st.one_of(
+            st.tuples(st.sampled_from("+-*/"), inner, inner),
+            inner.map(lambda t: ("neg", t)),
+            st.tuples(st.just("pow"), inner, exponents),
+        ),
+        max_leaves=10,
+    )
+
+
+# binding strength: 1 for + -, 2 for * /, 3 for a sign, 4 for ^, 5 for a literal
+_STRENGTH = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4, "lit": 5}
+
+
+@st.composite
+def rendered_tokens(draw, tree, slot=0):
+    """Tokens of `tree` with the parentheses its slot needs, plus random ones."""
+    kind = tree[0]
+    if kind == "lit":
+        tokens = [str(tree[1])]
+    elif kind == "neg":
+        tokens = ["-", *draw(rendered_tokens(tree[1], 3))]
+    elif kind == "pow":
+        base = draw(rendered_tokens(tree[1], 5))
+        tokens = [*base, "^", *draw(rendered_tokens(tree[2], 4))]
+    else:
+        strength = _STRENGTH[kind]
+        left = draw(rendered_tokens(tree[1], strength))
+        tokens = [*left, kind, *draw(rendered_tokens(tree[2], strength + 1))]
+    if _STRENGTH[kind] < slot or draw(st.integers(0, 4)) == 0:
+        tokens = ["(", *tokens, ")"]
+    return tokens
+
+
+@st.composite
+def precedence_cases(draw):
+    tokens = draw(arithmetic_trees().flatmap(rendered_tokens))
+    gaps = draw(st.lists(st.sampled_from(["", " ", "  "]), min_size=len(tokens)))
+    text = "".join(gap + tok for gap, tok in zip(gaps, tokens))
+    python = " ".join(
+        f"Fraction({tok})" if tok.isdigit() else "**" if tok == "^" else tok
+        for tok in tokens
+    )
+    return text, python
+
+
+@given(case=precedence_cases())
+def test_precedence_matches_python(case):
+    text, python = case
+    try:
+        expected = eval(python, {"Fraction": Fraction})
+    except ZeroDivisionError:
+        assume(False)
+    assert parse_rational(text) == expected
+    assert _fold_rational(parse_const_expr(text)) == expected
+
+
+# --- nesting and size budgets -------------------------------------------------
+
+
+class TestBudgets:
+    def test_nesting_past_budget_is_syntax_error(self):
+        deepest = "(" * (_MAX_NESTING - 1) + "n" + ")" * (_MAX_NESTING - 1)
+        assert parse_polynomial(deepest) == Polynomial.variable()
+        too_deep = "(" * _MAX_NESTING + "n" + ")" * _MAX_NESTING
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_polynomial(too_deep)
+        assert info.value.position == _MAX_NESTING
+        with pytest.raises(ExprSyntaxError):
+            parse_const_expr("-" * 1000 + "1")
+        with pytest.raises(ExprSyntaxError):
+            parse_rational("2^" * 1000 + "1")
+
+    def test_node_budget_is_syntax_error(self):
+        with pytest.raises(ExprSyntaxError):
+            parse_const_expr(" + ".join(["1"] * 5000))
+        chain = "+".join(["1"] * (_MAX_NODES // 2 + 1))
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_const_expr(chain)
+        assert 0 < info.value.position <= len(chain)
+        # polynomials build no tree, so long sums stay accepted
+        assert parse_rational(" + ".join(["1"] * 5000)) == 5000
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "+".join(["1"] * 250),
+            "-(" * 49 + "1" + ")" * 49,
+            "sqrt(" * 49 + "4" + ")" * 49,
+            "(" * 95 + "2^(" + "+".join(["0"] * 200) + "+1)" + ")" * 95,
+        ],
+        ids=["longest-sum", "deepest-signs", "deepest-sqrt", "deep-exponent"],
+    )
+    def test_largest_accepted_trees_print_and_evaluate(self, source):
+        expr = parse_const_expr(source)
+        assert parse_const_expr(const_expr_to_text(expr)) == expr
+        eval_const_expr(expr, 64)
