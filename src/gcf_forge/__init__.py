@@ -35,20 +35,9 @@ from .expr import (
 )
 from .factorize import Coupling, find_couplings, verify_coupling
 from .gcf import ConvergentTriple, GcfProblem, StructuralWalk, convergents, structural_walk
-from .numerics import (
-    PrecisionReal,
-    agree_to_digits,
-    rational_to_real,
-    working_precision,
-)
+from .numerics import PrecisionReal, rational_to_real, working_precision
 from .poly import FactoredPolynomial, Polynomial, factor_rational
-from .series import (
-    RatioCertificate,
-    partial_sums,
-    ratio_certificate,
-    sum_to_precision,
-    terms,
-)
+from .series import RatioCertificate, partial_sums, ratio_certificate, sum_to_precision
 from .verify import VerificationReport, check_boundary_selection, verify_conjecture
 
 __version__ = "0.1.0"
@@ -79,7 +68,6 @@ __all__ = [
     "ZeroDenominatorFactor",
     "ZeroPartialNumerator",
     "ZeroPolynomial",
-    "agree_to_digits",
     "check_boundary_selection",
     "const_expr_to_text",
     "convergents",
@@ -94,7 +82,6 @@ __all__ = [
     "rational_to_real",
     "structural_walk",
     "sum_to_precision",
-    "terms",
     "verify_conjecture",
     "verify_coupling",
     "working_precision",

@@ -65,10 +65,27 @@ def _tokenize(source: str) -> list[_Token]:
     return tokens
 
 
-# Budgets that keep every accepted tree within plain recursion: nesting of
-# parentheses, signs and carets, and the node count of one constant.
+# Budgets that keep every accepted tree within plain recursion (nesting of
+# parentheses, signs and carets; nodes of one constant) and exact arithmetic
+# small (an exponent's magnitude; the bits of a power; a polynomial's degree).
 _MAX_NESTING = 100
 _MAX_NODES = 500
+_MAX_EXPONENT = 1 << 16
+_MAX_POWER_BITS = 1 << 16
+_MAX_DEGREE = 100
+
+
+def _check_power(values, exponent: int, position: int) -> None:
+    """Refuse a power past the budgets before it is computed.
+
+    values are the base's coefficients. With b the larger bit length of num
+    and den, q^e has about |e| (b - 1) to 2 |e| (b - 1) bits (b = 1: 0, +-1).
+    """
+    if abs(exponent) > _MAX_EXPONENT:
+        raise ExprSyntaxError("exponent too large", position)
+    b = max((max(q.numerator.bit_length(), q.denominator.bit_length()) for q in values), default=1)
+    if abs(exponent) * (b - 1) > _MAX_POWER_BITS:
+        raise ExprSyntaxError("power too large", position)
 
 
 class _Parser:
@@ -158,6 +175,8 @@ class _PolynomialParser(_Parser):
         if tok.text == "-":
             return left - right
         if tok.text == "*":
+            if left.degree + right.degree > _MAX_DEGREE:
+                raise ExprSyntaxError("degree too large", tok.pos)
             return left * right
         if right.degree > 0:
             raise NonPolynomial("division by an expression containing n", tok.pos)
@@ -176,6 +195,9 @@ class _PolynomialParser(_Parser):
             raise NonPolynomial("exponent must be an integer", tok.pos)
         if value < 0:
             raise NonPolynomial("negative exponent", tok.pos)
+        _check_power(base.coefficients, int(value), tok.pos)
+        if base.degree * value > _MAX_DEGREE:
+            raise ExprSyntaxError("degree too large", tok.pos)
         return base ** int(value)
 
     def literal(self, value: int) -> Polynomial:
@@ -278,9 +300,10 @@ class _ConstParser(_Parser):
         return self.node(Neg, value)
 
     def power(self, tok: _Token, base: ConstExpr, exponent: ConstExpr) -> ConstExpr:
-        folded = _fold_rational(exponent)
+        folded = _fold_rational(exponent, tok.pos)
         if folded is None or folded.denominator != 1:
             raise ExprSyntaxError("exponent must be an integer", tok.pos)
+        _check_power((), int(folded), tok.pos)
         return self.node(Pow, base, int(folded))
 
     def literal(self, value: int) -> ConstExpr:
@@ -300,16 +323,16 @@ class _ConstParser(_Parser):
         return self.node(Sqrt, operand)
 
 
-def _fold_rational(expr: ConstExpr) -> Fraction | None:
-    """Exact value of a pi/sqrt-free subtree, else None."""
+def _fold_rational(expr: ConstExpr, position: int) -> Fraction | None:
+    """Exact value of a pi/sqrt-free subtree, else None; position is for errors."""
     if isinstance(expr, Num):
         return expr.value
     if isinstance(expr, Neg):
-        v = _fold_rational(expr.operand)
+        v = _fold_rational(expr.operand, position)
         return None if v is None else -v
     if isinstance(expr, (Add, Sub, Mul, Div)):
-        left = _fold_rational(expr.left)
-        right = _fold_rational(expr.right)
+        left = _fold_rational(expr.left, position)
+        right = _fold_rational(expr.right, position)
         if left is None or right is None:
             return None
         if isinstance(expr, Add):
@@ -322,11 +345,12 @@ def _fold_rational(expr: ConstExpr) -> Fraction | None:
             raise DivisionByZero("division by zero in constant expression")
         return left / right
     if isinstance(expr, Pow):
-        base = _fold_rational(expr.base)
+        base = _fold_rational(expr.base, position)
         if base is None:
             return None
         if base == 0 and expr.exponent < 0:
             raise DivisionByZero("zero raised to a negative exponent")
+        _check_power((base,), expr.exponent, position)
         return base**expr.exponent
     return None
 

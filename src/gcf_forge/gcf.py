@@ -86,7 +86,7 @@ class StructuralWalk:
 
     exact_identity_depth: int | None  # x_n * S_n = 1
     numerator_product_depth: int | None  # A_n = prod_{j<=n+1} d(j)
-    casoratian_depth: int  # W_0 = -1, W_n = -a(n) W_{n-1}
+    casoratian_depth: int  # W_0 = -1, W_n = -a(n) W_{n-1}; always depth
     monotone: bool  # x_0 > x_1 > ... > x_depth, all defined
     halfway: Fraction | None  # x at n = (depth + 1) // 2
     last: Fraction | None  # x_depth
@@ -100,12 +100,17 @@ def structural_walk(
 
     With L the lcm of all coefficient denominators (of c and d too, when a
     coupling is given), A'_n = L^(n+1) A_n and B'_n = L^(n+1) B_n obey
-    y_n = (L b(n)) y_{n-1} + (L^2 a(n)) y_{n-2} with integer coefficients.
-    Alongside them run the cross product W'_n = L^(2n+1) W_n and the series
+    y_n = (L b(n)) y_{n-1} + (L^2 a(n)) y_{n-2} with integer coefficients,
+    so every product in a step is big by small. W'_n = L^(2n+1) W_n is carried
+    by the Casoratian law W'_n = -(L^2 a(n)) W'_{n-1} and checked against
+    A'_n B'_{n-1} - A'_{n-1} B'_n once, at n = depth (exact ints cannot break
+    the law: a mismatch raises ArithmeticError). x_{n-1} > x_n iff
+    W'_n B'_{n-1} B'_n < 0. Alongside runs the series
     :func:`~gcf_forge.series.cascade` at scale L, whose D'_n = L^(n+1) prod d(j)
-    and T'_n = L^(n+1) S_n prod d(j), so x_n S_n = 1 reads A' T' = B' D' and
-    A_n = prod d(j) reads A' = D'.
-    x_{n-1} > x_n iff W'_n B'_{n-1} B'_n < 0.
+    and T'_n = L^(n+1) S_n prod d(j), so A_n = prod d(j) reads A' = D' and
+    x_n S_n = 1 reads A' T' = B' D'. A true coupling (the operator
+    factorization) forces A' = D', and where A' = D' != 0 the identity is
+    B' = T'; A' T' and B' D' are formed only where A' != D'.
 
     A coupling must satisfy the boundary rule b0 = d(1)
     (BoundaryRuleViolation otherwise); B_n = 0 while the reciprocal
@@ -127,7 +132,6 @@ def structural_walk(
     A_prev, A = 1, L // problem.b0.denominator * problem.b0.numerator
     B_prev, B = 0, L
     W = -L  # A'_0 B'_{-1} - A'_{-1} B'_0, that is L W_0 with W_0 = -1
-    casoratian_depth = 0
     monotone = True
     half = last_defined = (A, B)
     numerator_depth = identity_depth = None
@@ -139,29 +143,30 @@ def structural_walk(
         an, bn = a(n), b(n)
         A_prev, A = A, bn * A + an * A_prev
         B_prev, B = B, bn * B + an * B_prev
-        W, W_prev = A * B_prev - A_prev * B, W
-        if casoratian_depth == n - 1 and W == -an * W_prev:
-            casoratian_depth = n
+        W = -an * W
         if B != 0:
             last_defined = (A, B)
         # the product W B_{n-1} B_n is negative iff an odd number of factors is
-        monotone = monotone and 0 not in (W, B) and ((W < 0) ^ (B_prev < 0) ^ (B < 0))
+        monotone = monotone and B != 0 and ((W < 0) ^ (B_prev < 0) ^ (B < 0))
         if n == halfway:
             half = (A, B)
         if coupling is not None:
             _, D, T = next(steps)
-            if numerator_depth == n - 1 and A == D:
+            collapsed = A == D
+            if numerator_depth == n - 1 and collapsed:
                 numerator_depth = n
             if identity_depth == n - 1:
                 if B == 0:
                     raise ZeroDenominatorConvergent(n)
-                if A * T == B * D:
+                if (B == T) if collapsed else (A * T == B * D):
                     identity_depth = n
+    if W != A * B_prev - A_prev * B:
+        raise ArithmeticError(f"Casoratian law broken by the walk at n = {depth}")
 
     return StructuralWalk(
         exact_identity_depth=identity_depth,
         numerator_product_depth=numerator_depth,
-        casoratian_depth=casoratian_depth,
+        casoratian_depth=depth,
         monotone=monotone,
         halfway=Fraction(*half) if half[1] else None,
         last=Fraction(A, B) if B else None,

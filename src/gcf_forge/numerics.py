@@ -138,7 +138,3 @@ def matched_digits(x: PrecisionReal, y: PrecisionReal, digits: int) -> int:
         )
     return agreement_digits(x.to_fraction(), y.to_fraction(), digits)
 
-
-def agree_to_digits(x: PrecisionReal, y: PrecisionReal, digits: int) -> bool:
-    """True iff |x - y| <= 10^(-digits) * max(1, |y|), computed exactly."""
-    return matched_digits(x, y, digits) == digits

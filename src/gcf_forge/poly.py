@@ -39,10 +39,6 @@ class Polynomial:
         """The polynomial n."""
         return cls((0, 1))
 
-    @classmethod
-    def monomial(cls, coefficient: RationalLike, degree: int) -> "Polynomial":
-        return cls((0,) * degree + (coefficient,))
-
     @property
     def is_zero(self) -> bool:
         return not self.coefficients
@@ -197,14 +193,6 @@ class FactoredPolynomial:
     sign: int
     factors: tuple[tuple[Polynomial, int], ...]
     residual: Polynomial | None
-
-    def reconstruct(self) -> Polynomial:
-        out = Polynomial.constant(self.content * self.sign)
-        for factor, multiplicity in self.factors:
-            out = out * factor**multiplicity
-        if self.residual is not None:
-            out = out * self.residual
-        return out
 
     def rational_roots(self) -> list[tuple[Fraction, int]]:
         """(root, multiplicity) pairs, ascending by root."""

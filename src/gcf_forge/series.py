@@ -52,11 +52,6 @@ def _cascade(coupling: Coupling) -> Iterator[tuple[int, int, int]]:
     return cascade(coupling, common_denominator(coupling.c, coupling.d))
 
 
-def terms(coupling: Coupling, count: int) -> list[Fraction]:
-    """Exact t_0 .. t_{count-1}."""
-    return [Fraction(C, D) for C, D, _ in itertools.islice(_cascade(coupling), count)]
-
-
 def partial_sums(coupling: Coupling, count: int) -> list[Fraction]:
     """Exact prefix sums S_n = t_0 + ... + t_n for n = 0..count-1."""
     return [Fraction(T, D) for _, D, T in itertools.islice(_cascade(coupling), count)]
@@ -64,20 +59,17 @@ def partial_sums(coupling: Coupling, count: int) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class RatioCertificate:
-    """Exact consecutive-term ratio t_{k+1}/t_k and its limit.
+    """Exact consecutive-term ratio t_{k+1}/t_k of a coupling's series, and its limit.
 
     numerator/denominator form the rational function of k; rho is the
     exact limit (None encodes an infinite limit).
     """
 
+    coupling: Coupling
     numerator: Polynomial  # c(k+1)
     denominator: Polynomial  # d(k+2)
     rho: Fraction | None
     classification: str
-
-    def at(self, k: int) -> Fraction:
-        """Exact ratio value at an integer k where the denominator does not vanish."""
-        return self.numerator(k) / self.denominator(k)
 
 
 def ratio_certificate(coupling: Coupling) -> RatioCertificate:
@@ -104,7 +96,7 @@ def ratio_certificate(coupling: Coupling) -> RatioCertificate:
         classification = DIVERGENT
     else:
         classification = INCONCLUSIVE
-    return RatioCertificate(num, den, rho, classification)
+    return RatioCertificate(coupling, num, den, rho, classification)
 
 
 def _geometric_onset(certificate: RatioCertificate, rho_bar: Fraction) -> int:
@@ -126,8 +118,8 @@ def _geometric_onset(certificate: RatioCertificate, rho_bar: Fraction) -> int:
     return K
 
 
-def sum_to_precision(coupling: Coupling, digits: int) -> tuple[PrecisionReal, int]:
-    """Sum the series to within 10^(-digits); returns (value, terms used).
+def sum_to_precision(certificate: RatioCertificate, digits: int) -> tuple[PrecisionReal, int]:
+    """Sum the certified series to within 10^(-digits); returns (value, terms used).
 
     Terms come from :func:`cascade`; the tail after index k >= K is bounded
     by |t_k| * rho_bar / (1 - rho_bar) with rho_bar = (|rho|+1)/2, where K
@@ -138,7 +130,6 @@ def sum_to_precision(coupling: Coupling, digits: int) -> tuple[PrecisionReal, in
     """
     if digits < 1:
         raise ValueError("digits must be positive")
-    certificate = ratio_certificate(coupling)
     if certificate.classification != CONVERGENT:
         raise NotConvergent(
             f"series is {certificate.classification}; cannot certify a sum"
@@ -148,7 +139,7 @@ def sum_to_precision(coupling: Coupling, digits: int) -> tuple[PrecisionReal, in
     tail_factor = rho_bar / (1 - rho_bar)
     budget = 2 * 10**digits * tail_factor.numerator
     q = tail_factor.denominator
-    for k, (C, D, T) in enumerate(_cascade(coupling)):
+    for k, (C, D, T) in enumerate(_cascade(certificate.coupling)):
         # a nonzero budget |C| has at least budget.bit_length() + C.bit_length() - 1
         # bits, so bit lengths rule the stop out without forming the large products
         near = budget.bit_length() + C.bit_length() <= q.bit_length() + D.bit_length() + 1

@@ -104,7 +104,7 @@ def verify_conjecture(
     convergent = certificate is not None and certificate.classification == CONVERGENT
 
     if convergent:
-        series_value, terms_used = sum_to_precision(coupling, digits + DIGIT_MARGIN)
+        series_value, terms_used = sum_to_precision(certificate, digits + DIGIT_MARGIN)
         gcf_value = real_reciprocal(series_value)
     else:
         # no usable series: report the deepest defined convergent instead

@@ -109,6 +109,28 @@ def fraction_series_sum(c, d, digits: int, onset: int, tail_factor: Fraction):
         term = term * c(k) / d(k + 1)
 
 
+def terms(coupling, count: int) -> list[Fraction]:
+    """Exact t_0 .. t_{count-1} of t_k = prod_{j<=k} c(j) / prod_{j<=k+1} d(j).
+
+    One reduced fraction per term; coupling.c and coupling.d are callables on
+    the positive integers, and d(j) = 0 raises ZeroDivisionError.
+    """
+    out = [1 / Fraction(coupling.d(1))] if count else []
+    for k in range(1, count):
+        out.append(out[-1] * coupling.c(k) / coupling.d(k + 1))
+    return out
+
+
+def reconstruct(factored):
+    """sign * content * prod(factor^multiplicity) * residual of a factorization."""
+    out = factored.sign * factored.content
+    for factor, multiplicity in factored.factors:
+        out = factor**multiplicity * out
+    if factored.residual is not None:
+        out = factored.residual * out
+    return out
+
+
 def central_binomial_sum(z: Fraction | int, digits: int) -> Fraction:
     """Sum over m >= 1 of z^m / (m^2 * C(2m, m)) with |error| < 10^(-digits).
 

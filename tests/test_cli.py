@@ -206,8 +206,10 @@ class TestVerify:
         [
             {"b0": "1", "a": "(" * 1000 + "-n" + ")" * 1000, "b": "n + 1"},
             {"b0": "1", "a": "-n", "b": "n + 1", "target": " + ".join(["1"] * 5000)},
+            {"b0": "1", "a": "-n", "b": "n + 1", "target": "pi^(2^2^33)"},
+            {"b0": "1", "a": "-(n+1)^1000", "b": "n + 1"},
         ],
-        ids=["nested-a", "long-target"],
+        ids=["nested-a", "long-target", "huge-power-target", "high-degree-a"],
     )
     def test_input_past_budget_is_parse_error(self, tmp_path, capsys, fields):
         path = write_problem(tmp_path, "p.json", **fields)

@@ -11,7 +11,6 @@ from gcf_forge import (
     NonPolynomial,
     Polynomial,
     UnknownSymbol,
-    agree_to_digits,
     const_expr_to_text,
     eval_const_expr,
     parse_const_expr,
@@ -19,8 +18,11 @@ from gcf_forge import (
     parse_rational,
 )
 from gcf_forge.expr import (
+    _MAX_DEGREE,
+    _MAX_EXPONENT,
     _MAX_NESTING,
     _MAX_NODES,
+    _MAX_POWER_BITS,
     Add,
     Div,
     Mul,
@@ -32,6 +34,7 @@ from gcf_forge.expr import (
     Sub,
     _fold_rational,
 )
+from gcf_forge.numerics import matched_digits
 
 from oracles import eight_over_pi_squared, fraction_decimal
 
@@ -138,7 +141,7 @@ class TestEvalConstExpr:
     def test_algebraic_identity(self):
         lhs = eval_const_expr(parse_const_expr("2*(pi/4)^2"), 256)
         rhs = eval_const_expr(parse_const_expr("pi^2/8"), 256)
-        assert agree_to_digits(lhs, rhs, 70)
+        assert matched_digits(lhs, rhs, 70) == 70
 
     def test_division_by_exact_zero(self):
         with pytest.raises(DivisionByZero):
@@ -272,7 +275,7 @@ def test_precedence_matches_python(case):
     except ZeroDivisionError:
         assume(False)
     assert parse_rational(text) == expected
-    assert _fold_rational(parse_const_expr(text)) == expected
+    assert _fold_rational(parse_const_expr(text), 0) == expected
 
 
 # --- nesting and size budgets -------------------------------------------------
@@ -300,6 +303,39 @@ class TestBudgets:
         assert 0 < info.value.position <= len(chain)
         # polynomials build no tree, so long sums stay accepted
         assert parse_rational(" + ".join(["1"] * 5000)) == 5000
+
+    @pytest.mark.parametrize(
+        "parse,source",
+        [
+            (parse_const_expr, "pi^(2^2^33)"),  # folding would build a 2^33-bit int
+            (parse_const_expr, "pi^(4^(2^16))"),  # a 2^17-bit fold
+            (parse_const_expr, "pi^(2^65536)"),  # mpmath takes minutes to evaluate it
+            (parse_rational, "2^2^33"),
+            (parse_polynomial, "(n+1)^100000"),
+            (parse_polynomial, "(n^60 + 1) * (n^60 - 1)"),
+            (parse_polynomial, "(3/2*n + 5)^" + "2^" * 12 + "2"),
+        ],
+        ids=["fold-exponent", "fold-bits", "exponent", "rational", "power-degree",
+             "product-degree", "tower"],
+    )
+    def test_power_past_budget_is_syntax_error(self, parse, source):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse(source)
+        assert 0 < info.value.position < len(source)
+
+    def test_largest_accepted_powers(self):
+        half = _MAX_DEGREE // 2
+        assert parse_polynomial(f"(n+1)^{_MAX_DEGREE}").degree == _MAX_DEGREE
+        assert parse_polynomial(f"n^{half} * n^{_MAX_DEGREE - half}").degree == _MAX_DEGREE
+        assert parse_rational(f"2^{_MAX_POWER_BITS}") == 2**_MAX_POWER_BITS
+        folded = _fold_rational(parse_const_expr(f"(1/2)^{_MAX_POWER_BITS}"), 0)
+        assert folded == Fraction(1, 2**_MAX_POWER_BITS)
+        assert parse_rational(f"(-1)^{_MAX_EXPONENT}") == 1
+        eval_const_expr(parse_const_expr(f"pi^-{_MAX_EXPONENT}"), 64)
+        with pytest.raises(ExprSyntaxError):
+            parse_rational(f"2^{_MAX_POWER_BITS + 1}")
+        with pytest.raises(ExprSyntaxError):
+            parse_const_expr(f"pi^{_MAX_EXPONENT + 1}")
 
     @pytest.mark.parametrize(
         "source",

@@ -20,7 +20,6 @@ from gcf_forge import (
     partial_sums,
     structural_walk,
 )
-from gcf_forge.poly import integer_roots_from
 
 N = Polynomial.variable()
 
@@ -203,15 +202,16 @@ def euler_problem(coupling: Coupling) -> GcfProblem:
 
 class TestStructuralWalk:
     @settings(max_examples=25, deadline=None)
-    @given(euler_couplings(), st.sampled_from([0, 2, 5]))
+    @given(euler_couplings(), st.sampled_from([0, 2, 5, 20]))
     def test_matches_fraction_reference(self, coupling, agree):
         # agree > 0 hands the walk a coupling that matches the problem's only
-        # up to index agree, so the checks must stop where the reference stops
+        # up to index agree, so the checks must stop where the reference stops;
+        # at 20 the products A' T' = B' D' run late, on large operands
         problem = euler_problem(coupling)
         if agree:
             bump = math.prod((N - i for i in range(1, agree + 1)), start=Polynomial.constant(1))
             coupling = Coupling(c=coupling.c + bump, d=coupling.d + bump)
-            assume(not integer_roots_from(coupling.d, start=1))
+            assume(all(coupling.d(j) for j in range(1, 42)))  # the cascade to depth 40
         table = convergents(problem, 40)
         for depth in range(41):
             rows = table[: depth + 1]
@@ -224,6 +224,14 @@ class TestStructuralWalk:
                 assert got.value.index == err.index
                 continue
             assert structural_walk(problem, depth, coupling) == expected
+
+    def test_flagship_deep_pin(self, quartic_problem, quartic_coupling):
+        walk = structural_walk(quartic_problem, 1500, quartic_coupling)
+        assert walk.exact_identity_depth == 1500
+        assert walk.numerator_product_depth == 1500
+        assert walk.casoratian_depth == 1500
+        assert walk.monotone
+        assert walk.last == 1 / partial_sums(quartic_coupling, 1501)[-1]
 
     def test_period_six_zero_denominators(self):
         # b0 = 1, a = -1, b = 1: B_n = 0 at n = 2, 5, 8, 11

@@ -4,20 +4,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gcf_forge import (
-    InsufficientPrecision,
-    agree_to_digits,
-    rational_to_real,
-    working_precision,
-)
+from gcf_forge import InsufficientPrecision, rational_to_real, working_precision
 from gcf_forge.numerics import (
     PRECISION_ENV_VAR,
     agreement_digits,
+    matched_digits,
     real_from_decimal,
     real_reciprocal,
 )
 
 from oracles import agreement_digits_loop, eight_over_pi_squared, fraction_decimal
+
+
+def agree_to_digits(x, y, digits: int) -> bool:
+    """True iff |x - y| <= 10^(-digits) * max(1, |y|), by matched_digits."""
+    return matched_digits(x, y, digits) == digits
+
 
 rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**6

@@ -15,7 +15,6 @@ from gcf_forge import (
     ratio_certificate,
     rational_to_real,
     sum_to_precision,
-    terms,
     working_precision,
 )
 
@@ -30,6 +29,7 @@ from oracles import (
     ln2_fraction,
     pi_squared_over_8,
     pi_squared_over_18,
+    terms,
 )
 
 N = Polynomial.variable()
@@ -50,8 +50,10 @@ class TestTerms:
         ]
 
     def test_closed_form_to_100(self, quartic_coupling):
+        sums = partial_sums(quartic_coupling, 101)
         for k, t in enumerate(terms(quartic_coupling, 101)):
             assert t == closed_form_term(k)
+            assert sums[k] - (sums[k - 1] if k else 0) == t
 
     def test_partial_sums(self, quartic_coupling):
         assert partial_sums(quartic_coupling, 3) == [
@@ -69,9 +71,9 @@ class TestTerms:
         # t_2 is the last term that does not divide by d(3) = 0
         coupling = Coupling(c=N, d=N - 3)
         with pytest.raises(ZeroDenominatorFactor) as err:
-            terms(coupling, 3)
+            partial_sums(coupling, 3)
         assert err.value.index == 3
-        assert terms(coupling, 2) == [Fraction(-1, 2), Fraction(1, 2)]
+        assert partial_sums(coupling, 2) == [Fraction(-1, 2), Fraction(0)]
 
     def test_stream_state_tracks_products(self, quartic_coupling):
         L = 3
@@ -125,7 +127,7 @@ class TestRatioCertificate:
         cert = ratio_certificate(quartic_coupling)
         ts = terms(quartic_coupling, 102)
         for k in range(101):
-            assert ts[k + 1] / ts[k] == cert.at(k)
+            assert ts[k + 1] / ts[k] == cert.numerator(k) / cert.denominator(k)
 
     def test_equal_degrees_inconclusive(self):
         cert = ratio_certificate(Coupling(c=N, d=N))
@@ -156,40 +158,40 @@ class TestRatioCertificate:
 
 class TestSumToPrecision:
     def test_quartic_sum_50_digits(self, quartic_coupling):
-        value, used = sum_to_precision(quartic_coupling, 50)
+        value, used = sum_to_precision(ratio_certificate(quartic_coupling), 50)
         assert close_to(value.to_fraction(), pi_squared_over_8(60), 50)
         assert used <= 400
 
     def test_quartic_sum_10_digit_preview(self, quartic_coupling):
-        value, _ = sum_to_precision(quartic_coupling, 10)
+        value, _ = sum_to_precision(ratio_certificate(quartic_coupling), 10)
         assert value.to_decimal(11).startswith("1.2337005501")
 
     def test_geometric_family_sums_to_ln2(self):
-        value, _ = sum_to_precision(GEOMETRIC, 30)
+        value, _ = sum_to_precision(ratio_certificate(GEOMETRIC), 30)
         assert close_to(value.to_fraction(), ln2_fraction(35), 30)
 
     def test_matches_brute_force_partial_sums(self):
-        value, _ = sum_to_precision(GEOMETRIC, 30)
+        value, _ = sum_to_precision(ratio_certificate(GEOMETRIC), 30)
         brute = sum(terms(GEOMETRIC, 150), Fraction(0))
         assert abs(value.to_fraction() - brute) <= 2 * Fraction(1, 10**30)
 
     def test_alternating_terms(self):
         # c = -n keeps |ratio| = 1/2 but alternates term signs
         alternating = Coupling(c=-N, d=2 * N)
-        value, _ = sum_to_precision(alternating, 25)
+        value, _ = sum_to_precision(ratio_certificate(alternating), 25)
         brute = sum(terms(alternating, 120), Fraction(0))
         assert abs(value.to_fraction() - brute) <= 2 * Fraction(1, 10**25)
 
     def test_not_convergent_rejected(self):
         with pytest.raises(NotConvergent):
-            sum_to_precision(Coupling(c=N, d=N), 10)
+            sum_to_precision(ratio_certificate(Coupling(c=N, d=N)), 10)
 
     def test_uncertified_onset_raises(self, monkeypatch):
         # a root bound that is too small must not slip past an onset check
         # that `python -O` would strip
         monkeypatch.setattr(series, "cauchy_root_bound", lambda p: Fraction(0))
         with pytest.raises(NotConvergent):
-            sum_to_precision(Coupling(c=N**2 + 100, d=2 * N**2 - N), 10)
+            sum_to_precision(ratio_certificate(Coupling(c=N**2 + 100, d=2 * N**2 - N)), 10)
 
     @pytest.mark.parametrize("digits", [5, 20, 60])
     @pytest.mark.parametrize(
@@ -212,11 +214,11 @@ class TestSumToPrecision:
             coupling.c, coupling.d, digits, onset, rho_bar / (1 - rho_bar)
         )
         expected = (rational_to_real(total, working_precision(digits)), used)
-        assert sum_to_precision(coupling, digits) == expected
+        assert sum_to_precision(certificate, digits) == expected
 
     def test_error_budget_is_met(self, quartic_coupling):
         # against a much finer run of the same series, exact to 10^-40
-        coarse, _ = sum_to_precision(quartic_coupling, 12)
+        coarse, _ = sum_to_precision(ratio_certificate(quartic_coupling), 12)
         fine = sum(terms(quartic_coupling, 250), Fraction(0))
         assert abs(coarse.to_fraction() - fine) <= Fraction(1, 10**12)
 
@@ -239,7 +241,7 @@ class TestCentralBinomialSum:
             central_binomial_sum(z, 10)
 
     def test_two_code_paths_one_constant(self, quartic_coupling):
-        via_coupling, _ = sum_to_precision(quartic_coupling, 40)
+        via_coupling, _ = sum_to_precision(ratio_certificate(quartic_coupling), 40)
         via_binomials = central_binomial_sum(2, 40)
         assert abs(via_coupling.to_fraction() - via_binomials) <= 2 * Fraction(1, 10**40)
 

@@ -13,7 +13,7 @@ from gcf_forge import (
     structural_walk,
     verify_conjecture,
 )
-from gcf_forge import factorize, poly, verify
+from gcf_forge import factorize, poly, series, verify
 from gcf_forge.numerics import agreement_digits
 from gcf_forge.verify import INCONCLUSIVE, REFUTED_AT_DEPTH, VERIFIED
 
@@ -224,6 +224,21 @@ class TestVerifyConjecture:
         report = verify_conjecture(quartic_problem, digits=10, depth=16)
         assert report.terms_used is not None
         assert calls == [-quartic_problem.a]
+
+    def test_one_certificate_per_call(self, quartic_problem, monkeypatch):
+        # the summation reads the certificate verify built; it builds none itself
+        calls = []
+        ratio_certificate = series.ratio_certificate
+
+        def counted(coupling):
+            calls.append(coupling)
+            return ratio_certificate(coupling)
+
+        monkeypatch.setattr(verify, "ratio_certificate", counted)
+        monkeypatch.setattr(series, "ratio_certificate", counted)
+        report = verify_conjecture(quartic_problem, digits=10, depth=16)
+        assert report.terms_used is not None
+        assert calls == [report.coupling]
 
     def test_parameter_preconditions(self, quartic_problem):
         with pytest.raises(ValueError):
