@@ -165,7 +165,7 @@ def cmd_eval(args) -> int:
 
 def cmd_factorize(args) -> int:
     pf = load_problem_file(args.file)
-    couplings = find_couplings(pf.problem.a, pf.problem.b)
+    couplings = find_couplings(pf.problem.a, pf.problem.b, pf.problem.minus_a)
     if not couplings:
         print("no coupling within linear-split search space")
         print("(search covers rational-root factors plus one indivisible residual)")
@@ -179,7 +179,7 @@ def cmd_factorize(args) -> int:
 
 def cmd_series(args) -> int:
     pf = load_problem_file(args.file)
-    couplings = find_couplings(pf.problem.a, pf.problem.b)
+    couplings = find_couplings(pf.problem.a, pf.problem.b, pf.problem.minus_a)
     if not couplings:
         print("no coupling within linear-split search space; no series to show")
         return EXIT_INCONCLUSIVE

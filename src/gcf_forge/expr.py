@@ -9,6 +9,7 @@ expressions: rational literals, `pi`, `+ - * / ^` with integer exponents,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,15 +76,19 @@ _MAX_POWER_BITS = 1 << 16
 _MAX_DEGREE = 100
 
 
-def _check_power(values, exponent: int, position: int) -> None:
+def _check_power(numerators, denominator: int, exponent: int, position: int) -> None:
     """Refuse a power past the budgets before it is computed.
 
-    values are the base's coefficients. With b the larger bit length of num
-    and den, q^e has about |e| (b - 1) to 2 |e| (b - 1) bits (b = 1: 0, +-1).
+    The base's coefficients are numerators over one denominator. With b the
+    larger bit length of a reduced coefficient's num and den, q^e has about
+    |e| (b - 1) to 2 |e| (b - 1) bits (b = 1: 0, +-1).
     """
     if abs(exponent) > _MAX_EXPONENT:
         raise ExprSyntaxError("exponent too large", position)
-    b = max((max(q.numerator.bit_length(), q.denominator.bit_length()) for q in values), default=1)
+    b = 1
+    for c in numerators:
+        g = math.gcd(c, denominator)
+        b = max(b, (c // g).bit_length(), (denominator // g).bit_length())
     if abs(exponent) * (b - 1) > _MAX_POWER_BITS:
         raise ExprSyntaxError("power too large", position)
 
@@ -195,7 +200,7 @@ class _PolynomialParser(_Parser):
             raise NonPolynomial("exponent must be an integer", tok.pos)
         if value < 0:
             raise NonPolynomial("negative exponent", tok.pos)
-        _check_power(base.coefficients, int(value), tok.pos)
+        _check_power(base.numerators, base.denominator, int(value), tok.pos)
         if base.degree * value > _MAX_DEGREE:
             raise ExprSyntaxError("degree too large", tok.pos)
         return base ** int(value)
@@ -303,7 +308,7 @@ class _ConstParser(_Parser):
         folded = _fold_rational(exponent, tok.pos)
         if folded is None or folded.denominator != 1:
             raise ExprSyntaxError("exponent must be an integer", tok.pos)
-        _check_power((), int(folded), tok.pos)
+        _check_power((), 1, int(folded), tok.pos)
         return self.node(Pow, base, int(folded))
 
     def literal(self, value: int) -> ConstExpr:
@@ -350,7 +355,7 @@ def _fold_rational(expr: ConstExpr, position: int) -> Fraction | None:
             return None
         if base == 0 and expr.exponent < 0:
             raise DivisionByZero("zero raised to a negative exponent")
-        _check_power((base,), expr.exponent, position)
+        _check_power((base.numerator,), base.denominator, expr.exponent, position)
         return base**expr.exponent
     return None
 

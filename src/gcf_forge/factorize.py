@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import ZeroPartialNumerator
-from .poly import Polynomial, factor_rational
+from .poly import FactoredPolynomial, Polynomial, factor_rational
 
 
 @dataclass(frozen=True)
@@ -38,39 +38,37 @@ def verify_coupling(a: Polynomial, b: Polynomial, coupling: Coupling) -> bool:
     return sum_ok and product_ok
 
 
-def _rational_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    num_root = isqrt(q.numerator)
-    den_root = isqrt(q.denominator)
-    if num_root * num_root == q.numerator and den_root * den_root == q.denominator:
-        return Fraction(num_root, den_root)
-    return None
+def _scales(b: Polynomial, kappa: Fraction, R: Polynomial, q: int) -> list[Fraction]:
+    """The nonzero rational roots v of v^2 - b_q v + kappa R_q = 0, found in ints.
 
-
-def _coefficient(p: Polynomial, i: int) -> Fraction:
-    return p.coefficients[i] if i <= p.degree else Fraction(0)
+    With b_q = B/e and kappa R_q = K/f, M = B^2 f - 4 K e^2 is e^2 f times the
+    discriminant: v is rational iff M f = s^2, and then v = (B f +- s) / (2 e f).
+    """
+    B, e = b.numerators[q] if q <= b.degree else 0, b.denominator
+    K = kappa.numerator * (R.numerators[q] if q <= R.degree else 0)
+    f = kappa.denominator * R.denominator
+    M = B * B * f - 4 * K * e * e
+    s = isqrt(max(M * f, 0))
+    if s * s != M * f:
+        return []
+    return [Fraction(w, 2 * e * f) for w in {B * f + s, B * f - s} if w]
 
 
 def _divisors(items: list[tuple[Polynomial, int]]):
-    """(Q, Q(n+1), R) for every monic divisor Q of P = prod f^m, with Q*R == P."""
+    """(Q, R) for every monic divisor Q of P = prod f^m, with Q*R == P."""
     one = Polynomial.constant(1)
-    triples = [(one, one, one)]
+    pairs = [(one, one)]
     for f, m in items:
-        shifted = f.shift(1)
-        powers, shifted_powers = [one], [one]
+        powers = [one]
         for _ in range(m):
             powers.append(powers[-1] * f)
-            shifted_powers.append(shifted_powers[-1] * shifted)
-        triples = [
-            (Q * powers[k], Qs * shifted_powers[k], R * powers[m - k])
-            for Q, Qs, R in triples
-            for k in range(m + 1)
-        ]
-    return triples
+        pairs = [(Q * powers[k], R * powers[m - k]) for Q, R in pairs for k in range(m + 1)]
+    return pairs
 
 
-def find_couplings(a: Polynomial, b: Polynomial) -> list[Coupling]:
+def find_couplings(
+    a: Polynomial, b: Polynomial, minus_a: FactoredPolynomial | None = None
+) -> list[Coupling]:
     """All couplings reachable through rational-root splits of -a.
 
     With -a = kappa*Q*R (Q, R monic, kappa the signed content), each monic Q
@@ -80,23 +78,20 @@ def find_couplings(a: Polynomial, b: Polynomial) -> list[Coupling]:
     rational root v is kept iff the whole identity holds. An empty result
     means no coupling exists *within this search space*; factorizations
     needing irrational or complex splits are out of reach by design.
+    minus_a is factor_rational(-a) when the caller already holds it.
     """
     if a.is_zero:
         raise ZeroPartialNumerator("a(n) is identically zero")
-    factored = factor_rational(-a)
+    factored = factor_rational(-a) if minus_a is None else minus_a
     kappa = factored.content * factored.sign
     items = list(factored.factors)
     if factored.residual is not None:
         items.append((factored.residual, 1))
     found: list[Coupling] = []
-    for Q, Qs, R in _divisors(items):
-        b_q = _coefficient(b, Q.degree)
-        root = _rational_sqrt(b_q * b_q - 4 * kappa * _coefficient(R, Q.degree))
-        if root is None:
-            continue
-        for v in {(b_q + root) / 2, (b_q - root) / 2}:
-            c = b - v * Qs
-            if v and v * c == kappa * R:
+    for Q, R in _divisors(items):
+        for v in _scales(b, kappa, R, Q.degree):
+            c = b - v * Q.shift(1)
+            if v * c == kappa * R:
                 found.append(Coupling(c=c, d=v * Q))
     return sorted(
         found,

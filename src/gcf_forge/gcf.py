@@ -17,7 +17,8 @@ from fractions import Fraction
 from .errors import BoundaryRuleViolation, InvalidProblem, ZeroDenominatorConvergent
 from .expr import ConstExpr
 from .factorize import Coupling
-from .poly import Polynomial, common_denominator, integer_roots_from, integer_values
+from .poly import FactoredPolynomial, Polynomial, common_denominator, factor_rational
+from .poly import integer_values
 from .series import cascade
 
 DEFAULT_DEPTH = 512
@@ -28,18 +29,22 @@ class GcfProblem:
     """A continued-fraction conjecture: value b0 + a(1)/(b(1) + a(2)/(...)).
 
     Optionally carries a constant expression the value is claimed to equal.
+    minus_a, the factorization of -a, is made once, here, and read by the check
+    a(n) != 0 for n >= 1 and by the coupling search; equality ignores it.
     """
 
     b0: Fraction
     a: Polynomial
     b: Polynomial
     target: ConstExpr | None = None
+    minus_a: FactoredPolynomial = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "b0", Fraction(self.b0))
         if self.a.is_zero:
             raise InvalidProblem("partial numerator polynomial is identically zero")
-        bad = integer_roots_from(self.a, start=1)
+        object.__setattr__(self, "minus_a", factor_rational(-self.a))
+        bad = [r for r, _ in self.minus_a.rational_roots() if r.denominator == 1 and r >= 1]
         if bad:
             raise InvalidProblem(
                 f"partial numerator a(n) vanishes at n = {bad[0]}"

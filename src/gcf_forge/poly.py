@@ -1,8 +1,11 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Dense representation, lowest degree first, canonical form (no trailing
-zero coefficients; the zero polynomial has an empty coefficient tuple).
-Includes the index shift p(n) -> p(n+k) and rational-root factorization.
+A polynomial is stored as int numerators over one positive int denominator,
+p(n) = sum(numerators[i] * n^i) / denominator, lowest degree first. The form
+is canonical: no trailing zero numerator, gcd(denominator, *numerators) = 1,
+and the zero polynomial is () over 1, so equality compares ints. Arithmetic,
+the index shift p(n) -> p(n+k) and rational-root factorization run on the
+ints; `coefficients` is a derived tuple of Fractions for printing.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable
 
 from .errors import ZeroPolynomial
@@ -18,106 +22,105 @@ RationalLike = int | Fraction
 
 
 class Polynomial:
-    __slots__ = ("coefficients",)
+    __slots__ = ("numerators", "denominator")
 
     def __init__(self, coefficients: tuple | list = ()):
         coeffs = [Fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coefficients: tuple[Fraction, ...] = tuple(coeffs)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        self._set([c.numerator * (den // c.denominator) for c in coeffs], den)
+
+    @classmethod
+    def _of(cls, numerators: list[int], denominator: int = 1) -> "Polynomial":
+        """The canonical form of numerators / denominator (any nonzero int); takes the list."""
+        p = object.__new__(cls)
+        p._set(numerators, denominator)
+        return p
+
+    def _set(self, numerators: list[int], denominator: int) -> None:
+        while numerators and not numerators[-1]:
+            numerators.pop()
+        g = math.gcd(denominator, *numerators) * (-1 if denominator < 0 else 1)
+        self.numerators = tuple(c // g for c in numerators) if g != 1 else tuple(numerators)
+        self.denominator = denominator // g
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls(())
+        return cls._of([])
 
     @classmethod
     def constant(cls, value: RationalLike) -> "Polynomial":
-        return cls((value,))
+        return cls._of([value.numerator], value.denominator)
 
     @classmethod
     def variable(cls) -> "Polynomial":
         """The polynomial n."""
-        return cls((0, 1))
+        return cls._of([0, 1])
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.denominator) for c in self.numerators)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self.numerators
 
     @property
     def degree(self) -> int:
         """-1 for the zero polynomial."""
-        return len(self.coefficients) - 1
+        return len(self.numerators) - 1
 
     @property
     def leading_coefficient(self) -> Fraction:
         if self.is_zero:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coefficients[-1]
+        return Fraction(self.numerators[-1], self.denominator)
 
     @property
     def constant_term(self) -> Fraction:
-        return self.coefficients[0] if self.coefficients else Fraction(0)
+        return Fraction(self.numerators[0] if self.numerators else 0, self.denominator)
 
     def __call__(self, n: RationalLike) -> Fraction:
-        """Exact Horner evaluation at an integer or rational point."""
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * n + c
-        return acc
+        """Exact evaluation at an integer or rational point, in ints."""
+        if self.is_zero:
+            return Fraction(0)
+        value = _integer_form(self.numerators, n.numerator, n.denominator)
+        return Fraction(value, self.denominator * n.denominator**self.degree)
 
     def shift(self, k: int) -> "Polynomial":
-        """The polynomial q with q(n) = p(n+k) identically."""
-        if k == 0 or self.is_zero:
-            return self
-        # Horner in the polynomial ring: fold coefficients against (n + k)
-        acc = Polynomial.zero()
-        step = Polynomial((k, 1))
-        for c in reversed(self.coefficients):
-            acc = acc * step + c
-        return acc
+        """The polynomial q with q(n) = p(n+k) identically (integer Taylor shift)."""
+        out = list(self.numerators)
+        for i in range(len(out) - 1):
+            for j in range(len(out) - 2, i - 1, -1):
+                out[j] += k * out[j + 1]
+        return Polynomial._of(out, self.denominator)
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
+    def __add__(self, other, sign: int = 1):
+        other = _lift(other)
+        if other is None:
             return NotImplemented
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        merged = list(a)
-        for i, c in enumerate(b):
-            merged[i] += c
-        return Polynomial(merged)
+        da, db = self.denominator, other.denominator
+        g = math.gcd(da, db)
+        a = [c * (db // g) for c in self.numerators]
+        b = [sign * (da // g) * c for c in other.numerators]
+        return Polynomial._of([x + y for x, y in zip_longest(a, b, fillvalue=0)], da // g * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(tuple(-c for c in self.coefficients))
+        return Polynomial._of([-c for c in self.numerators], self.denominator)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Polynomial(tuple(c * other for c in self.coefficients))
-        if not isinstance(other, Polynomial):
+        other = _lift(other)
+        if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero()
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return Polynomial(out)
+        denominator = self.denominator * other.denominator
+        return Polynomial._of(_product(self.numerators, other.numerators), denominator)
 
     __rmul__ = __mul__
 
@@ -125,32 +128,32 @@ class Polynomial:
         if isinstance(scalar, (int, Fraction)):
             if scalar == 0:
                 raise ZeroDivisionError("polynomial divided by zero scalar")
-            return self * (Fraction(1) / Fraction(scalar))
+            return self * Fraction(scalar.denominator, scalar.numerator)
         return NotImplemented
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.constant(1)
-        base = self
-        e = exponent
+        result, base, e = [1], list(self.numerators), exponent
         while e:
             if e & 1:
-                result = result * base
+                result = _product(result, base)
             e >>= 1
             if e:
-                base = base * base
-        return result
+                base = _product(base, base)
+        return Polynomial._of(result, self.denominator**exponent)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
+        other = _lift(other)
+        if other is None:
             return NotImplemented
-        return self.coefficients == other.coefficients
+        return self.numerators == other.numerators and self.denominator == other.denominator
 
     def __hash__(self):
-        return hash(self.coefficients)
+        # a constant equals its int or Fraction value, so it hashes like it
+        if self.degree < 1:
+            return hash(self.constant_term)
+        return hash((self.numerators, self.denominator))
 
     def __repr__(self):
         return f"Polynomial({self.to_text()!r})"
@@ -160,24 +163,35 @@ class Polynomial:
 
     def to_text(self) -> str:
         """Canonical text, highest degree first; reparses to an equal value."""
-        if self.is_zero:
-            return "0"
         parts: list[str] = []
-        for deg in range(self.degree, -1, -1):
-            coef = self.coefficients[deg]
+        for deg, coef in reversed(list(enumerate(self.coefficients))):
             if coef == 0:
                 continue
             mag = abs(coef)
-            if deg == 0:
-                body = str(mag)
-            else:
-                var = "n" if deg == 1 else f"n^{deg}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(body if coef > 0 else f"-{body}")
-            else:
+            var = "" if deg == 0 else "n" if deg == 1 else f"n^{deg}"
+            body = str(mag) if not var else var if mag == 1 else f"{mag}*{var}"
+            if parts:
                 parts.append(f"+ {body}" if coef > 0 else f"- {body}")
-        return " ".join(parts)
+            else:
+                parts.append(body if coef > 0 else f"-{body}")
+        return " ".join(parts) or "0"
+
+
+def _lift(value) -> Polynomial | None:
+    """value as a Polynomial, or None when it is not a polynomial or a rational."""
+    if isinstance(value, Polynomial):
+        return value
+    return Polynomial.constant(value) if isinstance(value, (int, Fraction)) else None
+
+
+def _product(a, b) -> list[int]:
+    """The coefficients of the product of two int coefficient sequences."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 @dataclass(frozen=True)
@@ -196,17 +210,17 @@ class FactoredPolynomial:
 
     def rational_roots(self) -> list[tuple[Fraction, int]]:
         """(root, multiplicity) pairs, ascending by root."""
-        return [(-f.coefficients[0], m) for f, m in self.factors if f.degree == 1]
+        return [(-f.constant_term, m) for f, m in self.factors if f.degree == 1]
 
 
 def common_denominator(*polys: Polynomial) -> int:
     """The lcm of every coefficient denominator of the given polynomials."""
-    return math.lcm(*(q.denominator for p in polys for q in p.coefficients))
+    return math.lcm(*(p.denominator for p in polys))
 
 
 def integer_values(p: Polynomial, scale: int) -> Callable[[int], int]:
     """n -> scale * p(n) in ints; scale must clear every coefficient denominator."""
-    coefficients = [scale // q.denominator * q.numerator for q in reversed(p.coefficients)]
+    coefficients = [scale // p.denominator * c for c in reversed(p.numerators)]
 
     def value(n: int) -> int:
         acc = 0
@@ -219,18 +233,11 @@ def integer_values(p: Polynomial, scale: int) -> Callable[[int], int]:
 
 def _positive_divisors(m: int) -> list[int]:
     m = abs(m)
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
+    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    return small + [m // d for d in reversed(small) if d * d != m]
 
 
-def _integer_form(ints: list[int], num: int, den: int) -> int:
+def _integer_form(ints, num: int, den: int) -> int:
     """den^deg * p(num/den) for p with integer coefficients ints (lowest first)."""
     acc = ints[-1]
     scale = 1
@@ -240,15 +247,14 @@ def _integer_form(ints: list[int], num: int, den: int) -> int:
     return acc
 
 
-def _deflate(p: Polynomial, root: Fraction) -> Polynomial:
-    # synthetic division by (n - root); caller guarantees p(root) == 0
-    coeffs = p.coefficients
-    out: list[Fraction] = [Fraction(0)] * (len(coeffs) - 1)
-    carry = Fraction(0)
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[i] + carry * root
+def _deflate(ints: list[int], num: int, den: int) -> list[int]:
+    # exact division by (den*n - num); the caller guarantees a root at num/den
+    out = [0] * (len(ints) - 1)
+    carry = 0
+    for i in range(len(ints) - 1, 0, -1):
+        carry = (ints[i] + num * carry) // den
         out[i - 1] = carry
-    return Polynomial(out)
+    return out
 
 
 def factor_rational(p: Polynomial) -> FactoredPolynomial:
@@ -256,36 +262,30 @@ def factor_rational(p: Polynomial) -> FactoredPolynomial:
 
     content is |leading coefficient| and every listed factor is monic, so
     the reconstruction invariant holds exactly. Candidate roots come from
-    the rational-root theorem applied to the primitive integer form.
+    the rational-root theorem applied to the primitive integer form, which
+    is the stored numerators over their signed gcd; deflation stays in ints.
     """
     if p.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    lc = p.leading_coefficient
-    sign = 1 if lc > 0 else -1
-    content = abs(lc)
-    monic = p / lc
+    ints = list(p.numerators)
+    sign = 1 if ints[-1] > 0 else -1
+    content = Fraction(abs(ints[-1]), p.denominator)
 
     factors: list[tuple[Polynomial, int]] = []
 
     # strip n^k
-    zeros = 0
-    while monic.coefficients[zeros] == 0:
-        zeros += 1
+    zeros = next(i for i, c in enumerate(ints) if c)
     if zeros:
         factors.append((Polynomial.variable(), zeros))
-        monic = Polynomial(monic.coefficients[zeros:])
+    g = sign * math.gcd(*ints)
+    ints = [c // g for c in ints[zeros:]]  # primitive, positive leading coefficient
 
-    if monic.degree >= 1:
-        # primitive integer form for rational-root candidates
-        denom_lcm = common_denominator(monic)
-        ints = [int(c * denom_lcm) for c in monic.coefficients]
-        g = math.gcd(*ints)
-        ints = [c // g for c in ints]
+    if len(ints) > 1:
         # rational-root theorem: a root num/den in lowest terms has num | ints[0]
         # and den | ints[-1]; it lies within the Cauchy bound P/Q, and it
         # zeroes the integer form sum ints[i] num^i den^(deg-i)
-        bound = cauchy_root_bound(monic)
-        P, Q = bound.numerator, bound.denominator
+        Q = ints[-1]
+        P = Q + max(abs(c) for c in ints[:-1])
         numerators = _positive_divisors(ints[0])
         candidates = sorted(
             Fraction(s * num, den)
@@ -296,15 +296,16 @@ def factor_rational(p: Polynomial) -> FactoredPolynomial:
             if _integer_form(ints, s * num, den) == 0
         )
         for r in candidates:
+            num, den = r.numerator, r.denominator
             mult = 0
-            while monic.degree >= 1 and monic(r) == 0:
-                monic = _deflate(monic, r)
+            while len(ints) > 1 and _integer_form(ints, num, den) == 0:
+                ints = _deflate(ints, num, den)
                 mult += 1
             if mult:
-                factors.append((Polynomial((-r, 1)), mult))
+                factors.append((Polynomial._of([-num, den], den), mult))
 
-    factors.sort(key=lambda fm: -fm[0].coefficients[0])
-    residual = None if monic.degree < 1 else monic
+    factors.sort(key=lambda fm: -fm[0].constant_term)
+    residual = None if len(ints) < 2 else Polynomial._of(ints, ints[-1])
     return FactoredPolynomial(content, sign, tuple(factors), residual)
 
 
@@ -314,14 +315,5 @@ def cauchy_root_bound(p: Polynomial) -> Fraction:
         raise ZeroPolynomial("root bound of the zero polynomial")
     if p.degree == 0:
         return Fraction(0)
-    lead = abs(p.leading_coefficient)
-    return 1 + max(abs(c) for c in p.coefficients[:-1]) / lead
-
-
-def integer_roots_from(p: Polynomial, start: int = 1) -> list[int]:
-    """Integer roots of p that are >= start, ascending."""
-    if p.is_zero:
-        raise ZeroPolynomial("every integer is a root of the zero polynomial")
-    roots = factor_rational(p).rational_roots()
-    return [int(r) for r, _ in roots if r.denominator == 1 and r >= start]
-
+    ints = p.numerators  # the common denominator cancels from the ratio
+    return 1 + Fraction(max(abs(c) for c in ints[:-1]), abs(ints[-1]))

@@ -93,7 +93,7 @@ def verify_conjecture(
         raise ValueError("depth must be at least 4")
 
     bits = working_precision(digits + DIGIT_MARGIN)
-    couplings = find_couplings(problem.a, problem.b)
+    couplings = find_couplings(problem.a, problem.b, problem.minus_a)
     eligible = [cp for cp in couplings if check_boundary_selection(problem, cp)]
     target_value = (
         eval_const_expr(problem.target, bits) if problem.target is not None else None

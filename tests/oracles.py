@@ -9,6 +9,7 @@ references cannot share a failure mode with the code under test.
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 
 def fraction_decimal(q: Fraction, digits: int) -> str:
@@ -131,6 +132,11 @@ def reconstruct(factored):
     return out
 
 
+def integer_roots(factored, start: int) -> list[int]:
+    """Integer roots >= start of a factorization, ascending, from its rational roots."""
+    return [int(r) for r, _ in factored.rational_roots() if r.denominator == 1 and r >= start]
+
+
 def central_binomial_sum(z: Fraction | int, digits: int) -> Fraction:
     """Sum over m >= 1 of z^m / (m^2 * C(2m, m)) with |error| < 10^(-digits).
 
@@ -166,6 +172,55 @@ def agreement_digits_loop(x: Fraction, y: Fraction, cap: int) -> int:
     while digits < cap and gap * 10 ** (digits + 1) <= scale:
         digits += 1
     return digits
+
+
+# --- polynomials as lists of Fraction coefficients, lowest degree first -------
+
+
+def poly_trim(coefficients) -> tuple:
+    """The coefficients as Fractions, without trailing zeros."""
+    out = [Fraction(c) for c in coefficients]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def poly_add(p, q) -> tuple:
+    longer, shorter = (p, q) if len(p) >= len(q) else (q, p)
+    return poly_trim([c + (shorter[i] if i < len(shorter) else 0) for i, c in enumerate(longer)])
+
+
+def poly_scale(p, s) -> tuple:
+    return poly_trim([c * s for c in p])
+
+
+def poly_mul(p, q) -> tuple:
+    out = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return poly_trim(out)
+
+
+def poly_power(p, exponent: int) -> tuple:
+    out = (Fraction(1),)
+    for _ in range(exponent):
+        out = poly_mul(out, p)
+    return out
+
+
+def poly_shift(p, k: int) -> tuple:
+    """q with q(n) = p(n + k), by the binomial expansion of each (n + k)^i."""
+    out = [Fraction(0)] * len(p)
+    for i, c in enumerate(p):
+        for j in range(i + 1):
+            out[j] += c * comb(i, j) * Fraction(k) ** (i - j)
+    return poly_trim(out)
+
+
+def poly_eval(p, x) -> Fraction:
+    """p(x) as a sum of c_i x^i."""
+    return sum((c * Fraction(x) ** i for i, c in enumerate(p)), Fraction(0))
 
 
 def _sympy_poly(coefficients, n):

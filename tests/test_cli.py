@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from gcf_forge import cli, series, verify_conjecture
+import gcf_forge
+from gcf_forge import cli, factorize, gcf, poly, series, verify_conjecture
 from gcf_forge.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -125,6 +126,20 @@ class TestSeries:
 
 
 class TestVerify:
+    def test_one_factorization_per_command(self, quartic_file, monkeypatch, capsys):
+        # loading the problem factors -a; the coupling search reads that result
+        calls = []
+        factor_rational = poly.factor_rational
+
+        def counted(p):
+            calls.append(p)
+            return factor_rational(p)
+
+        for module in (gcf_forge, factorize, gcf, poly):
+            monkeypatch.setattr(module, "factor_rational", counted)
+        assert main(["verify", quartic_file, "--digits", "10", "--depth", "16"]) == EXIT_OK
+        assert len(calls) == 1
+
     def test_verified_exit_zero(self, quartic_file, capsys):
         code = main(["verify", quartic_file, "--digits", "30", "--depth", "64"])
         out = capsys.readouterr().out
@@ -263,3 +278,20 @@ def test_report_object_round_trip(quartic_file):
     report = verify_conjecture(pf.problem, digits=15, depth=16, name=pf.name)
     rebuilt = report_from_dict(json.loads(json.dumps(report_to_dict(report))))
     assert rebuilt == report
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+BUNDLED = ("eight_over_pi_squared", "no_rational_coupling", "reciprocal_log2")
+TABLES = (["factorize"], ["series", "--count", "6", "--exact"], ["eval", "--depth", "4", "--exact"])
+
+
+@pytest.mark.parametrize("argv", TABLES, ids=[argv[0] for argv in TABLES])
+@pytest.mark.parametrize("stem", BUNDLED)
+def test_golden_stdout(problems_dir, capsys, stem, argv):
+    # byte for byte, so that how a polynomial is stored cannot change what is printed
+    code = main([argv[0], str(problems_dir / f"{stem}.json"), *argv[1:]])
+    out, err = capsys.readouterr()
+    assert out == (GOLDEN / f"{stem}.{argv[0]}.txt").read_text()
+    assert err == ""
+    no_series = (stem, argv[0]) == ("no_rational_coupling", "series")
+    assert code == (EXIT_INCONCLUSIVE if no_series else EXIT_OK)

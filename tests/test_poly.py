@@ -1,13 +1,25 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcf_forge import Polynomial, ZeroPolynomial, factor_rational
-from gcf_forge.poly import cauchy_root_bound, integer_roots_from
+from gcf_forge import Polynomial, ZeroPolynomial, factor_rational, parse_polynomial
+from gcf_forge.poly import cauchy_root_bound
 
-from oracles import reconstruct, sympy_factor_rational
+from oracles import (
+    integer_roots,
+    poly_add,
+    poly_eval,
+    poly_mul,
+    poly_power,
+    poly_scale,
+    poly_shift,
+    poly_trim,
+    reconstruct,
+    sympy_factor_rational,
+)
 
 N = Polynomial.variable()
 
@@ -16,6 +28,17 @@ coefficients = st.fractions(
 )
 polynomials = st.lists(coefficients, min_size=0, max_size=5).map(Polynomial)
 nonzero_polynomials = polynomials.filter(lambda p: not p.is_zero)
+coefficient_lists = st.lists(st.one_of(coefficients, st.integers(-(10**12), 10**12)), max_size=5)
+scalars = st.one_of(st.integers(-30, 30), coefficients)
+
+
+def assert_canonical(p: Polynomial) -> None:
+    """int numerators over a positive int denominator, no trailing zero, gcd 1."""
+    assert type(p.denominator) is int and p.denominator > 0
+    assert all(type(c) is int for c in p.numerators)
+    assert not p.numerators or p.numerators[-1] != 0
+    # for the zero polynomial this reads denominator == 1
+    assert math.gcd(p.denominator, *p.numerators) == 1
 
 
 class TestEvaluate:
@@ -81,6 +104,79 @@ class TestArithmetic:
         for _ in range(k):
             expected = expected * p
         assert p**k == expected
+
+
+class TestFractionReference:
+    """Each operation against the Fraction coefficient lists of tests/oracles.py."""
+
+    def check(self, result: Polynomial, expected: tuple) -> None:
+        assert_canonical(result)
+        assert result.coefficients == expected
+
+    @given(P=coefficient_lists)
+    def test_constructor(self, P):
+        self.check(Polynomial(P), poly_trim(P))
+
+    @given(P=coefficient_lists, Q=coefficient_lists)
+    def test_ring_operations(self, P, Q):
+        p, q = Polynomial(P), Polynomial(Q)
+        self.check(p + q, poly_add(P, Q))
+        self.check(p - q, poly_add(P, poly_scale(Q, -1)))
+        self.check(p * q, poly_mul(P, Q))
+        self.check(-p, poly_scale(P, -1))
+
+    @given(P=coefficient_lists, s=scalars)
+    def test_scalar_operations(self, P, s):
+        p = Polynomial(P)
+        self.check(p * s, poly_scale(P, s))
+        self.check(s * p, poly_scale(P, s))
+        self.check(p + s, poly_add(P, [s]))
+        self.check(s - p, poly_add([s], poly_scale(P, -1)))
+        if s:
+            self.check(p / s, poly_scale(P, 1 / Fraction(s)))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                p / s
+
+    @given(P=coefficient_lists, k=st.integers(-3, 3))
+    def test_shift(self, P, k):
+        self.check(Polynomial(P).shift(k), poly_shift(P, k))
+
+    @given(P=st.lists(coefficients, max_size=4), e=st.integers(0, 4))
+    def test_power(self, P, e):
+        self.check(Polynomial(P) ** e, poly_power(P, e))
+
+    @given(
+        P=coefficient_lists,
+        x=st.one_of(st.integers(-20, 20), st.fractions(-5, 5, max_denominator=7)),
+    )
+    def test_evaluation(self, P, x):
+        value = Polynomial(P)(x)
+        assert type(value) is Fraction
+        assert value == poly_eval(P, x)
+
+    @given(P=coefficient_lists)
+    def test_text_round_trip(self, P):
+        back = parse_polynomial(Polynomial(P).to_text())
+        self.check(back, poly_trim(P))
+
+
+class TestHashContract:
+    @pytest.mark.parametrize("value", [0, 3, -7, Fraction(1, 2), Fraction(-9, 4)])
+    def test_constant_hashes_like_its_value(self, value):
+        p = Polynomial.constant(value)
+        assert p == value
+        assert hash(p) == hash(value)
+        assert len({p, value}) == 1
+
+    def test_zero_polynomial_and_zero_are_one_set_element(self):
+        assert len({Polynomial.zero(), 0, Fraction(0)}) == 1
+
+    @given(P=coefficient_lists, Q=coefficient_lists)
+    def test_equal_polynomials_hash_equal(self, P, Q):
+        p, q = Polynomial(P), Polynomial(Q)
+        assert (p + q) - q == p
+        assert hash((p + q) - q) == hash(p)
 
 
 class TestToText:
@@ -184,5 +280,5 @@ class TestRootAnalysis:
 
     def test_integer_roots_from(self):
         p = (N - 3) * (N - Fraction(1, 2)) * N
-        assert integer_roots_from(p, start=1) == [3]
-        assert integer_roots_from(p, start=4) == []
+        assert integer_roots(factor_rational(p), start=1) == [3]
+        assert integer_roots(factor_rational(p), start=4) == []

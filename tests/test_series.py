@@ -19,13 +19,14 @@ from gcf_forge import (
 )
 
 from gcf_forge import series
-from gcf_forge.poly import common_denominator, integer_roots_from
+from gcf_forge.poly import common_denominator, factor_rational
 
 from oracles import (
     central_binomial_sum,
     close_to,
     fraction_decimal,
     fraction_series_sum,
+    integer_roots,
     ln2_fraction,
     pi_squared_over_8,
     pi_squared_over_18,
@@ -94,7 +95,7 @@ def signed_couplings(draw) -> Coupling:
         return Polynomial(draw(st.lists(rationals, max_size=2)) + [draw(rationals.filter(bool))])
 
     coupling = Coupling(c=polynomial(), d=polynomial())
-    assume(not integer_roots_from(coupling.d, start=1))
+    assume(not integer_roots(factor_rational(coupling.d), start=1))
     return coupling
 
 

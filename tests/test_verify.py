@@ -13,7 +13,7 @@ from gcf_forge import (
     structural_walk,
     verify_conjecture,
 )
-from gcf_forge import factorize, poly, series, verify
+from gcf_forge import factorize, gcf, poly, series, verify
 from gcf_forge.numerics import agreement_digits
 from gcf_forge.verify import INCONCLUSIVE, REFUTED_AT_DEPTH, VERIFIED
 
@@ -210,8 +210,8 @@ class TestVerifyConjecture:
         verify_conjecture(quartic_problem, digits=10, depth=16)
         assert len(calls) == 1
 
-    def test_one_factorization_per_call(self, quartic_problem, monkeypatch):
-        # the coupling search factors -a; nothing downstream factors again
+    def test_one_factorization_per_call(self, quartic_a, quartic_b, monkeypatch):
+        # building the problem factors -a; the coupling search reads that result
         calls = []
         factor_rational = poly.factor_rational
 
@@ -219,11 +219,12 @@ class TestVerifyConjecture:
             calls.append(p)
             return factor_rational(p)
 
-        monkeypatch.setattr(factorize, "factor_rational", counted)
-        monkeypatch.setattr(poly, "factor_rational", counted)
-        report = verify_conjecture(quartic_problem, digits=10, depth=16)
+        for module in (gcf, factorize, poly):
+            monkeypatch.setattr(module, "factor_rational", counted)
+        problem = GcfProblem(b0=Fraction(1), a=quartic_a, b=quartic_b)
+        report = verify_conjecture(problem, digits=10, depth=16)
         assert report.terms_used is not None
-        assert calls == [-quartic_problem.a]
+        assert calls == [-problem.a]
 
     def test_one_certificate_per_call(self, quartic_problem, monkeypatch):
         # the summation reads the certificate verify built; it builds none itself
