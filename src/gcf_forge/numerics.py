@@ -88,6 +88,16 @@ def rational_to_real(q: Fraction | int, precision_bits: int) -> PrecisionReal:
     return PrecisionReal(value, precision_bits)
 
 
+def enclosure_to_real(low: int, high: int, shift: int, precision_bits: int) -> PrecisionReal | None:
+    """:func:`rational_to_real` of all of [low, high] 2^-shift (a monotone map: the ends decide).
+
+    None when the ends round apart.
+    """
+    with mpmath.mp.workprec(precision_bits):
+        low_end, high_end = mpmath.mpf((low, -shift)), mpmath.mpf((high, -shift))
+    return PrecisionReal(low_end, precision_bits) if low_end == high_end else None
+
+
 def real_from_decimal(text: str, precision_bits: int) -> PrecisionReal:
     """Parse decimal text into a float carrying `precision_bits` bits."""
     if precision_bits < 8:

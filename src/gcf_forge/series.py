@@ -3,9 +3,10 @@
 The k-th term is t_k = prod_{j=1..k} c(j) / prod_{j=1..k+1} d(j). The
 consecutive-term ratio is the exact rational function c(k+1)/d(k+2), whose
 limit classifies convergence. Terms and partial sums come from one
-first-order cascade in plain ints; when the series converges it is summed on
-that cascade under a certified geometric tail bound and converted to a
-binary float once, at the end.
+first-order cascade in plain ints. A convergent series is summed under a
+certified geometric tail bound in fixed point, where ints of about F bits
+enclose the exact prefix sum in [s - E, s + E] 2^-F; the exact cascade runs
+only when that enclosure cannot decide the stop or the rounding.
 """
 
 from __future__ import annotations
@@ -18,12 +19,15 @@ from typing import Iterator
 
 from .errors import NotConvergent, ZeroDenominatorFactor
 from .factorize import Coupling
-from .numerics import PrecisionReal, rational_to_real, working_precision
+from .numerics import PrecisionReal, enclosure_to_real, rational_to_real, working_precision
 from .poly import Polynomial, cauchy_root_bound, common_denominator, integer_values
 
 CONVERGENT = "convergent"
 DIVERGENT = "divergent"
 INCONCLUSIVE = "inconclusive"
+
+#: fraction bits the fixed-point sum carries past the working precision
+FIXED_POINT_GUARD_BITS = 64
 
 
 def cascade(coupling: Coupling, scale: int) -> Iterator[tuple[int, int, int]]:
@@ -121,12 +125,10 @@ def _geometric_onset(certificate: RatioCertificate, rho_bar: Fraction) -> int:
 def sum_to_precision(certificate: RatioCertificate, digits: int) -> tuple[PrecisionReal, int]:
     """Sum the certified series to within 10^(-digits); returns (value, terms used).
 
-    Terms come from :func:`cascade`; the tail after index k >= K is bounded
-    by |t_k| * rho_bar / (1 - rho_bar) with rho_bar = (|rho|+1)/2, where K
-    is certified by :func:`_geometric_onset`. With p/q that tail factor, the
-    stop rule |t_k| p/q <= 1/(2 10^digits) is the integer comparison
-    2 10^digits p |C_k| <= q |D_k|. Conversion to a binary float happens
-    once, after the bound drops below half the error budget.
+    The tail after index k >= K (:func:`_geometric_onset`) is at most |t_k| p/q, where
+    p/q = rho_bar / (1 - rho_bar) and rho_bar = (|rho|+1)/2. The sum stops at the first
+    k >= K with 2 10^digits p |C_k| <= q |D_k|, decided by :func:`_fixed_point_sum` or,
+    when that cannot, by the exact cascade below, which then rounds T_k/D_k once.
     """
     if digits < 1:
         raise ValueError("digits must be positive")
@@ -139,10 +141,38 @@ def sum_to_precision(certificate: RatioCertificate, digits: int) -> tuple[Precis
     tail_factor = rho_bar / (1 - rho_bar)
     budget = 2 * 10**digits * tail_factor.numerator
     q = tail_factor.denominator
+    bits = working_precision(digits)
+    if found := _fixed_point_sum(certificate.coupling, onset, budget, q, bits):
+        return found
     for k, (C, D, T) in enumerate(_cascade(certificate.coupling)):
         # a nonzero budget |C| has at least budget.bit_length() + C.bit_length() - 1
         # bits, so bit lengths rule the stop out without forming the large products
         near = budget.bit_length() + C.bit_length() <= q.bit_length() + D.bit_length() + 1
         if k >= onset and (near or C == 0) and budget * abs(C) <= q * abs(D):
             break
-    return rational_to_real(Fraction(T, D), working_precision(digits)), k + 1
+    return rational_to_real(Fraction(T, D), bits), k + 1
+
+
+def _fixed_point_sum(coupling: Coupling, onset: int, budget: int, q: int, bits: int):
+    """:func:`sum_to_precision`'s (value, terms) from F-bit fixed point, or None.
+
+    With c' = L c and d' = L d, u_k = floor(u_{k-1} c'(k) / d'(k+1)) is within
+    e_k = ceil(e_{k-1} |c'(k) / d'(k+1)|) + 1 of t_k 2^F. The stop |t_k| <= q/budget holds
+    if |u_k| + e_k <= thr = floor(q 2^F / budget) and fails if |u_k| - e_k > thr. None when
+    neither is certain, or when [s - E, s + E] 2^-F (s, E: sums of u, e) rounds two ways.
+    """
+    scale = common_denominator(coupling.c, coupling.d)
+    c, d = (integer_values(p, scale) for p in (coupling.c, coupling.d))
+    F = bits + FIXED_POINT_GUARD_BITS + max(0, abs(d(1)).bit_length() - scale.bit_length())
+    thr = (q << F) // budget
+    u, e, s, E, ck = scale << F, 0, 0, 0, 1  # u_{-1} = L 2^F exactly; c'(0) = 1
+    for k in itertools.count():
+        if not (dk := d(k + 1)):
+            raise ZeroDenominatorFactor(k + 1)
+        u = u * ck // dk
+        e = -(-e * abs(ck) // abs(dk)) + 1
+        s, E = s + u, E + e
+        if k >= onset and abs(u) - e <= thr:
+            value = enclosure_to_real(s - E, s + E, F, bits) if abs(u) + e <= thr else None
+            return None if value is None else (value, k + 1)
+        ck = c(k + 1)

@@ -8,6 +8,7 @@ from gcf_forge import InsufficientPrecision, rational_to_real, working_precision
 from gcf_forge.numerics import (
     PRECISION_ENV_VAR,
     agreement_digits,
+    enclosure_to_real,
     matched_digits,
     real_from_decimal,
     real_reciprocal,
@@ -63,6 +64,27 @@ class TestRationalToReal:
         v = rational_to_real(q, bits)
         again = real_from_decimal(v.to_decimal(), bits)
         assert again.to_fraction() == v.to_fraction()
+
+
+class TestEnclosureToReal:
+    def test_straddled_midpoint_is_undecided(self):
+        # 257/256 lies halfway between the 8-bit floats 1 and 1 + 1/128
+        assert enclosure_to_real(257, 257, 8, 8) == rational_to_real(Fraction(257, 256), 8)
+        assert enclosure_to_real(256, 258, 8, 8) is None
+
+    @given(
+        middle=st.integers(-(2**80), 2**80),
+        radius=st.integers(0, 2**20),
+        shift=st.integers(0, 100),
+        bits=st.integers(min_value=8, max_value=64),
+    )
+    def test_agrees_with_rounding_every_point(self, middle, radius, shift, bits):
+        value = enclosure_to_real(middle - radius, middle + radius, shift, bits)
+        if radius == 0:
+            assert value is not None
+        if value is not None:
+            for end in (middle - radius, middle, middle + radius):
+                assert value == rational_to_real(Fraction(end, 2**shift), bits)
 
 
 class TestAgreeToDigits:

@@ -157,6 +157,64 @@ class TestRatioCertificate:
         assert series._geometric_onset(cert, (abs(cert.rho) + 1) / 2) > 3
 
 
+def fraction_reference(certificate, digits: int):
+    """sum_to_precision's (value, terms used) by the reduced-fraction loop."""
+    rho_bar = (abs(certificate.rho) + 1) / 2
+    onset = series._geometric_onset(certificate, rho_bar)
+    coupling = certificate.coupling
+    total, used = fraction_series_sum(
+        coupling.c, coupling.d, digits, onset, rho_bar / (1 - rho_bar)
+    )
+    return rational_to_real(total, working_precision(digits)), used
+
+
+def exact_sum_runs(monkeypatch) -> list:
+    """Record each run of sum_to_precision's exact loop, its one reader of _cascade."""
+    runs = []
+    cascade = series._cascade
+
+    def spy(coupling):
+        runs.append(coupling)
+        return cascade(coupling)
+
+    monkeypatch.setattr(series, "_cascade", spy)
+    return runs
+
+
+# the arcsin^2 family c = (z/2) n^2, d = 2n^2 - n and the arcsin family
+# c = z n, d = 2n - 1, at the z that give closed forms
+CLOSED_FORMS = [Coupling(c=Fraction(z, 2) * N**2, d=2 * N**2 - N) for z in (1, 2, 3)] + [
+    Coupling(c=z * N, d=2 * N - 1) for z in (Fraction(1, 2), 1, Fraction(3, 2))
+]
+CLOSED_FORM_IDS = ["asin2-z1", "asin2-z2", "asin2-z3", "asin-z1_2", "asin-z1", "asin-z3_2"]
+
+
+@st.composite
+def convergent_couplings(draw) -> Coupling:
+    """Convergent c, d in the shapes that stress the stop rule and the rounding."""
+    nonzero = rationals.filter(bool)
+    shape = draw(st.sampled_from(["signed", "terminating", "wide", "negative", "growing"]))
+    if shape == "signed":  # rational coefficients; rho < 0 alternates the terms
+        d = Polynomial(draw(st.lists(rationals, max_size=2)) + [draw(nonzero)])
+        rho = draw(st.sampled_from([0, 1, -1, 2, -2])) / Fraction(4)
+        lower = Polynomial(draw(st.lists(rationals, max_size=d.degree)))
+        c = lower + rho * d.leading_coefficient * N**d.degree
+        assume(not c.is_zero and not integer_roots(factor_rational(d), start=1))
+    elif shape == "terminating":  # c(m) = 0, so every term from t_m on is 0
+        c = draw(nonzero) * (N - draw(st.integers(1, 8)))
+        d = draw(st.integers(1, 6)) * N**2 + draw(st.integers(1, 9))
+    elif shape == "wide":  # the Cauchy bound puts the onset past 2q
+        c = Polynomial.constant(draw(nonzero))
+        d = N * (N + draw(st.integers(10, 300)))
+    elif shape == "negative":  # d(j) < 0 for every j <= m
+        c = draw(st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 2)])) * N**2
+        d = N * (2 * N - 2 * draw(st.integers(1, 12)) - 1)
+    else:  # the terms rise for a while before they decay
+        c = draw(st.integers(10, 60)) * N
+        d = N**2 + 1
+    return Coupling(c=c, d=d)
+
+
 class TestSumToPrecision:
     def test_quartic_sum_50_digits(self, quartic_coupling):
         value, used = sum_to_precision(ratio_certificate(quartic_coupling), 50)
@@ -194,7 +252,7 @@ class TestSumToPrecision:
         with pytest.raises(NotConvergent):
             sum_to_precision(ratio_certificate(Coupling(c=N**2 + 100, d=2 * N**2 - N)), 10)
 
-    @pytest.mark.parametrize("digits", [5, 20, 60])
+    @pytest.mark.parametrize("digits", [5, 20, 60, 160])
     @pytest.mark.parametrize(
         "coupling",
         [
@@ -209,13 +267,41 @@ class TestSumToPrecision:
     )
     def test_matches_fraction_reference(self, coupling, digits):
         certificate = ratio_certificate(coupling)
-        rho_bar = (abs(certificate.rho) + 1) / 2
-        onset = series._geometric_onset(certificate, rho_bar)
-        total, used = fraction_series_sum(
-            coupling.c, coupling.d, digits, onset, rho_bar / (1 - rho_bar)
-        )
-        expected = (rational_to_real(total, working_precision(digits)), used)
-        assert sum_to_precision(certificate, digits) == expected
+        assert sum_to_precision(certificate, digits) == fraction_reference(certificate, digits)
+
+    @settings(max_examples=40, deadline=None)
+    @given(coupling=convergent_couplings(), digits=st.integers(1, 300))
+    def test_matches_fraction_reference_on_random_couplings(self, coupling, digits):
+        certificate = ratio_certificate(coupling)
+        assert certificate.classification == "convergent"
+        assert sum_to_precision(certificate, digits) == fraction_reference(certificate, digits)
+
+    def test_rounding_midpoint_falls_back_to_exact_sum(self, monkeypatch):
+        # the terms 1, 1/256, 0, ... sum to 257/256, halfway between two 8-bit
+        # floats: the fixed-point enclosure straddles it, and only the exact
+        # sum rounds it (half to even, down to 1)
+        monkeypatch.setenv("GCF_FORGE_PRECISION_BITS", "8")
+        runs = exact_sum_runs(monkeypatch)
+        certificate = ratio_certificate(Coupling(c=2 - N, d=255 * N - 254))
+        value, used = sum_to_precision(certificate, 1)
+        assert runs
+        assert (value, used) == fraction_reference(certificate, 1)
+        assert (value.to_fraction(), used) == (1, 4)
+
+    def test_undecidable_stop_falls_back_to_exact_sum(self, quartic_coupling, monkeypatch):
+        # F = 8 + 64 fraction bits cannot resolve a stop threshold near 10^-30
+        monkeypatch.setenv("GCF_FORGE_PRECISION_BITS", "8")
+        runs = exact_sum_runs(monkeypatch)
+        certificate = ratio_certificate(quartic_coupling)
+        assert sum_to_precision(certificate, 30) == fraction_reference(certificate, 30)
+        assert runs
+
+    @pytest.mark.parametrize("coupling", CLOSED_FORMS, ids=CLOSED_FORM_IDS)
+    def test_closed_forms_stay_in_fixed_point(self, coupling, monkeypatch):
+        monkeypatch.delenv("GCF_FORGE_PRECISION_BITS", raising=False)
+        runs = exact_sum_runs(monkeypatch)
+        sum_to_precision(ratio_certificate(coupling), 160)
+        assert runs == []
 
     def test_error_budget_is_met(self, quartic_coupling):
         # against a much finer run of the same series, exact to 10^-40
