@@ -10,6 +10,7 @@ of the pipeline reads, in plain integers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -105,17 +106,26 @@ def structural_walk(
 
     With L the lcm of all coefficient denominators (of c and d too, when a
     coupling is given), A'_n = L^(n+1) A_n and B'_n = L^(n+1) B_n obey
-    y_n = (L b(n)) y_{n-1} + (L^2 a(n)) y_{n-2} with integer coefficients,
-    so every product in a step is big by small. W'_n = L^(2n+1) W_n is carried
-    by the Casoratian law W'_n = -(L^2 a(n)) W'_{n-1} and checked against
-    A'_n B'_{n-1} - A'_{n-1} B'_n once, at n = depth (exact ints cannot break
-    the law: a mismatch raises ArithmeticError). x_{n-1} > x_n iff
-    W'_n B'_{n-1} B'_n < 0. Alongside runs the series
-    :func:`~gcf_forge.series.cascade` at scale L, whose D'_n = L^(n+1) prod d(j)
-    and T'_n = L^(n+1) S_n prod d(j), so A_n = prod d(j) reads A' = D' and
-    x_n S_n = 1 reads A' T' = B' D'. A true coupling (the operator
-    factorization) forces A' = D', and where A' = D' != 0 the identity is
-    B' = T'; A' T' and B' D' are formed only where A' != D'.
+    y_n = b'(n) y_{n-1} + a'(n) y_{n-2} with the int streams b' = L b and
+    a' = L^2 a (:func:`~gcf_forge.poly.integer_values`), so every product in
+    a step is big by small. W'_n = L^(2n+1) W_n is carried by the Casoratian
+    law W'_n = -a'(n) W'_{n-1} and checked against A'_n B'_{n-1} - A'_{n-1} B'_n
+    once, at n = depth (exact ints cannot break the law: a mismatch raises
+    ArithmeticError). x_{n-1} > x_n iff W'_n B'_{n-1} B'_n < 0.
+
+    A coupling brings :func:`~gcf_forge.series.cascade` at scale L, whose
+    D'_n = L^(n+1) prod d(j) and T'_n = L^(n+1) S_n prod d(j): A_n = prod d(j)
+    reads A' = D', and x_n S_n = 1 reads A' T' = B' D', that is B' = T' where
+    A' = D' != 0. While both have held at every earlier index, they reduce at
+    n to small ints (D'_{n-2} != 0: the cascade refuses d(j) = 0), with
+    c' = L c and d' = L d:
+    A'_n = D'_n iff f(n) = (b'(n) - d'(n+1)) d'(n) + a'(n) = 0, and then
+    B'_n = T'_n iff e(n) C'_{n-1} = 0 with e(n) = b'(n) - d'(n+1) - c'(n).
+    This fast phase steps only the cascade and W' and takes A', B' = D', T';
+    a true coupling (the operator factorization) makes f and e vanish and
+    keeps the walk there. From the first index where a test fails, and
+    throughout when there is no coupling, the full loop steps A', B', W' and
+    the cascade and compares them, forming A' T' and B' D' only where A' != D'.
 
     A coupling must satisfy the boundary rule b0 = d(1)
     (BoundaryRuleViolation otherwise); B_n = 0 while the reciprocal
@@ -130,22 +140,41 @@ def structural_walk(
             raise BoundaryRuleViolation(f"b0 = {problem.b0} but d(1) = {coupling.d(1)}")
         polynomials += [coupling.c, coupling.d]
     L = math.lcm(problem.b0.denominator, common_denominator(*polynomials))
-    a = integer_values(problem.a, L * L)
-    b = integer_values(problem.b, L)
+    indices = zip(
+        range(1, depth + 1), integer_values(problem.a, L * L), integer_values(problem.b, L)
+    )
     halfway = (depth + 1) // 2
 
     A_prev, A = 1, L // problem.b0.denominator * problem.b0.numerator
     B_prev, B = 0, L
     W = -L  # A'_0 B'_{-1} - A'_{-1} B'_0, that is L W_0 with W_0 = -1
     monotone = True
-    half = last_defined = (A, B)
+    half = (A, B)
     numerator_depth = identity_depth = None
+    resume = ()  # the index the fast phase could not take, for the full loop
     if coupling is not None:
         steps = cascade(coupling, L)
-        _, D, T = next(steps)
-        numerator_depth = identity_depth = 0  # both hold at n = 0 since b0 = d(1)
-    for n in range(1, depth + 1):
-        an, bn = a(n), b(n)
+        C, _, _ = next(steps)  # (A'_0, B'_0) = (D'_0, T'_0) since b0 = d(1)
+        rest = problem.b - coupling.d.shift(1)  # b(n) - d(n+1)
+        f = integer_values(rest * coupling.d + problem.a, L * L)
+        e = integer_values(rest - coupling.c, L)
+        numerator_depth = identity_depth = 0
+        for index, fn, en in zip(indices, f, e):
+            if fn or (en and C):
+                resume = (index,)
+                break
+            n, an, _ = index
+            A_prev, B_prev = A, B
+            C, A, B = next(steps)
+            W = -an * W
+            if B == 0:
+                raise ZeroDenominatorConvergent(n)
+            monotone = monotone and ((W < 0) ^ (B_prev < 0) ^ (B < 0))
+            if n == halfway:
+                half = (A, B)
+            numerator_depth = identity_depth = n
+    last_defined = (A, B)  # B != 0 in every frame so far
+    for n, an, bn in itertools.chain(resume, indices):
         A_prev, A = A, bn * A + an * A_prev
         B_prev, B = B, bn * B + an * B_prev
         W = -an * W
@@ -168,12 +197,13 @@ def structural_walk(
     if W != A * B_prev - A_prev * B:
         raise ArithmeticError(f"Casoratian law broken by the walk at n = {depth}")
 
+    last = Fraction(A, B) if B else None  # the final frame, reduced once
     return StructuralWalk(
         exact_identity_depth=identity_depth,
         numerator_product_depth=numerator_depth,
         casoratian_depth=depth,
         monotone=monotone,
         halfway=Fraction(*half) if half[1] else None,
-        last=Fraction(A, B) if B else None,
-        last_defined=Fraction(*last_defined),
+        last=last,
+        last_defined=last if B else Fraction(*last_defined),
     )

@@ -130,21 +130,27 @@ def agreement_digits(x: Fraction, y: Fraction, cap: int) -> int:
     return digits - (10**digits > whole) + (10 ** (digits + 1) <= whole)
 
 
+def require_comparison_bits(digits: int, x_bits: int, y_bits: int) -> None:
+    """Raise InsufficientPrecision unless both operands carry ceil(digits * log2(10)) bits.
+
+    That is the information bound below which two binary floats cannot
+    answer whether they agree to `digits` decimals.
+    """
+    need = math.ceil(digits * math.log2(10))
+    if x_bits < need or y_bits < need:
+        raise InsufficientPrecision(
+            f"comparing to {digits} digits needs {need} bits; "
+            f"operands carry {x_bits} and {y_bits}"
+        )
+
+
 def matched_digits(x: PrecisionReal, y: PrecisionReal, digits: int) -> int:
     """:func:`agreement_digits` of two binary floats, capped at `digits`.
 
-    Operands must carry at least ceil(digits * log2(10)) mantissa bits --
-    the information bound below which they cannot answer the question --
-    or InsufficientPrecision is raised. Callers wanting headroom should
-    budget 4 bits per digit, as :func:`working_precision` does.
+    Operands must pass :func:`require_comparison_bits`. Callers wanting
+    headroom should budget 4 bits per digit, as :func:`working_precision` does.
     """
     if digits < 1:
         raise ValueError("digits must be positive")
-    need = math.ceil(digits * math.log2(10))
-    if x.precision_bits < need or y.precision_bits < need:
-        raise InsufficientPrecision(
-            f"comparing to {digits} digits needs {need} bits; "
-            f"operands carry {x.precision_bits} and {y.precision_bits}"
-        )
+    require_comparison_bits(digits, x.precision_bits, y.precision_bits)
     return agreement_digits(x.to_fraction(), y.to_fraction(), digits)
-

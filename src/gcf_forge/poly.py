@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
-from typing import Callable
+from itertools import accumulate, repeat, zip_longest
+from typing import Iterator
 
 from .errors import ZeroPolynomial
 
@@ -218,17 +218,27 @@ def common_denominator(*polys: Polynomial) -> int:
     return math.lcm(*(p.denominator for p in polys))
 
 
-def integer_values(p: Polynomial, scale: int) -> Callable[[int], int]:
-    """n -> scale * p(n) in ints; scale must clear every coefficient denominator."""
+def integer_values(p: Polynomial, scale: int) -> Iterator[int]:
+    """scale * p(n) for n = 1, 2, ... in ints; scale must clear every coefficient denominator.
+
+    The stream adds forward differences: the values at n = 1..k+1 (k the degree)
+    give Delta^0..Delta^k at n = 1, Delta^k is constant, and each nested
+    accumulate adds one order, so every later value costs k int additions in C.
+    """
     coefficients = [scale // p.denominator * c for c in reversed(p.numerators)]
-
-    def value(n: int) -> int:
-        acc = 0
-        for coefficient in coefficients:
-            acc = acc * n + coefficient
-        return acc
-
-    return value
+    leading = []  # the values at n = 1..k+1, then in place Delta^i of them at n = 1
+    for n in range(1, len(coefficients) + 1):
+        value = 0
+        for c in coefficients:
+            value = value * n + c
+        leading.append(value)
+    for i in range(1, len(leading)):
+        for j in range(len(leading) - 1, i - 1, -1):
+            leading[j] -= leading[j - 1]
+    values = repeat(leading.pop() if leading else 0)
+    for start in reversed(leading):
+        values = accumulate(values, initial=start)
+    return values
 
 
 def _positive_divisors(m: int) -> list[int]:

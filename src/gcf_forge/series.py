@@ -41,14 +41,13 @@ def cascade(coupling: Coupling, scale: int) -> Iterator[tuple[int, int, int]]:
     c = integer_values(coupling.c, scale)
     d = integer_values(coupling.d, scale)
     C, D, T = scale, 1, 0
-    for j in itertools.count(1):
-        dj = d(j)
+    for j, cj, dj in zip(itertools.count(1), c, d):
         if dj == 0:
             raise ZeroDenominatorFactor(j)
         D *= dj
         T = dj * T + C
         yield C, D, T
-        C *= c(j)
+        C *= cj
 
 
 def _cascade(coupling: Coupling) -> Iterator[tuple[int, int, int]]:
@@ -163,11 +162,13 @@ def _fixed_point_sum(coupling: Coupling, onset: int, budget: int, q: int, bits: 
     """
     scale = common_denominator(coupling.c, coupling.d)
     c, d = (integer_values(p, scale) for p in (coupling.c, coupling.d))
-    F = bits + FIXED_POINT_GUARD_BITS + max(0, abs(d(1)).bit_length() - scale.bit_length())
+    d1 = int(scale * coupling.d(1))  # d'(1); scale clears its denominator
+    F = bits + FIXED_POINT_GUARD_BITS + max(0, abs(d1).bit_length() - scale.bit_length())
     thr = (q << F) // budget
-    u, e, s, E, ck = scale << F, 0, 0, 0, 1  # u_{-1} = L 2^F exactly; c'(0) = 1
-    for k in itertools.count():
-        if not (dk := d(k + 1)):
+    u, e, s, E = scale << F, 0, 0, 0  # u_{-1} = L 2^F exactly
+    # c'(0) = 1 pairs with d'(1), then c'(k) with d'(k+1)
+    for k, ck, dk in zip(itertools.count(), itertools.chain((1,), c), d):
+        if not dk:
             raise ZeroDenominatorFactor(k + 1)
         u = u * ck // dk
         e = -(-e * abs(ck) // abs(dk)) + 1
@@ -175,4 +176,3 @@ def _fixed_point_sum(coupling: Coupling, onset: int, budget: int, q: int, bits: 
         if k >= onset and abs(u) - e <= thr:
             value = enclosure_to_real(s - E, s + E, F, bits) if abs(u) + e <= thr else None
             return None if value is None else (value, k + 1)
-        ck = c(k + 1)

@@ -213,6 +213,34 @@ class TestVerify:
         assert "verdict" not in captured.out
         assert "needs 100 bits" in captured.err
 
+    def test_precision_refused_before_walk_and_sum(self, problems_dir, monkeypatch, capsys):
+        # the operands' precision is known before the walk; with a target the
+        # refusal comes first, without one the pipeline runs as before
+        calls = []
+
+        def spy(name):
+            real = getattr(gcf_forge.verify, name)
+
+            def recorded(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(gcf_forge.verify, name, recorded)
+
+        spy("structural_walk")
+        spy("sum_to_precision")
+        monkeypatch.setenv("GCF_FORGE_PRECISION_BITS", "40")
+        argv = ["--digits", "3000", "--depth", "64"]
+        code = main(["verify", str(problems_dir / "eight_over_pi_squared.json"), *argv])
+        out, err = capsys.readouterr()
+        assert code == EXIT_PRECONDITION
+        assert (out, calls) == ("", [])
+        assert err == "error: comparing to 3000 digits needs 9966 bits; operands carry 40 and 40\n"
+        code = main(["verify", str(problems_dir / "reciprocal_log2.json"), *argv])
+        assert code == EXIT_INCONCLUSIVE
+        assert calls == ["structural_walk", "sum_to_precision"]
+        assert capsys.readouterr().err == ""
+
     def test_missing_file_is_parse_error(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "nope.json")]) == EXIT_PARSE
 
@@ -295,3 +323,22 @@ def test_golden_stdout(problems_dir, capsys, stem, argv):
     assert err == ""
     no_series = (stem, argv[0]) == ("no_rational_coupling", "series")
     assert code == (EXIT_INCONCLUSIVE if no_series else EXIT_OK)
+
+
+VERIFY_RUNS = [(stem, stem, []) for stem in BUNDLED] + [
+    ("eight_over_pi_squared", "eight_over_pi_squared.depth-4000", ["--depth", "4000"])
+]
+
+
+@pytest.mark.parametrize(
+    "stem,golden,extra", VERIFY_RUNS, ids=[golden for _, golden, _ in VERIFY_RUNS]
+)
+def test_golden_verify(problems_dir, tmp_path, capsys, stem, golden, extra):
+    # every depth, value and digit of the printed and the JSON report, byte for byte
+    report = tmp_path / "report.json"
+    code = main(["verify", str(problems_dir / f"{stem}.json"), *extra, "--json", str(report)])
+    out, err = capsys.readouterr()
+    assert out == (GOLDEN / f"{golden}.verify.txt").read_text() + f"report written to {report}\n"
+    assert err == ""
+    assert report.read_text() == (GOLDEN / f"{golden}.verify.json").read_text()
+    assert code == (EXIT_OK if stem == "eight_over_pi_squared" else EXIT_INCONCLUSIVE)

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gcf_forge import (
@@ -201,16 +201,30 @@ def euler_problem(coupling: Coupling) -> GcfProblem:
 
 
 class TestStructuralWalk:
-    @settings(max_examples=25, deadline=None)
-    @given(euler_couplings(), st.sampled_from([0, 2, 5, 20]))
-    def test_matches_fraction_reference(self, coupling, agree):
+    @settings(max_examples=40, deadline=None)
+    @given(
+        euler_couplings(),
+        st.sampled_from([0, 1, 2, 5, 20]),
+        st.sampled_from(["cd", "c", "d", "d-only-f"]),
+    )
+    @example(Coupling(c=N * N, d=2 * N * N - N), 1, "c")
+    @example(Coupling(c=N * N, d=2 * N * N - N), 1, "d")
+    @example(Coupling(c=N * N, d=2 * N * N - N), 5, "c")
+    @example(Coupling(c=N * N, d=2 * N * N - N), 2, "d-only-f")
+    def test_matches_fraction_reference(self, coupling, agree, bumped):
         # agree > 0 hands the walk a coupling that matches the problem's only
-        # up to index agree, so the checks must stop where the reference stops;
-        # at 20 the products A' T' = B' D' run late, on large operands
+        # up to index agree, so the checks must stop where the reference stops.
+        # Bumping c alone keeps A' = D' and breaks B' = T'; bumping d breaks
+        # A' = D' too, and d-only-f lowers c by the bump at n + 1 so that
+        # b - d(n+1) - c stays 0 and only the A' = D' test can see the change.
+        # At agree = 1 the walk leaves its fast phase at its first step; at 20
+        # the products A' T' = B' D' run late, on large operands
         problem = euler_problem(coupling)
         if agree:
             bump = math.prod((N - i for i in range(1, agree + 1)), start=Polynomial.constant(1))
-            coupling = Coupling(c=coupling.c + bump, d=coupling.d + bump)
+            c_bump = {"cd": bump, "c": bump, "d": 0, "d-only-f": -bump.shift(1)}[bumped]
+            d_bump = 0 if bumped == "c" else bump
+            coupling = Coupling(c=coupling.c + c_bump, d=coupling.d + d_bump)
             assume(all(coupling.d(j) for j in range(1, 42)))  # the cascade to depth 40
         table = convergents(problem, 40)
         for depth in range(41):

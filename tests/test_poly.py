@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcf_forge import Polynomial, ZeroPolynomial, factor_rational, parse_polynomial
-from gcf_forge.poly import cauchy_root_bound
+from gcf_forge.poly import cauchy_root_bound, integer_values
 
 from oracles import (
     integer_roots,
@@ -154,6 +155,14 @@ class TestFractionReference:
         value = Polynomial(P)(x)
         assert type(value) is Fraction
         assert value == poly_eval(P, x)
+
+    @given(P=coefficient_lists, multiple=st.integers(-3, 3).filter(bool))
+    def test_integer_values(self, P, multiple):
+        # the forward-difference stream against plain evaluation, n = 1..30
+        scale = Polynomial(P).denominator * multiple
+        values = list(itertools.islice(integer_values(Polynomial(P), scale), 30))
+        assert all(type(v) is int for v in values)
+        assert values == [scale * poly_eval(P, n) for n in range(1, 31)]
 
     @given(P=coefficient_lists)
     def test_text_round_trip(self, P):
