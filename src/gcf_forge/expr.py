@@ -4,14 +4,18 @@ Polynomials in the index variable n: integer/rational literals, `+ - * ^`
 (caret takes nonnegative integer exponents), unary minus, parentheses,
 and `/` only where the divisor is a nonzero constant. Constant target
 expressions: rational literals, `pi`, `+ - * / ^` with integer exponents,
-`sqrt(...)`. Whitespace is insignificant; offsets in errors are 0-based.
+`sqrt(...)`. Literals are runs of ASCII digits and names are ASCII
+identifiers; any other character but whitespace is a syntax error.
+Whitespace is insignificant; offsets in errors are 0-based.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 import mpmath
 
@@ -23,48 +27,13 @@ from .errors import (
     UnknownSymbol,
 )
 from .numerics import PrecisionReal, _mpf_from_fraction
-from .poly import Polynomial
+from .poly import Polynomial, _power, _product
 
 
-# --- tokenizer and the shared descent ---------------------------------------
+# --- tokens and the shared descent -------------------------------------------
 
-_OPERATOR_CHARS = set("+-*/^()")
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'int' | 'name' | 'op' | 'end'
-    text: str
-    pos: int
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens = []
-    i, length = 0, len(source)
-    while i < length:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i + 1
-            while j < length and source[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", source[i:j], i))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < length and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", source[i:j], i))
-            i = j
-        elif ch in _OPERATOR_CHARS:
-            tokens.append(_Token("op", ch, i))
-            i += 1
-        else:
-            raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", length))
-    return tokens
-
+# after optional whitespace: an ASCII digit run, an ASCII identifier or an operator
+_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^()])")
 
 # Budgets that keep every accepted tree within plain recursion (nesting of
 # parentheses, signs and carets; nodes of one constant) and exact arithmetic
@@ -76,156 +45,179 @@ _MAX_POWER_BITS = 1 << 16
 _MAX_DEGREE = 100
 
 
-def _check_power(numerators, denominator: int, exponent: int, position: int) -> None:
-    """Refuse a power past the budgets before it is computed.
+def _power_excess(numerators, denominator: int, exponent: int) -> str | None:
+    """Why a power is past the budgets, or None; checked before it is computed.
 
     The base's coefficients are numerators over one denominator. With b the
     larger bit length of a reduced coefficient's num and den, q^e has about
     |e| (b - 1) to 2 |e| (b - 1) bits (b = 1: 0, +-1).
     """
     if abs(exponent) > _MAX_EXPONENT:
-        raise ExprSyntaxError("exponent too large", position)
+        return "exponent too large"
     b = 1
     for c in numerators:
         g = math.gcd(c, denominator)
         b = max(b, (c // g).bit_length(), (denominator // g).bit_length())
-    if abs(exponent) * (b - 1) > _MAX_POWER_BITS:
-        raise ExprSyntaxError("power too large", position)
+    return "power too large" if abs(exponent) * (b - 1) > _MAX_POWER_BITS else None
 
 
 class _Parser:
-    """Token cursor and precedence descent; subclasses say what operators mean."""
+    """Token cursor and precedence descent; subclasses say what operators mean.
+
+    Tokens are the texts _TOKEN finds, then "" for the end. Offsets are found
+    only for an error: keeping one per token cost about a fifth of a parse.
+    """
 
     def __init__(self, source: str):
-        self.tokens = _tokenize(source)
+        self.source = source
+        self.tokens = _TOKEN.findall(source)
+        if sum(map(len, self.tokens)) != len("".join(source.split())):
+            # a character that is neither whitespace nor in a token
+            at = next(i for i, ch in enumerate(source) if not (ch.isspace() or _TOKEN.match(ch)))
+            raise ExprSyntaxError(f"unexpected character {source[at]!r}", at)
+        self.tokens.append("")
+        self.offsets: list[int] = []
         self.index = 0
         self.nesting = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
+    def offset(self, index: int) -> int:
+        """The 0-based offset of token `index`; the source's length for the end."""
+        if not self.offsets:  # from the end of one token, only whitespace comes before the next
+            end = 0
+            for text in self.tokens[:-1]:
+                self.offsets.append(end := self.source.index(text, end))
+                end += len(text)
+            self.offsets.append(len(self.source))
+        return self.offsets[index]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.index]
+    def expect_op(self, op: str) -> None:
+        if self.tokens[self.index] != op:
+            raise ExprSyntaxError(f"expected {op!r}", self.offset(self.index))
         self.index += 1
-        return tok
-
-    def match_op(self, *ops: str) -> _Token | None:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in ops:
-            return self.advance()
-        return None
-
-    def expect_op(self, op: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ExprSyntaxError(f"expected {op!r}", tok.pos)
-        return self.advance()
 
     def parse(self):
         value = self.expression()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExprSyntaxError(f"unexpected {tok.text!r}", tok.pos)
+        if text := self.tokens[self.index]:
+            raise ExprSyntaxError(f"unexpected {text!r}", self.offset(self.index))
         return value
 
     def expression(self):
         value = self.term()
-        while (tok := self.match_op("+", "-")) is not None:
-            value = self.binary(tok, value, self.term())
+        while self.tokens[self.index] in ("+", "-"):
+            self.index += 1
+            value = self.binary(self.index - 1, value, self.term())
         return value
 
     def term(self):
         value = self.unary()
-        while (tok := self.match_op("*", "/")) is not None:
-            value = self.binary(tok, value, self.unary())
+        while self.tokens[self.index] in ("*", "/"):
+            self.index += 1
+            value = self.binary(self.index - 1, value, self.unary())
         return value
 
     def unary(self):
         self.nesting += 1
         if self.nesting > _MAX_NESTING:
-            raise ExprSyntaxError("nesting too deep", self.peek().pos)
-        if self.match_op("-") is not None:
+            raise ExprSyntaxError("nesting too deep", self.offset(self.index))
+        text = self.tokens[self.index]
+        self.index += 1
+        if text == "-":
             value = self.negate(self.unary())
-        elif self.match_op("+") is not None:
+        elif text == "+":
             value = self.unary()
         else:
-            value = self.atom()
-            if (tok := self.match_op("^")) is not None:
-                value = self.power(tok, value, self.unary())
+            if text.isdigit():
+                value = self.literal(int(text))
+            elif text.isidentifier():
+                value = self.name(self.index - 1)
+            elif text == "(":
+                value = self.expression()
+                self.expect_op(")")
+            else:
+                raise ExprSyntaxError("expected a value", self.offset(self.index - 1))
+            if self.tokens[self.index] == "^":
+                self.index += 1
+                value = self.power(self.index - 1, value, self.unary())
         self.nesting -= 1
         return value
-
-    def atom(self):
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return self.literal(int(tok.text))
-        if tok.kind == "name":
-            return self.name(tok)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            value = self.expression()
-            self.expect_op(")")
-            return value
-        raise ExprSyntaxError("expected a value", tok.pos)
 
 
 # --- polynomial grammar ----------------------------------------------------
 
 
+def _reduced(numerators: list[int], denominator: int) -> tuple[list[int], int]:
+    """numerators / denominator over a positive denominator, with no common factor."""
+    g = math.gcd(denominator, *numerators) * (-1 if denominator < 0 else 1)
+    return ([c // g for c in numerators], denominator // g) if g != 1 else (numerators, denominator)
+
+
 class _PolynomialParser(_Parser):
-    def binary(self, tok: _Token, left: Polynomial, right: Polynomial) -> Polynomial:
-        if tok.text == "+":
-            return left + right
-        if tok.text == "-":
-            return left - right
-        if tok.text == "*":
-            if left.degree + right.degree > _MAX_DEGREE:
-                raise ExprSyntaxError("degree too large", tok.pos)
-            return left * right
-        if right.degree > 0:
-            raise NonPolynomial("division by an expression containing n", tok.pos)
-        if right.is_zero:
-            raise DivisionByZero(f"division by zero (at offset {tok.pos})")
-        return left / right.constant_term
+    """Values are (int list, lowest degree first, no trailing zero; positive int)
+    pairs. Products and quotients are reduced, so no chain of them grows the
+    ints; parse_polynomial makes the canonical Polynomial once."""
 
-    def negate(self, value: Polynomial) -> Polynomial:
-        return -value
+    def binary(self, index: int, left, right):
+        (a, p), (b, q) = left, right
+        op = self.tokens[index]
+        if op == "*":
+            if len(a) + len(b) - 2 > _MAX_DEGREE:
+                raise ExprSyntaxError("degree too large", self.offset(index))
+            return _reduced(_product(a, b) if a and b else [], p * q)
+        if op == "/":
+            if len(b) > 1:
+                raise NonPolynomial("division by an expression containing n", self.offset(index))
+            if not b:
+                raise DivisionByZero(f"division by zero (at offset {self.offset(index)})")
+            return _reduced([c * q for c in a], p * b[0])
+        if op == "-":
+            b = [-c for c in b]
+        if p != q:
+            g = math.gcd(p, q)
+            a, b, p = [c * (q // g) for c in a], [c * (p // g) for c in b], p // g * q
+        out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+        while out and not out[-1]:
+            out.pop()
+        return out, p
 
-    def power(self, tok: _Token, base: Polynomial, exponent: Polynomial) -> Polynomial:
-        if exponent.degree > 0:
-            raise NonPolynomial("exponent contains n", tok.pos)
-        value = exponent.constant_term
-        if value.denominator != 1:
-            raise NonPolynomial("exponent must be an integer", tok.pos)
+    def negate(self, value):
+        return [-c for c in value[0]], value[1]
+
+    def power(self, index: int, base, exponent):
+        e, q = exponent
+        if len(e) > 1:
+            raise NonPolynomial("exponent contains n", self.offset(index))
+        value, rest = divmod(e[0], q) if e else (0, 0)
+        if rest:
+            raise NonPolynomial("exponent must be an integer", self.offset(index))
         if value < 0:
-            raise NonPolynomial("negative exponent", tok.pos)
-        _check_power(base.numerators, base.denominator, int(value), tok.pos)
-        if base.degree * value > _MAX_DEGREE:
-            raise ExprSyntaxError("degree too large", tok.pos)
-        return base ** int(value)
+            raise NonPolynomial("negative exponent", self.offset(index))
+        if excess := _power_excess(*base, value):
+            raise ExprSyntaxError(excess, self.offset(index))
+        if (len(base[0]) - 1) * value > _MAX_DEGREE:
+            raise ExprSyntaxError("degree too large", self.offset(index))
+        numerators, denominator = _reduced(*base)
+        return _power(numerators, value), denominator**value
 
-    def literal(self, value: int) -> Polynomial:
-        return Polynomial.constant(value)
+    def literal(self, value: int):
+        return [value] if value else [], 1
 
-    def name(self, tok: _Token) -> Polynomial:
-        if tok.text != "n":
-            raise UnknownSymbol(tok.text, tok.pos)
-        self.advance()
-        return Polynomial.variable()
+    def name(self, index: int):
+        if self.tokens[index] != "n":
+            raise UnknownSymbol(self.tokens[index], self.offset(index))
+        return [0, 1], 1
 
 
 def parse_polynomial(source: str) -> Polynomial:
     """Parse polynomial text into canonical dense-coefficient form."""
-    return _PolynomialParser(source).parse()
+    return Polynomial._of(*_PolynomialParser(source).parse())
 
 
 def parse_rational(source: str) -> Fraction:
     """Parse text that must denote a constant, e.g. '1', '-3/2', '(1+1)/4'."""
-    value = parse_polynomial(source)
-    if value.degree > 0:
+    numerators, denominator = _PolynomialParser(source).parse()
+    if len(numerators) > 1:
         raise NonPolynomial("expected a constant, found n", 0)
-    return value.constant_term
+    return Fraction(numerators[0] if numerators else 0, denominator)
 
 
 # --- constant-expression grammar -------------------------------------------
@@ -295,33 +287,33 @@ class _ConstParser(_Parser):
     def node(self, kind: type, *parts) -> ConstExpr:
         self.size += 1
         if self.size > _MAX_NODES:
-            raise ExprSyntaxError("constant expression too large", self.peek().pos)
+            raise ExprSyntaxError("constant expression too large", self.offset(self.index))
         return kind(*parts)
 
-    def binary(self, tok: _Token, left: ConstExpr, right: ConstExpr) -> ConstExpr:
-        return self.node(_BINARY_NODES[tok.text], left, right)
+    def binary(self, index: int, left: ConstExpr, right: ConstExpr) -> ConstExpr:
+        return self.node(_BINARY_NODES[self.tokens[index]], left, right)
 
     def negate(self, value: ConstExpr) -> ConstExpr:
         return self.node(Neg, value)
 
-    def power(self, tok: _Token, base: ConstExpr, exponent: ConstExpr) -> ConstExpr:
-        folded = _fold_rational(exponent, tok.pos)
+    def power(self, index: int, base: ConstExpr, exponent: ConstExpr) -> ConstExpr:
+        position = self.offset(index)
+        folded = _fold_rational(exponent, position)
         if folded is None or folded.denominator != 1:
-            raise ExprSyntaxError("exponent must be an integer", tok.pos)
-        _check_power((), 1, int(folded), tok.pos)
+            raise ExprSyntaxError("exponent must be an integer", position)
+        if excess := _power_excess((), 1, int(folded)):
+            raise ExprSyntaxError(excess, position)
         return self.node(Pow, base, int(folded))
 
     def literal(self, value: int) -> ConstExpr:
         return self.node(Num, Fraction(value))
 
-    def name(self, tok: _Token) -> ConstExpr:
-        name = tok.text.lower()
+    def name(self, index: int) -> ConstExpr:
+        name = self.tokens[index].lower()
         if name == "pi":
-            self.advance()
             return self.node(Pi)
         if name != "sqrt":
-            raise UnknownSymbol(tok.text, tok.pos)
-        self.advance()
+            raise UnknownSymbol(self.tokens[index], self.offset(index))
         self.expect_op("(")
         operand = self.expression()
         self.expect_op(")")
@@ -355,7 +347,8 @@ def _fold_rational(expr: ConstExpr, position: int) -> Fraction | None:
             return None
         if base == 0 and expr.exponent < 0:
             raise DivisionByZero("zero raised to a negative exponent")
-        _check_power((base.numerator,), base.denominator, expr.exponent, position)
+        if excess := _power_excess((base.numerator,), base.denominator, expr.exponent):
+            raise ExprSyntaxError(excess, position)
         return base**expr.exponent
     return None
 
@@ -422,17 +415,10 @@ def const_expr_to_text(expr: ConstExpr) -> str:
 
 
 def _print_node(expr: ConstExpr, slot: int) -> str:
-    if isinstance(expr, Num):
-        if expr.value.denominator == 1:
-            text, prec = str(expr.value.numerator), _PREC_ATOM
-            if expr.value < 0:
-                prec = _PREC_NEG
-        else:
-            text = f"{expr.value.numerator}/{expr.value.denominator}"
-            prec = _PREC_MUL
-            if expr.value < 0:
-                prec = _PREC_NEG
-        return _wrap(text, prec, slot)
+    if isinstance(expr, Num):  # str(Fraction) is "p" or "p/q"
+        value = expr.value
+        prec = _PREC_NEG if value < 0 else _PREC_ATOM if value.denominator == 1 else _PREC_MUL
+        return _wrap(str(value), prec, slot)
     if isinstance(expr, Pi):
         return "pi"
     if isinstance(expr, Neg):

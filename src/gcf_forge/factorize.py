@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import zip_longest
+from math import isqrt, lcm
 
 from .errors import ZeroPartialNumerator
-from .poly import FactoredPolynomial, Polynomial, factor_rational
+from .poly import FactoredPolynomial, Polynomial, _product, _shift, factor_rational
 
 
 @dataclass(frozen=True)
@@ -38,15 +39,15 @@ def verify_coupling(a: Polynomial, b: Polynomial, coupling: Coupling) -> bool:
     return sum_ok and product_ok
 
 
-def _scales(b: Polynomial, kappa: Fraction, R: Polynomial, q: int) -> list[Fraction]:
-    """The nonzero rational roots v of v^2 - b_q v + kappa R_q = 0, found in ints.
+def _scales(b: Polynomial, kappa: Fraction, R: list[int], R_den: int, q: int) -> list[Fraction]:
+    """The nonzero rational roots v of v^2 - b_q v + kappa R_q = 0 (R over R_den), in ints.
 
     With b_q = B/e and kappa R_q = K/f, M = B^2 f - 4 K e^2 is e^2 f times the
     discriminant: v is rational iff M f = s^2, and then v = (B f +- s) / (2 e f).
     """
     B, e = b.numerators[q] if q <= b.degree else 0, b.denominator
-    K = kappa.numerator * (R.numerators[q] if q <= R.degree else 0)
-    f = kappa.denominator * R.denominator
+    K = kappa.numerator * (R[q] if q < len(R) else 0)
+    f = kappa.denominator * R_den
     M = B * B * f - 4 * K * e * e
     s = isqrt(max(M * f, 0))
     if s * s != M * f:
@@ -54,16 +55,16 @@ def _scales(b: Polynomial, kappa: Fraction, R: Polynomial, q: int) -> list[Fract
     return [Fraction(w, 2 * e * f) for w in {B * f + s, B * f - s} if w]
 
 
-def _divisors(items: list[tuple[Polynomial, int]]):
-    """(Q, R) for every monic divisor Q of P = prod f^m, with Q*R == P."""
-    one = Polynomial.constant(1)
-    pairs = [(one, one)]
+def _divisors(items: list[tuple[Polynomial, int]]) -> list[tuple[list[int], int]]:
+    """Every monic divisor of P = prod f^m as (int numerators, denominator), in the
+    mixed-radix order of the multiplicities, so P over the i-th is the (N-1-i)-th."""
+    divisors = [([1], 1)]
     for f, m in items:
-        powers = [one]
+        powers = [([1], 1)]
         for _ in range(m):
-            powers.append(powers[-1] * f)
-        pairs = [(Q * powers[k], R * powers[m - k]) for Q, R in pairs for k in range(m + 1)]
-    return pairs
+            powers.append((_product(powers[-1][0], f.numerators), powers[-1][1] * f.denominator))
+        divisors = [(_product(Q, F), Q_den * F_den) for Q, Q_den in divisors for F, F_den in powers]
+    return divisors
 
 
 def find_couplings(
@@ -78,7 +79,8 @@ def find_couplings(
     rational root v is kept iff the whole identity holds. An empty result
     means no coupling exists *within this search space*; factorizations
     needing irrational or complex splits are out of reach by design.
-    minus_a is factor_rational(-a) when the caller already holds it.
+    minus_a is factor_rational(-a) when the caller already holds it. The
+    search runs on int lists; only results become Polynomials.
     """
     if a.is_zero:
         raise ZeroPartialNumerator("a(n) is identically zero")
@@ -87,13 +89,20 @@ def find_couplings(
     items = list(factored.factors)
     if factored.residual is not None:
         items.append((factored.residual, 1))
+    divisors = _divisors(items)
+    e = b.denominator
     found: list[Coupling] = []
-    for Q, R in _divisors(items):
-        for v in _scales(b, kappa, R, Q.degree):
-            c = b - v * Q.shift(1)
-            if v * c == kappa * R:
-                found.append(Coupling(c=c, d=v * Q))
-    return sorted(
-        found,
-        key=lambda cp: (cp.c.degree, cp.c.coefficients, cp.d.coefficients),
-    )
+    for (Q, Q_den), (R, R_den) in zip(divisors, reversed(divisors)):
+        for v in _scales(b, kappa, R, R_den, len(Q) - 1):
+            # c = b - v Q(n+1) is C over e vd Q_den; v c == kappa R, cross-multiplied
+            vn, vd = v.numerator, v.denominator
+            shifted = zip_longest(b.numerators, _shift(Q, 1), fillvalue=0)
+            C, C_den = [x * vd * Q_den - e * vn * y for x, y in shifted], e * vd * Q_den
+            left, right = vn * kappa.denominator * R_den, kappa.numerator * vd * C_den
+            if all(x * left == y * right for x, y in zip_longest(C, R, fillvalue=0)):
+                d = Polynomial._of([vn * y for y in Q], vd * Q_den)
+                found.append(Coupling(c=Polynomial._of(C, C_den), d=d))
+    # by (deg c, coefficients of c, coefficients of d), as ints over one denominator L
+    L = lcm(*(p.denominator for cp in found for p in (cp.c, cp.d)))
+    return sorted(found, key=lambda cp: (cp.c.degree, *(
+        [x * (L // p.denominator) for x in p.numerators] for p in (cp.c, cp.d))))

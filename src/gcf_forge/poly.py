@@ -4,8 +4,8 @@ A polynomial is stored as int numerators over one positive int denominator,
 p(n) = sum(numerators[i] * n^i) / denominator, lowest degree first. The form
 is canonical: no trailing zero numerator, gcd(denominator, *numerators) = 1,
 and the zero polynomial is () over 1, so equality compares ints. Arithmetic,
-the index shift p(n) -> p(n+k) and rational-root factorization run on the
-ints; `coefficients` is a derived tuple of Fractions for printing.
+the index shift p(n) -> p(n+k), rational-root factorization and the text
+form run on the ints; `coefficients` is a derived tuple of Fractions.
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ class Polynomial:
         g = math.gcd(denominator, *numerators) * (-1 if denominator < 0 else 1)
         self.numerators = tuple(c // g for c in numerators) if g != 1 else tuple(numerators)
         self.denominator = denominator // g
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls._of([])
 
     @classmethod
     def constant(cls, value: RationalLike) -> "Polynomial":
@@ -87,12 +83,8 @@ class Polynomial:
         return Fraction(value, self.denominator * n.denominator**self.degree)
 
     def shift(self, k: int) -> "Polynomial":
-        """The polynomial q with q(n) = p(n+k) identically (integer Taylor shift)."""
-        out = list(self.numerators)
-        for i in range(len(out) - 1):
-            for j in range(len(out) - 2, i - 1, -1):
-                out[j] += k * out[j + 1]
-        return Polynomial._of(out, self.denominator)
+        """The polynomial q with q(n) = p(n+k) identically."""
+        return Polynomial._of(_shift(self.numerators, k), self.denominator)
 
     def __add__(self, other, sign: int = 1):
         other = _lift(other)
@@ -134,14 +126,7 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result, base, e = [1], list(self.numerators), exponent
-        while e:
-            if e & 1:
-                result = _product(result, base)
-            e >>= 1
-            if e:
-                base = _product(base, base)
-        return Polynomial._of(result, self.denominator**exponent)
+        return Polynomial._of(_power(self.numerators, exponent), self.denominator**exponent)
 
     def __eq__(self, other):
         other = _lift(other)
@@ -164,16 +149,13 @@ class Polynomial:
     def to_text(self) -> str:
         """Canonical text, highest degree first; reparses to an equal value."""
         parts: list[str] = []
-        for deg, coef in reversed(list(enumerate(self.coefficients))):
-            if coef == 0:
-                continue
-            mag = abs(coef)
-            var = "" if deg == 0 else "n" if deg == 1 else f"n^{deg}"
-            body = str(mag) if not var else var if mag == 1 else f"{mag}*{var}"
-            if parts:
-                parts.append(f"+ {body}" if coef > 0 else f"- {body}")
-            else:
-                parts.append(body if coef > 0 else f"-{body}")
+        for deg in range(self.degree, -1, -1):
+            if c := self.numerators[deg]:
+                g = math.gcd(c, self.denominator)
+                mag = f"{abs(c) // g}" + (f"/{self.denominator // g}" if self.denominator != g else "")
+                var = "" if deg == 0 else "n" if deg == 1 else f"n^{deg}"
+                body = mag if not var else var if mag == "1" else f"{mag}*{var}"
+                parts.append((("+ " if c > 0 else "- ") if parts else "" if c > 0 else "-") + body)
         return " ".join(parts) or "0"
 
 
@@ -192,6 +174,29 @@ def _product(a, b) -> list[int]:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
+
+
+def _shift(a, k: int) -> list[int]:
+    """The coefficients of p(n+k) for p with int coefficients a (integer Taylor shift)."""
+    out = list(a)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] += k * out[j + 1]
+    return out
+
+
+def _power(a, exponent: int) -> list[int]:
+    """The coefficients of the exponent-th power of an int coefficient sequence."""
+    if a and not any(a[:-1]):  # a monomial, such as n
+        return [0] * ((len(a) - 1) * exponent) + [a[-1] ** exponent]
+    result = [1]
+    while exponent:
+        if exponent & 1:
+            result = _product(result, a)
+        exponent >>= 1
+        if exponent:
+            a = _product(a, a)
+    return result
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 Everything here is exact rational arithmetic built from first principles
 (Machin's arctangent formula, long division, alternating-series tails) or
 from sympy, which is imported inside the functions that use it so this
-module loads without it. Nothing imports the package or mpmath, so these
-references cannot share a failure mode with the code under test.
+module loads without it. Nothing above the last section imports the package
+or mpmath, so those references cannot share a failure mode with the code
+under test. The last section keeps the package's previous parser and
+coupling search verbatim, as references for parity tests.
 """
 
 from fractions import Fraction
@@ -297,3 +299,328 @@ def sympy_couplings(a, b) -> set:
                 d = sympy.Poly(sympy.expand(solution[v] * Q), n, domain="QQ")
                 found.add((_fractions(c), _fractions(d)))
     return found
+
+
+# --- the package's previous parser and coupling search, kept verbatim ----------
+#
+# References for parity tests: the token-object descent over Polynomial
+# values, and the coupling search over Polynomial divisors. Unlike the rest of
+# this module they import the package, for its Polynomial, its ConstExpr node
+# classes, its error types and its budgets.
+
+import math
+from dataclasses import dataclass
+from math import isqrt
+
+from gcf_forge.errors import (
+    DivisionByZero,
+    ExprSyntaxError,
+    NonPolynomial,
+    UnknownSymbol,
+    ZeroPartialNumerator,
+)
+from gcf_forge.expr import (
+    _BINARY_NODES,
+    _MAX_DEGREE,
+    _MAX_EXPONENT,
+    _MAX_NESTING,
+    _MAX_NODES,
+    _MAX_POWER_BITS,
+    ConstExpr,
+    Neg,
+    Num,
+    Pi,
+    Pow,
+    Sqrt,
+    _fold_rational,
+)
+from gcf_forge.factorize import Coupling
+from gcf_forge.poly import FactoredPolynomial, Polynomial, factor_rational
+
+_OPERATOR_CHARS = set("+-*/^()")
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # 'int' | 'name' | 'op' | 'end'
+    text: str
+    pos: int
+
+
+def _tokenize(source: str) -> list[_Token]:
+    tokens = []
+    i, length = 0, len(source)
+    while i < length:
+        ch = source[i]
+        if ch.isspace():
+            i += 1
+        elif ch.isdigit():
+            j = i + 1
+            while j < length and source[j].isdigit():
+                j += 1
+            tokens.append(_Token("int", source[i:j], i))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < length and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            tokens.append(_Token("name", source[i:j], i))
+            i = j
+        elif ch in _OPERATOR_CHARS:
+            tokens.append(_Token("op", ch, i))
+            i += 1
+        else:
+            raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(_Token("end", "", length))
+    return tokens
+
+
+def _check_power(numerators, denominator: int, exponent: int, position: int) -> None:
+    """Refuse a power past the budgets before it is computed.
+
+    The base's coefficients are numerators over one denominator. With b the
+    larger bit length of a reduced coefficient's num and den, q^e has about
+    |e| (b - 1) to 2 |e| (b - 1) bits (b = 1: 0, +-1).
+    """
+    if abs(exponent) > _MAX_EXPONENT:
+        raise ExprSyntaxError("exponent too large", position)
+    b = 1
+    for c in numerators:
+        g = math.gcd(c, denominator)
+        b = max(b, (c // g).bit_length(), (denominator // g).bit_length())
+    if abs(exponent) * (b - 1) > _MAX_POWER_BITS:
+        raise ExprSyntaxError("power too large", position)
+
+
+class _Parser:
+    """Token cursor and precedence descent; subclasses say what operators mean."""
+
+    def __init__(self, source: str):
+        self.tokens = _tokenize(source)
+        self.index = 0
+        self.nesting = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.index]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.index]
+        self.index += 1
+        return tok
+
+    def match_op(self, *ops: str) -> _Token | None:
+        tok = self.peek()
+        if tok.kind == "op" and tok.text in ops:
+            return self.advance()
+        return None
+
+    def expect_op(self, op: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != "op" or tok.text != op:
+            raise ExprSyntaxError(f"expected {op!r}", tok.pos)
+        return self.advance()
+
+    def parse(self):
+        value = self.expression()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ExprSyntaxError(f"unexpected {tok.text!r}", tok.pos)
+        return value
+
+    def expression(self):
+        value = self.term()
+        while (tok := self.match_op("+", "-")) is not None:
+            value = self.binary(tok, value, self.term())
+        return value
+
+    def term(self):
+        value = self.unary()
+        while (tok := self.match_op("*", "/")) is not None:
+            value = self.binary(tok, value, self.unary())
+        return value
+
+    def unary(self):
+        self.nesting += 1
+        if self.nesting > _MAX_NESTING:
+            raise ExprSyntaxError("nesting too deep", self.peek().pos)
+        if self.match_op("-") is not None:
+            value = self.negate(self.unary())
+        elif self.match_op("+") is not None:
+            value = self.unary()
+        else:
+            value = self.atom()
+            if (tok := self.match_op("^")) is not None:
+                value = self.power(tok, value, self.unary())
+        self.nesting -= 1
+        return value
+
+    def atom(self):
+        tok = self.peek()
+        if tok.kind == "int":
+            self.advance()
+            return self.literal(int(tok.text))
+        if tok.kind == "name":
+            return self.name(tok)
+        if tok.kind == "op" and tok.text == "(":
+            self.advance()
+            value = self.expression()
+            self.expect_op(")")
+            return value
+        raise ExprSyntaxError("expected a value", tok.pos)
+
+
+class _PolynomialParser(_Parser):
+    def binary(self, tok: _Token, left: Polynomial, right: Polynomial) -> Polynomial:
+        if tok.text == "+":
+            return left + right
+        if tok.text == "-":
+            return left - right
+        if tok.text == "*":
+            if left.degree + right.degree > _MAX_DEGREE:
+                raise ExprSyntaxError("degree too large", tok.pos)
+            return left * right
+        if right.degree > 0:
+            raise NonPolynomial("division by an expression containing n", tok.pos)
+        if right.is_zero:
+            raise DivisionByZero(f"division by zero (at offset {tok.pos})")
+        return left / right.constant_term
+
+    def negate(self, value: Polynomial) -> Polynomial:
+        return -value
+
+    def power(self, tok: _Token, base: Polynomial, exponent: Polynomial) -> Polynomial:
+        if exponent.degree > 0:
+            raise NonPolynomial("exponent contains n", tok.pos)
+        value = exponent.constant_term
+        if value.denominator != 1:
+            raise NonPolynomial("exponent must be an integer", tok.pos)
+        if value < 0:
+            raise NonPolynomial("negative exponent", tok.pos)
+        _check_power(base.numerators, base.denominator, int(value), tok.pos)
+        if base.degree * value > _MAX_DEGREE:
+            raise ExprSyntaxError("degree too large", tok.pos)
+        return base ** int(value)
+
+    def literal(self, value: int) -> Polynomial:
+        return Polynomial.constant(value)
+
+    def name(self, tok: _Token) -> Polynomial:
+        if tok.text != "n":
+            raise UnknownSymbol(tok.text, tok.pos)
+        self.advance()
+        return Polynomial.variable()
+
+
+class _ConstParser(_Parser):
+    size = 0
+
+    def node(self, kind: type, *parts) -> ConstExpr:
+        self.size += 1
+        if self.size > _MAX_NODES:
+            raise ExprSyntaxError("constant expression too large", self.peek().pos)
+        return kind(*parts)
+
+    def binary(self, tok: _Token, left: ConstExpr, right: ConstExpr) -> ConstExpr:
+        return self.node(_BINARY_NODES[tok.text], left, right)
+
+    def negate(self, value: ConstExpr) -> ConstExpr:
+        return self.node(Neg, value)
+
+    def power(self, tok: _Token, base: ConstExpr, exponent: ConstExpr) -> ConstExpr:
+        folded = _fold_rational(exponent, tok.pos)
+        if folded is None or folded.denominator != 1:
+            raise ExprSyntaxError("exponent must be an integer", tok.pos)
+        _check_power((), 1, int(folded), tok.pos)
+        return self.node(Pow, base, int(folded))
+
+    def literal(self, value: int) -> ConstExpr:
+        return self.node(Num, Fraction(value))
+
+    def name(self, tok: _Token) -> ConstExpr:
+        name = tok.text.lower()
+        if name == "pi":
+            self.advance()
+            return self.node(Pi)
+        if name != "sqrt":
+            raise UnknownSymbol(tok.text, tok.pos)
+        self.advance()
+        self.expect_op("(")
+        operand = self.expression()
+        self.expect_op(")")
+        return self.node(Sqrt, operand)
+
+
+def reference_parse_polynomial(source: str) -> Polynomial:
+    return _PolynomialParser(source).parse()
+
+
+def reference_parse_rational(source: str) -> Fraction:
+    value = reference_parse_polynomial(source)
+    if value.degree > 0:
+        raise NonPolynomial("expected a constant, found n", 0)
+    return value.constant_term
+
+
+def reference_parse_const_expr(source: str) -> ConstExpr:
+    return _ConstParser(source).parse()
+
+
+def _scales(b: Polynomial, kappa: Fraction, R: Polynomial, q: int) -> list[Fraction]:
+    """The nonzero rational roots v of v^2 - b_q v + kappa R_q = 0, found in ints.
+
+    With b_q = B/e and kappa R_q = K/f, M = B^2 f - 4 K e^2 is e^2 f times the
+    discriminant: v is rational iff M f = s^2, and then v = (B f +- s) / (2 e f).
+    """
+    B, e = b.numerators[q] if q <= b.degree else 0, b.denominator
+    K = kappa.numerator * (R.numerators[q] if q <= R.degree else 0)
+    f = kappa.denominator * R.denominator
+    M = B * B * f - 4 * K * e * e
+    s = isqrt(max(M * f, 0))
+    if s * s != M * f:
+        return []
+    return [Fraction(w, 2 * e * f) for w in {B * f + s, B * f - s} if w]
+
+
+def _divisors(items: list[tuple[Polynomial, int]]):
+    """(Q, R) for every monic divisor Q of P = prod f^m, with Q*R == P."""
+    one = Polynomial.constant(1)
+    pairs = [(one, one)]
+    for f, m in items:
+        powers = [one]
+        for _ in range(m):
+            powers.append(powers[-1] * f)
+        pairs = [(Q * powers[k], R * powers[m - k]) for Q, R in pairs for k in range(m + 1)]
+    return pairs
+
+
+def reference_find_couplings(
+    a: Polynomial, b: Polynomial, minus_a: FactoredPolynomial | None = None
+) -> list[Coupling]:
+    """All couplings reachable through rational-root splits of -a.
+
+    With -a = kappa*Q*R (Q, R monic, kappa the signed content), each monic Q
+    built from the linear factors of -a and the whole residual, if any, gives
+    d = v*Q and c = b - v*Q(n+1); c*d == -a then reads v*c == kappa*R. Its
+    row at degree deg Q is v^2 - b_q*v + kappa*R_q = 0, and each nonzero
+    rational root v is kept iff the whole identity holds. An empty result
+    means no coupling exists *within this search space*; factorizations
+    needing irrational or complex splits are out of reach by design.
+    minus_a is factor_rational(-a) when the caller already holds it.
+    """
+    if a.is_zero:
+        raise ZeroPartialNumerator("a(n) is identically zero")
+    factored = factor_rational(-a) if minus_a is None else minus_a
+    kappa = factored.content * factored.sign
+    items = list(factored.factors)
+    if factored.residual is not None:
+        items.append((factored.residual, 1))
+    found: list[Coupling] = []
+    for Q, R in _divisors(items):
+        for v in _scales(b, kappa, R, Q.degree):
+            c = b - v * Q.shift(1)
+            if v * c == kappa * R:
+                found.append(Coupling(c=c, d=v * Q))
+    return sorted(
+        found,
+        key=lambda cp: (cp.c.degree, cp.c.coefficients, cp.d.coefficients),
+    )

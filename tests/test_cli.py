@@ -259,6 +259,19 @@ class TestVerify:
         assert main(["verify", path, "--digits", "15", "--depth", "8"]) == EXIT_PARSE
         assert "offset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field,source,offset",
+        [("a", "2\u00b2*n", 1), ("b", "\u00b2", 0), ("a", "-\u0663*n", 1), ("b0", "\u0661", 0)],
+        ids=["superscript-after-digit", "superscript", "arabic-indic-digit", "arabic-indic-b0"],
+    )
+    def test_non_ascii_digit_is_parse_error(self, tmp_path, capsys, field, source, offset):
+        fields = {"b0": "1", "a": "-n", "b": "n + 1", field: source}
+        path = write_problem(tmp_path, "p.json", **fields)
+        assert main(["verify", path, "--digits", "15", "--depth", "8"]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: unexpected character {source[offset]!r} (at offset {offset})\n"
+
     # the verified shape is test_json_report_round_trip above
     @pytest.mark.parametrize(
         "source,rho,code",

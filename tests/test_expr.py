@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gcf_forge import (
@@ -36,7 +36,13 @@ from gcf_forge.expr import (
 )
 from gcf_forge.numerics import matched_digits
 
-from oracles import eight_over_pi_squared, fraction_decimal
+from oracles import (
+    eight_over_pi_squared,
+    fraction_decimal,
+    reference_parse_const_expr,
+    reference_parse_polynomial,
+    reference_parse_rational,
+)
 
 
 class TestParsePolynomial:
@@ -351,3 +357,119 @@ class TestBudgets:
         expr = parse_const_expr(source)
         assert parse_const_expr(const_expr_to_text(expr)) == expr
         eval_const_expr(expr, 64)
+
+
+# --- parity with the previous parser --------------------------------------------
+
+_PARSERS = (
+    (parse_polynomial, reference_parse_polynomial),
+    (parse_rational, reference_parse_rational),
+    (parse_const_expr, reference_parse_const_expr),
+)
+
+
+def _outcome(parse, source):
+    """('ok', value and its type) or ('raised', type, message, offset)."""
+    try:
+        value = parse(source)
+    except Exception as exc:  # the comparison covers every exception
+        return "raised", type(exc), str(exc), getattr(exc, "position", None)
+    return "ok", type(value), value
+
+
+def assert_same_as_reference(source):
+    for parse, reference in _PARSERS:
+        assert _outcome(parse, source) == _outcome(reference, source), (parse.__name__, source)
+
+
+# pieces of the grammar plus near misses; joined at random they give mostly
+# malformed text, and the trees below give well-formed text
+_PIECES = [
+    "n", "pi", "PI", "sqrt", "x", "n2", "_", "0", "1", "2", "3", "7", "10", "65536",
+    "+", "-", "*", "/", "^", "(", ")", " ", "\t", "@",
+]
+
+
+def well_formed_texts():
+    leaves = st.sampled_from(["n", "pi", "0", "1", "2", "3", "10", "2/3", "sqrt(2)"])
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from(["+", "-", "*", "/", " + ", " * "]), inner).map(
+                "".join
+            ),
+            inner.map(lambda t: f"-{t}"),
+            inner.map(lambda t: f"({t})"),
+            st.tuples(inner, st.sampled_from(["0", "1", "2", "3", "(1+1)", "-1", "n"])).map(
+                lambda pair: f"{pair[0]}^{pair[1]}"
+            ),
+        ),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=st.one_of(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join),
+                        well_formed_texts()))
+def test_parsers_match_reference(source):
+    assert_same_as_reference(source)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "(" * (_MAX_NESTING - 1) + "n" + ")" * (_MAX_NESTING - 1),
+        "(" * _MAX_NESTING + "n" + ")" * _MAX_NESTING,
+        "-" * (_MAX_NESTING - 1) + "1",
+        "-" * _MAX_NESTING + "1",
+        "2^" * (_MAX_NESTING - 1) + "1",
+        "2^" * _MAX_NESTING + "1",
+        f"n^{_MAX_DEGREE}",
+        f"n^{_MAX_DEGREE + 1}",
+        f"(n+1)^{_MAX_DEGREE}",
+        f"(n^2)^{_MAX_DEGREE // 2 + 1}",
+        f"n^50 * n^{_MAX_DEGREE - 50}",
+        f"n^50 * n^{_MAX_DEGREE - 49}",
+        f"(n - n) * n^{_MAX_DEGREE}",
+        f"1^{_MAX_EXPONENT}",
+        f"1^{_MAX_EXPONENT + 1}",
+        f"pi^-{_MAX_EXPONENT}",
+        f"pi^-{_MAX_EXPONENT + 1}",
+        f"(-1)^{_MAX_EXPONENT}",
+        f"2^{_MAX_POWER_BITS}",
+        f"2^{_MAX_POWER_BITS + 1}",
+        f"(1/2)^{_MAX_POWER_BITS}",
+        f"(6/4)^{_MAX_POWER_BITS}",
+        f"(3/2)^{_MAX_POWER_BITS + 1}",
+        f"4^{_MAX_POWER_BITS // 2}",
+        f"4^{_MAX_POWER_BITS // 2 + 1}",
+        f"(2*n/2)^{_MAX_POWER_BITS}",
+        "+".join(["1"] * (_MAX_NODES // 2)),
+        "+".join(["1"] * (_MAX_NODES // 2 + 1)),
+        "1/0",
+        "n/(n-n)",
+        "n^(1/2)",
+        "n^(4/2)",
+        "n^-1",
+        "",
+        "   ",
+        "sqrt",
+        "sqrt(2",
+        "3*n^2 @",
+        "(n + 1  ",
+        "n )  ",
+    ],
+)
+def test_budget_edges_match_reference(source):
+    assert_same_as_reference(source)
+
+
+@pytest.mark.parametrize(
+    "source,offset", [("2²*n", 1), ("²", 0), ("٣*n", 0), ("n + ½", 4), ("n١", 1)]
+)
+def test_non_ascii_digits_are_syntax_errors(source, offset):
+    for parse in (parse_polynomial, parse_rational, parse_const_expr):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse(source)
+        assert info.value.position == offset
+        assert str(info.value) == f"unexpected character {source[offset]!r} (at offset {offset})"

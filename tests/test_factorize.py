@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ from gcf_forge import (
     verify_coupling,
 )
 
-from oracles import sympy_couplings
+from oracles import reference_find_couplings, sympy_couplings
 
 N = Polynomial.variable()
 
@@ -68,7 +70,7 @@ class TestSearchSpace:
 
     def test_zero_numerator_rejected(self):
         with pytest.raises(ZeroPartialNumerator):
-            find_couplings(Polynomial.zero(), N)
+            find_couplings(Polynomial(), N)
 
 
 roots = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -146,3 +148,53 @@ class TestSympyOracle:
         found = find_couplings(a, b)
         assert {(cp.c.coefficients, cp.d.coefficients) for cp in found} == expected
         assert len(found) == len(expected)
+
+
+# --- parity with the previous search ---------------------------------------------
+
+_ROOTS = [Fraction(k) for k in range(-3, 4)] + [Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)]
+_IRREDUCIBLE = [N**2 + 1, N**2 + N + 1, N**2 - 2 * N + 5, N**3 + N + 1, N**2 - 2]
+
+
+def _rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 1, 2, 3, 4]))
+
+
+def _planted_side(rng: random.Random) -> Polynomial:
+    """lead * prod (n - r), roots possibly repeated, sometimes with an irreducible factor."""
+    p = Polynomial.constant(_rational(rng) or Fraction(1))
+    roots = [rng.choice(_ROOTS) for _ in range(rng.randint(0, 3))]
+    if roots and rng.random() < 0.3:
+        roots.append(roots[0])  # a repeated root
+    for r in roots:
+        p = p * (N - r)
+    if rng.random() < 0.2:
+        p = p * rng.choice(_IRREDUCIBLE)
+    return p
+
+
+def parity_cases(seed: int, count: int):
+    """Seeded (a, b) pairs: random ones, and planted couplings, some with b perturbed."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 3 == 0:
+            a = Polynomial([_rational(rng) for _ in range(rng.randint(1, 5))])
+            b = Polynomial([_rational(rng) for _ in range(rng.randint(0, 4))])
+            if a.is_zero:
+                a = a + 1
+        else:
+            c, d = _planted_side(rng), _planted_side(rng)
+            a, b = -(c * d), c + d.shift(1)
+            if i % 3 == 2:
+                b = b + rng.choice([0, 1, Fraction(-1, 2)]) * N ** rng.randint(0, 2)
+        yield a, b
+
+
+def test_search_matches_previous_search():
+    counts = Counter()
+    for a, b in parity_cases(seed=20, count=2400):
+        found = find_couplings(a, b)
+        assert found == reference_find_couplings(a, b), (a, b)
+        counts[min(len(found), 2)] += 1
+    # the cases reach empty, single and multiple results
+    assert min(counts[0], counts[1], counts[2]) >= 50, counts

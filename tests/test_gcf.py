@@ -135,7 +135,7 @@ class TestConvergents:
 class TestProblemValidation:
     def test_zero_numerator_polynomial(self):
         with pytest.raises(InvalidProblem):
-            GcfProblem(b0=Fraction(1), a=Polynomial.zero(), b=Polynomial.constant(1))
+            GcfProblem(b0=Fraction(1), a=Polynomial(), b=Polynomial.constant(1))
 
     def test_numerator_vanishing_at_positive_integer(self):
         with pytest.raises(InvalidProblem):

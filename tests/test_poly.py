@@ -52,7 +52,7 @@ class TestEvaluate:
         assert a(3) == -135
 
     def test_zero_polynomial(self):
-        assert Polynomial.zero()(12345) == 0
+        assert Polynomial()(12345) == 0
 
     def test_rational_point(self):
         p = 2 * N**2 - N
@@ -179,7 +179,7 @@ class TestHashContract:
         assert len({p, value}) == 1
 
     def test_zero_polynomial_and_zero_are_one_set_element(self):
-        assert len({Polynomial.zero(), 0, Fraction(0)}) == 1
+        assert len({Polynomial(), 0, Fraction(0)}) == 1
 
     @given(P=coefficient_lists, Q=coefficient_lists)
     def test_equal_polynomials_hash_equal(self, P, Q):
@@ -195,7 +195,7 @@ class TestToText:
             (3 * N**2 + 3 * N + 1, "3*n^2 + 3*n + 1"),
             (-(2 * N**4 - N**3), "-2*n^4 + n^3"),
             (2 * N**2 - N, "2*n^2 - n"),
-            (Polynomial.zero(), "0"),
+            (Polynomial(), "0"),
             (Polynomial.constant(Fraction(-3, 2)), "-3/2"),
         ],
     )
@@ -230,7 +230,7 @@ class TestFactorRational:
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomial):
-            factor_rational(Polynomial.zero())
+            factor_rational(Polynomial())
 
     def test_rational_roots_listing(self):
         f = factor_rational(2 * N**4 - N**3)
