@@ -27,7 +27,7 @@ from .errors import (
     UnknownSymbol,
 )
 from .numerics import PrecisionReal, _mpf_from_fraction
-from .poly import Polynomial, _power, _product
+from .poly import Polynomial, _power, _product, _reduced
 
 
 # --- tokens and the shared descent -------------------------------------------
@@ -143,12 +143,6 @@ class _Parser:
 
 
 # --- polynomial grammar ----------------------------------------------------
-
-
-def _reduced(numerators: list[int], denominator: int) -> tuple[list[int], int]:
-    """numerators / denominator over a positive denominator, with no common factor."""
-    g = math.gcd(denominator, *numerators) * (-1 if denominator < 0 else 1)
-    return ([c // g for c in numerators], denominator // g) if g != 1 else (numerators, denominator)
 
 
 class _PolynomialParser(_Parser):

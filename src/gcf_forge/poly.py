@@ -37,11 +37,8 @@ class Polynomial:
         return p
 
     def _set(self, numerators: list[int], denominator: int) -> None:
-        while numerators and not numerators[-1]:
-            numerators.pop()
-        g = math.gcd(denominator, *numerators) * (-1 if denominator < 0 else 1)
-        self.numerators = tuple(c // g for c in numerators) if g != 1 else tuple(numerators)
-        self.denominator = denominator // g
+        numerators, self.denominator = _reduced(numerators, denominator)
+        self.numerators = tuple(numerators)
 
     @classmethod
     def constant(cls, value: RationalLike) -> "Polynomial":
@@ -164,6 +161,14 @@ def _lift(value) -> Polynomial | None:
     if isinstance(value, Polynomial):
         return value
     return Polynomial.constant(value) if isinstance(value, (int, Fraction)) else None
+
+
+def _reduced(numerators: list[int], denominator: int) -> tuple[list[int], int]:
+    """The canonical form of numerators / denominator (any nonzero int); takes the list."""
+    while numerators and not numerators[-1]:
+        numerators.pop()
+    g = math.gcd(denominator, *numerators) * (-1 if denominator < 0 else 1)
+    return ([c // g for c in numerators], denominator // g) if g != 1 else (numerators, denominator)
 
 
 def _product(a, b) -> list[int]:
