@@ -2,8 +2,8 @@
 
 The pipeline: parse the coefficient polynomials and the target constant,
 factor the three-term recurrence into a first-order cascade via a coupling
-(c, d), check the structural identities in one exact integer walk of the
-recurrence, map the continued fraction to the reciprocal of a series,
+(c, d), check its polynomial identities once and walk the cascade in exact
+integers, map the continued fraction to the reciprocal of a series,
 certify convergence with the exact term-ratio limit, sum to the requested
 precision, and compare against the target.
 """

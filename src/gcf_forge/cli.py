@@ -184,6 +184,7 @@ def cmd_series(args) -> int:
         print("no coupling within linear-split search space; no series to show")
         return EXIT_INCONCLUSIVE
     coupling = couplings[0]
+    sums = partial_sums(coupling, args.count)  # refuses a negative count before any output
     certificate = ratio_certificate(coupling)
     rho = "infinite" if certificate.rho is None else str(certificate.rho)
     print(f"coupling: {coupling}")
@@ -191,7 +192,6 @@ def cmd_series(args) -> int:
         f"ratio: ({certificate.numerator.to_text()}) / ({certificate.denominator.to_text()})"
         f"   rho = {rho}   [{certificate.classification}]"
     )
-    sums = partial_sums(coupling, args.count)
     print(f"{'k':>5}  {'t_k':>24}  S_k")
     for k, s in enumerate(sums):
         t = s - sums[k - 1] if k else s  # t_k = S_k - S_{k-1}, exactly

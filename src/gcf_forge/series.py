@@ -57,6 +57,8 @@ def _cascade(coupling: Coupling) -> Iterator[tuple[int, int, int]]:
 
 def partial_sums(coupling: Coupling, count: int) -> list[Fraction]:
     """Exact prefix sums S_n = t_0 + ... + t_n for n = 0..count-1."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
     return [Fraction(T, D) for _, D, T in itertools.islice(_cascade(coupling), count)]
 
 

@@ -1,11 +1,10 @@
 """End-to-end pipeline: couple, decouple, certify, sum, compare.
 
-Given a problem, the pipeline finds a coupling, confirms the boundary
-selection rule b0 = d(1), checks the structural identities exactly in one
-integer walk of the recurrence (the numerator product collapse, the
-reciprocal identity x_n * S_n = 1, the Casoratian recursion, monotone
-convergents), certifies series convergence, sums to high precision, and
-compares the reciprocal against the target.
+Given a problem, the pipeline finds a coupling and confirms the boundary
+selection rule b0 = d(1). The walk checks the coupling once as a polynomial
+identity, which proves the structural identities at every depth, and reads
+the convergents the report needs. The pipeline then certifies series
+convergence, sums to high precision, and compares the reciprocal to the target.
 """
 
 from __future__ import annotations
@@ -123,24 +122,21 @@ def verify_conjecture(
     if walk.halfway is not None and walk.last is not None:
         cauchy_digits = agreement_digits(walk.halfway, walk.last, digits)
 
-    structural_ok = (
-        walk.exact_identity_depth == depth
-        and walk.numerator_product_depth == depth
-        and walk.casoratian_depth == depth
-    )
-    if problem.target is not None and convergent and structural_ok:
+    if problem.target is not None and convergent:
         verdict = VERIFIED if digits_matched >= digits else REFUTED_AT_DEPTH
     else:
         verdict = INCONCLUSIVE
 
+    # the walk accepted the coupling, so the identities hold at every n <= depth
+    proved = depth if coupling is not None else None
     return VerificationReport(
         problem=_problem_echo(problem, name),
         coupling=coupling,
         other_couplings=tuple(cp for cp in couplings if cp != coupling),
         boundary_rule_holds=coupling is not None,
-        exact_identity_depth=walk.exact_identity_depth,
-        numerator_product_depth=walk.numerator_product_depth,
-        casoratian_depth=walk.casoratian_depth if coupling is not None else None,
+        exact_identity_depth=proved,
+        numerator_product_depth=proved,
+        casoratian_depth=proved,
         rho=certificate.rho if certificate is not None else None,
         classification=certificate.classification if certificate is not None else None,
         series_value=series_value,

@@ -5,8 +5,9 @@ Everything here is exact rational arithmetic built from first principles
 from sympy, which is imported inside the functions that use it so this
 module loads without it. Nothing above the last section imports the package
 or mpmath, so those references cannot share a failure mode with the code
-under test. The last section keeps the package's previous parser and
-coupling search verbatim, as references for parity tests.
+under test. The last section keeps the package's previous parser,
+coupling search and Fraction convergent loop verbatim, as references for
+parity tests.
 """
 
 from fractions import Fraction
@@ -335,6 +336,7 @@ from gcf_forge.expr import (
     _fold_rational,
 )
 from gcf_forge.factorize import Coupling
+from gcf_forge.gcf import DEFAULT_DEPTH, ConvergentTriple, GcfProblem
 from gcf_forge.poly import FactoredPolynomial, Polynomial, factor_rational
 
 _OPERATOR_CHARS = set("+-*/^()")
@@ -624,3 +626,24 @@ def reference_find_couplings(
         found,
         key=lambda cp: (cp.c.degree, cp.c.coefficients, cp.d.coefficients),
     )
+
+
+def reference_convergents(
+    problem: GcfProblem, depth: int = DEFAULT_DEPTH
+) -> list[ConvergentTriple]:
+    """Exact triples (n, A_n, B_n, x_n) for n = 0..depth.
+
+    A vanishing B_n is not fatal: the triple is recorded with x = None and
+    iteration continues.
+    """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    A_prev, A = Fraction(1), problem.b0
+    B_prev, B = Fraction(0), Fraction(1)
+    out = [ConvergentTriple(0, A, B, A)]
+    for n in range(1, depth + 1):
+        an, bn = problem.a(n), problem.b(n)
+        A_prev, A = A, bn * A + an * A_prev
+        B_prev, B = B, bn * B + an * B_prev
+        out.append(ConvergentTriple(n, A, B, A / B if B != 0 else None))
+    return out

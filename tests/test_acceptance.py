@@ -17,7 +17,7 @@ from gcf_forge import (
     find_couplings,
     partial_sums,
     ratio_certificate,
-    structural_walk,
+    verify_conjecture,
     verify_coupling,
 )
 from gcf_forge.cli import main
@@ -124,7 +124,7 @@ def test_criterion_7_casoratian_law(quartic_problem):
     assert w[0] == -1
     for n in range(1, 101):
         assert w[n] == -quartic_problem.a(n) * w[n - 1]
-    assert structural_walk(quartic_problem, 100).casoratian_depth == 100
+    assert verify_conjecture(quartic_problem, digits=10, depth=100).casoratian_depth == 100
     report(7, "W_0 = -1 and W_n = -a(n) W_{n-1} exactly for n <= 100")
 
 
@@ -145,8 +145,8 @@ def test_criterion_8_minimal_solution_collapse(quartic_problem, quartic_coupling
     for k in range(1, 101):
         assert trace[k] == c(k) * trace[k - 1]
 
-    walk = structural_walk(quartic_problem, 100, quartic_coupling)
-    assert walk.numerator_product_depth == walk.exact_identity_depth == 100
+    verification = verify_conjecture(quartic_problem, digits=10, depth=100)
+    assert verification.numerator_product_depth == verification.exact_identity_depth == 100
     report(8, "numerator trace = 0, A_n = prod d(j), denominator trace = prod c(j)")
 
 

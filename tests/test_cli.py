@@ -112,6 +112,13 @@ class TestSeries:
         code = main(["series", str(problems_dir / "no_rational_coupling.json")])
         assert code == EXIT_INCONCLUSIVE
 
+    def test_negative_count_refused_before_output(self, quartic_file, capsys):
+        code = main(["series", quartic_file, "--count", "-1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_PRECONDITION
+        assert captured.out == ""
+        assert captured.err == "error: count must be nonnegative\n"
+
     def test_one_cascade_for_terms_and_sums(self, quartic_file, monkeypatch, capsys):
         walks = []
         original = series.cascade

@@ -19,7 +19,10 @@ from gcf_forge import (
     convergents,
     partial_sums,
     structural_walk,
+    verify_conjecture,
 )
+
+from oracles import reference_convergents
 
 N = Polynomial.variable()
 
@@ -30,39 +33,22 @@ def cross_products(rows: list[ConvergentTriple]) -> list[Fraction]:
     return [A * B_prev - A_prev * B for (A_prev, B_prev), (A, B) in zip(frames, frames[1:])]
 
 
-def holds_to(checks) -> int:
-    """Largest n with checks[0..n] all true; -1 when checks[0] fails."""
-    deepest = -1
-    for ok in checks:
-        if not ok:
-            break
-        deepest += 1
-    return deepest
+def reference_walk(rows: list[ConvergentTriple], coupling=None):
+    """Every StructuralWalk field at depth len(rows) - 1, from the convergent rows.
 
-
-def reference_walk(problem: GcfProblem, rows: list[ConvergentTriple], coupling=None):
-    """Every StructuralWalk field at depth len(rows) - 1, from the convergent
-    rows, partial_sums() and cross products."""
+    With a coupling, the rows must also show what the walk takes from the
+    operator factorization, A_n = prod d(j) and x_n S_n = 1, at every index.
+    """
     depth = len(rows) - 1
-    w = cross_products(rows)
     xs = [t.x for t in rows]
-    numerator_depth = identity_depth = None
     if coupling is not None:
         products = accumulate((coupling.d(j) for j in range(1, depth + 2)), operator.mul)
-        numerator_depth = holds_to(t.A == p for t, p in zip(rows, products))
-        identity_depth = -1
-        for t, s in zip(rows, partial_sums(coupling, depth + 1)):
+        for t, p, s in zip(rows, products, partial_sums(coupling, depth + 1)):
             if t.x is None:
                 raise ZeroDenominatorConvergent(t.n)
-            if t.x * s != 1:
-                break
-            identity_depth = t.n
+            if t.A != p or t.x * s != 1:
+                raise AssertionError(f"the coupling does not collapse the rows at n = {t.n}")
     return StructuralWalk(
-        exact_identity_depth=identity_depth,
-        numerator_product_depth=numerator_depth,
-        casoratian_depth=holds_to(
-            [w[0] == -1] + [w[n] == -problem.a(n) * w[n - 1] for n in range(1, depth + 1)]
-        ),
         monotone=None not in xs and all(p > q for p, q in zip(xs, xs[1:])),
         halfway=xs[(depth + 1) // 2],
         last=xs[-1],
@@ -147,11 +133,11 @@ class TestProblemValidation:
 
 
 class TestCasoratian:
-    """W_n from the definition on convergents, against the walk's depth."""
+    """W_n from the definition on convergents, the law the walk's sign bit reads."""
 
     def test_initial_value(self, quartic_problem):
         assert cross_products(convergents(quartic_problem, 0)) == [Fraction(-1)]
-        assert structural_walk(quartic_problem, 0).casoratian_depth == 0
+        assert cross_products(reference_convergents(quartic_problem, 0)) == [Fraction(-1)]
 
     def test_first_values(self, quartic_problem):
         w = cross_products(convergents(quartic_problem, 2))
@@ -162,7 +148,7 @@ class TestCasoratian:
         a = quartic_problem.a
         for n in range(1, 101):
             assert w[n] == -a(n) * w[n - 1]
-        assert structural_walk(quartic_problem, 100).casoratian_depth == 100
+        assert verify_conjecture(quartic_problem, digits=10, depth=100).casoratian_depth == 100
 
     def test_never_vanishes(self, quartic_problem):
         assert all(value != 0 for value in cross_products(convergents(quartic_problem, 100)))
@@ -200,6 +186,16 @@ def euler_problem(coupling: Coupling) -> GcfProblem:
         assume(False)
 
 
+@settings(max_examples=40, deadline=None)
+@given(euler_couplings(), st.integers(min_value=0, max_value=40))
+@example(Coupling(c=Polynomial([0, Fraction(1, 2)]), d=Polynomial([Fraction(1, 3), 1])), 40)
+def test_convergents_match_fraction_reference(coupling, depth):
+    # rational coefficients make the frame scale L > 1, so each row is reduced
+    # from L^(n+1)-scaled ints
+    problem = euler_problem(coupling)
+    assert convergents(problem, depth) == reference_convergents(problem, depth)
+
+
 class TestStructuralWalk:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -211,27 +207,32 @@ class TestStructuralWalk:
     @example(Coupling(c=N * N, d=2 * N * N - N), 1, "d")
     @example(Coupling(c=N * N, d=2 * N * N - N), 5, "c")
     @example(Coupling(c=N * N, d=2 * N * N - N), 2, "d-only-f")
+    # a(1) > 0 and a(2) > 0, with x_n still decreasing: the sign bit of W_n
+    # flips there, with and without the coupling
+    @example(Coupling(c=-N / 2, d=3 - 2 * N), 0, "cd")
+    @example(Coupling(c=Fraction(5, 2) - N, d=3 - 2 * N), 0, "cd")
     def test_matches_fraction_reference(self, coupling, agree, bumped):
         # agree > 0 hands the walk a coupling that matches the problem's only
-        # up to index agree, so the checks must stop where the reference stops.
-        # Bumping c alone keeps A' = D' and breaks B' = T'; bumping d breaks
-        # A' = D' too, and d-only-f lowers c by the bump at n + 1 so that
-        # b - d(n+1) - c stays 0 and only the A' = D' test can see the change.
-        # At agree = 1 the walk leaves its fast phase at its first step; at 20
-        # the products A' T' = B' D' run late, on large operands
+        # up to index agree. It fails the polynomial identity, so the walk
+        # refuses it at every depth. Bumping c alone breaks the sum identity;
+        # bumping d breaks both, and d-only-f lowers c by the bump at n + 1
+        # so that c + d(n+1) = b still holds and only c d = -a fails
         problem = euler_problem(coupling)
         if agree:
             bump = math.prod((N - i for i in range(1, agree + 1)), start=Polynomial.constant(1))
             c_bump = {"cd": bump, "c": bump, "d": 0, "d-only-f": -bump.shift(1)}[bumped]
             d_bump = 0 if bumped == "c" else bump
             coupling = Coupling(c=coupling.c + c_bump, d=coupling.d + d_bump)
-            assume(all(coupling.d(j) for j in range(1, 42)))  # the cascade to depth 40
-        table = convergents(problem, 40)
+        table = reference_convergents(problem, 40)
         for depth in range(41):
             rows = table[: depth + 1]
-            assert structural_walk(problem, depth) == reference_walk(problem, rows)
+            assert structural_walk(problem, depth) == reference_walk(rows)
+            if agree:
+                with pytest.raises(ValueError, match="does not give"):
+                    structural_walk(problem, depth, coupling)
+                continue
             try:
-                expected = reference_walk(problem, rows, coupling)
+                expected = reference_walk(rows, coupling)
             except ZeroDenominatorConvergent as err:
                 with pytest.raises(ZeroDenominatorConvergent) as got:
                     structural_walk(problem, depth, coupling)
@@ -241,24 +242,29 @@ class TestStructuralWalk:
 
     def test_flagship_deep_pin(self, quartic_problem, quartic_coupling):
         walk = structural_walk(quartic_problem, 1500, quartic_coupling)
-        assert walk.exact_identity_depth == 1500
-        assert walk.numerator_product_depth == 1500
-        assert walk.casoratian_depth == 1500
         assert walk.monotone
         assert walk.last == 1 / partial_sums(quartic_coupling, 1501)[-1]
+        report = verify_conjecture(quartic_problem, digits=10, depth=1500)
+        assert report.exact_identity_depth == 1500
+        assert report.numerator_product_depth == 1500
+        assert report.casoratian_depth == 1500
+        assert report.monotone_convergents
 
     def test_period_six_zero_denominators(self):
         # b0 = 1, a = -1, b = 1: B_n = 0 at n = 2, 5, 8, 11
         problem = GcfProblem(
             b0=Fraction(1), a=Polynomial.constant(-1), b=Polynomial.constant(1)
         )
-        rows = convergents(problem, 11)
+        rows = reference_convergents(problem, 11)
         walk = structural_walk(problem, 11)
-        assert walk == reference_walk(problem, rows)
+        assert walk == reference_walk(rows)
         assert walk.last is None
         assert walk.last_defined == rows[10].x
         assert not walk.monotone
-        assert walk.exact_identity_depth is None and walk.numerator_product_depth is None
+        report = verify_conjecture(problem, digits=10, depth=11)
+        assert report.coupling is None
+        assert report.exact_identity_depth is None and report.numerator_product_depth is None
+        assert report.casoratian_depth is None
 
     def test_perturbed_b0_violates_boundary_rule(self, quartic_problem, quartic_coupling):
         shifted = GcfProblem(
@@ -272,11 +278,16 @@ class TestStructuralWalk:
         coupling = Coupling(c=-N, d=Polynomial.constant(1))
         problem = euler_problem(coupling)
         with pytest.raises(ZeroDenominatorConvergent) as err:
-            reference_walk(problem, convergents(problem, 5), coupling)
+            reference_walk(reference_convergents(problem, 5), coupling)
         assert err.value.index == 1
         with pytest.raises(ZeroDenominatorConvergent) as err:
             structural_walk(problem, 5, coupling)
         assert err.value.index == 1
+
+    def test_non_coupling_is_a_caller_error(self, quartic_problem):
+        # b0 = d(1) holds, but c(n) + d(n+1) misses b(n) by n - 1
+        with pytest.raises(ValueError, match="does not give"):
+            structural_walk(quartic_problem, 10, Coupling(c=N * N + N - 1, d=2 * N * N - N))
 
     def test_negative_depth_rejected(self, quartic_problem):
         with pytest.raises(ValueError):

@@ -63,6 +63,10 @@ class TestTerms:
             Fraction(109, 90),
         ]
 
+    def test_negative_count_rejected(self, quartic_coupling):
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            partial_sums(quartic_coupling, -1)
+
     def test_positive_terms_increasing_sums(self, quartic_coupling):
         sums = partial_sums(quartic_coupling, 200)
         assert all(t > 0 for t in terms(quartic_coupling, 200))

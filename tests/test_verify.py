@@ -1,4 +1,6 @@
+import operator
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -17,7 +19,7 @@ from gcf_forge import factorize, gcf, poly, series, verify
 from gcf_forge.numerics import agreement_digits
 from gcf_forge.verify import INCONCLUSIVE, REFUTED_AT_DEPTH, VERIFIED
 
-from oracles import close_to, eight_over_pi_squared
+from oracles import close_to, eight_over_pi_squared, reference_convergents, terms
 
 N = Polynomial.variable()
 
@@ -27,8 +29,8 @@ def perturbed(problem: GcfProblem, b0) -> GcfProblem:
 
 
 def auxiliary_trace(problem, coupling, frame, depth) -> list[Fraction]:
-    """w_k = y_k - d(k+1) y_{k-1}, k = 0..depth, on one frame's convergent rows."""
-    rows = convergents(problem, depth)
+    """w_k = y_k - d(k+1) y_{k-1}, k = 0..depth, on one frame's Fraction convergent rows."""
+    rows = reference_convergents(problem, depth)
     if frame == "numerator":
         ys = [Fraction(1)] + [t.A for t in rows]
     else:
@@ -40,8 +42,8 @@ class TestAuxiliaryTrace:
     def test_numerator_trace_vanishes(self, quartic_problem, quartic_coupling):
         trace = auxiliary_trace(quartic_problem, quartic_coupling, "numerator", 50)
         assert all(value == 0 for value in trace)
-        walk = structural_walk(quartic_problem, 50, quartic_coupling)
-        assert walk.numerator_product_depth == 50
+        report = verify_conjecture(quartic_problem, digits=10, depth=50)
+        assert report.numerator_product_depth == 50
 
     def test_denominator_trace_first_values(self, quartic_problem, quartic_coupling):
         trace = auxiliary_trace(quartic_problem, quartic_coupling, "denominator", 2)
@@ -53,8 +55,8 @@ class TestAuxiliaryTrace:
         c = quartic_coupling.c
         for k in range(1, 51):
             assert trace[k] == c(k) * trace[k - 1]
-        walk = structural_walk(quartic_problem, 50, quartic_coupling)
-        assert walk.exact_identity_depth == 50
+        report = verify_conjecture(quartic_problem, digits=10, depth=50)
+        assert report.exact_identity_depth == 50
 
     def test_perturbed_frame_breaks_kernel(self, quartic_problem, quartic_coupling):
         shifted = perturbed(quartic_problem, quartic_coupling.d(1) + 1)
@@ -77,8 +79,10 @@ class TestBoundaryAndCollapse:
         assert check_boundary_selection(problem, Coupling(c=N, d=N))
 
     def test_numerator_product_full_depth(self, quartic_problem, quartic_coupling):
-        walk = structural_walk(quartic_problem, 50, quartic_coupling)
-        assert walk.numerator_product_depth == 50
+        products = accumulate((quartic_coupling.d(j) for j in range(1, 52)), operator.mul)
+        assert [t.A for t in reference_convergents(quartic_problem, 50)] == list(products)
+        report = verify_conjecture(quartic_problem, digits=10, depth=50)
+        assert report.numerator_product_depth == 50
 
     def test_numerator_product_small_values(self, quartic_problem, quartic_coupling):
         d = quartic_coupling.d
@@ -95,8 +99,11 @@ class TestBoundaryAndCollapse:
             structural_walk(shifted, 10, quartic_coupling)
 
     def test_reciprocal_identity_full_depth(self, quartic_problem, quartic_coupling):
-        walk = structural_walk(quartic_problem, 100, quartic_coupling)
-        assert walk.exact_identity_depth == 100
+        sums = accumulate(terms(quartic_coupling, 101))
+        rows = reference_convergents(quartic_problem, 100)
+        assert all(t.x * s == 1 for t, s in zip(rows, sums))
+        report = verify_conjecture(quartic_problem, digits=10, depth=100)
+        assert report.exact_identity_depth == 100
 
     def test_reciprocal_identity_requires_boundary(
         self, quartic_problem, quartic_coupling
@@ -105,13 +112,14 @@ class TestBoundaryAndCollapse:
             structural_walk(perturbed(quartic_problem, 2), 10, quartic_coupling)
 
     def test_casoratian_recursion_depth(self, quartic_problem):
-        assert structural_walk(quartic_problem, 100).casoratian_depth == 100
+        assert verify_conjecture(quartic_problem, digits=10, depth=100).casoratian_depth == 100
 
     def test_trace_and_product_agree(self, quartic_problem, quartic_coupling):
         # two views of the same collapse: zero trace iff product law holds
         trace = auxiliary_trace(quartic_problem, quartic_coupling, "numerator", 40)
-        walk = structural_walk(quartic_problem, 40, quartic_coupling)
-        assert all(value == 0 for value in trace) == (walk.numerator_product_depth == 40)
+        products = accumulate((quartic_coupling.d(j) for j in range(1, 42)), operator.mul)
+        collapsed = [t.A for t in reference_convergents(quartic_problem, 40)] == list(products)
+        assert all(value == 0 for value in trace) == collapsed
 
 
 class TestPincherleEvidence:
@@ -134,7 +142,8 @@ class TestPincherleEvidence:
         assert report.classification == "inconclusive"
         assert report.series_value is None
         assert report.verdict == INCONCLUSIVE
-        assert close_to(report.gcf_value.to_fraction(), convergents(problem, 16)[-1].x, 30)
+        x_depth = reference_convergents(problem, 16)[-1].x
+        assert close_to(report.gcf_value.to_fraction(), x_depth, 30)
 
 
 class TestVerifyConjecture:
@@ -194,7 +203,7 @@ class TestVerifyConjecture:
     def test_gcf_value_tracks_last_convergent(self, quartic_problem):
         depth = 64
         report = verify_conjecture(quartic_problem, digits=25, depth=depth)
-        x_depth = convergents(quartic_problem, depth)[-1].x
+        x_depth = reference_convergents(quartic_problem, depth)[-1].x
         gap = abs(report.gcf_value.to_fraction() - x_depth)
         tolerance = Fraction(1, 10**report.cauchy_digits) * max(1, abs(x_depth))
         assert gap <= tolerance
