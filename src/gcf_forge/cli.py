@@ -25,11 +25,7 @@ from .errors import (
 from .expr import parse_const_expr, parse_polynomial, parse_rational
 from .factorize import Coupling, find_couplings, verify_coupling
 from .gcf import GcfProblem, convergents
-from .numerics import (
-    PrecisionReal,
-    rational_to_real,
-    real_from_decimal,
-)
+from .numerics import PrecisionReal, rational_to_real
 from .series import partial_sums, ratio_certificate
 from .verify import REFUTED_AT_DEPTH, VERIFIED, VerificationReport, verify_conjecture
 
@@ -88,18 +84,6 @@ def load_problem_file(path: str | Path) -> ProblemFile:
 # --- report serialization ----------------------------------------------------
 
 
-def _real_from_dict(doc: dict | None) -> PrecisionReal | None:
-    if doc is None:
-        return None
-    return real_from_decimal(doc["decimal"], doc["precision_bits"])
-
-
-def _coupling_from_dict(doc: dict | None) -> Coupling | None:
-    if doc is None:
-        return None
-    return Coupling(c=parse_polynomial(doc["c"]), d=parse_polynomial(doc["d"]))
-
-
 def _to_json(value):
     if isinstance(value, PrecisionReal):
         return {"decimal": value.to_decimal(), "precision_bits": value.precision_bits}
@@ -114,30 +98,11 @@ def _to_json(value):
     return value
 
 
-# report fields whose JSON form is not the value itself; the rest pass through
-_DECODE = {
-    "problem": dict,
-    "coupling": _coupling_from_dict,
-    "other_couplings": lambda docs: tuple(_coupling_from_dict(doc) for doc in docs),
-    "rho": lambda text: None if text in (None, "infinite") else Fraction(text),
-    "series_value": _real_from_dict,
-    "gcf_value": _real_from_dict,
-    "target_value": _real_from_dict,
-}
-
-
 def report_to_dict(report: VerificationReport) -> dict:
     doc = {f.name: _to_json(getattr(report, f.name)) for f in fields(report)}
     if report.rho is None and report.classification is not None:
         doc["rho"] = "infinite"  # a classified series with no finite limit ratio
     return doc
-
-
-def report_from_dict(doc: dict) -> VerificationReport:
-    values = {f.name: doc[f.name] for f in fields(VerificationReport)}
-    for key, decode in _DECODE.items():
-        values[key] = decode(values[key])
-    return VerificationReport(**values)
 
 
 # --- commands -----------------------------------------------------------------

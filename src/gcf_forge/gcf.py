@@ -135,8 +135,7 @@ def structural_walk(
             raise BoundaryRuleViolation(f"b0 = {problem.b0} but d(1) = {coupling.d(1)}")
         if not verify_coupling(problem.a, problem.b, coupling):
             raise ValueError(f"coupling {coupling} does not give c + d(n+1) = b, c d = -a")
-        scale = common_denominator(coupling.c, coupling.d)
-        frames = ((D, T) for _, D, T in cascade(coupling, scale))
+        frames = ((D, T) for _, D, T in cascade(coupling))
     halfway = (depth + 1) // 2
     A, B = next(frames)  # B'_0 > 0
     half = last_defined = (A, B)

@@ -3,13 +3,13 @@
 Integers are plain Python ints (unbounded), exact rationals are
 ``fractions.Fraction`` (always reduced, positive denominator), and
 approximate reals are mpmath binary floats tagged with the mantissa
-width they were computed at.
+width they were computed at; :func:`working_precision` sets that width
+from the requested digit count and nothing else.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,19 +21,10 @@ from .errors import DivisionByZero, InsufficientPrecision
 #: bits of mantissa budgeted per requested decimal digit (a digit needs ~3.33)
 BITS_PER_DIGIT = 4
 GUARD_BITS = 64
-PRECISION_ENV_VAR = "GCF_FORGE_PRECISION_BITS"
 
 
 def working_precision(digits: int) -> int:
-    """Mantissa bits used when a result must be good to `digits` decimals.
-
-    Defaults to digits * 4 + 64 guard bits. The environment variable
-    GCF_FORGE_PRECISION_BITS, when set, overrides the computed value
-    outright (floored at 8 bits).
-    """
-    override = os.environ.get(PRECISION_ENV_VAR)
-    if override:
-        return max(8, int(override))
+    """Mantissa bits used when a result must be good to `digits` decimals: digits * 4 + 64."""
     return digits * BITS_PER_DIGIT + GUARD_BITS
 
 
@@ -98,15 +89,6 @@ def enclosure_to_real(low: int, high: int, shift: int, precision_bits: int) -> P
     return PrecisionReal(low_end, precision_bits) if low_end == high_end else None
 
 
-def real_from_decimal(text: str, precision_bits: int) -> PrecisionReal:
-    """Parse decimal text into a float carrying `precision_bits` bits."""
-    if precision_bits < 8:
-        raise ValueError("precision_bits must be at least 8")
-    with mpmath.mp.workprec(precision_bits):
-        value = +mpmath.mpmathify(text)
-    return PrecisionReal(value, precision_bits)
-
-
 def real_reciprocal(x: PrecisionReal) -> PrecisionReal:
     """1/x at the precision x carries."""
     if x.value == 0:
@@ -130,27 +112,19 @@ def agreement_digits(x: Fraction, y: Fraction, cap: int) -> int:
     return digits - (10**digits > whole) + (10 ** (digits + 1) <= whole)
 
 
-def require_comparison_bits(digits: int, x_bits: int, y_bits: int) -> None:
-    """Raise InsufficientPrecision unless both operands carry ceil(digits * log2(10)) bits.
-
-    That is the information bound below which two binary floats cannot
-    answer whether they agree to `digits` decimals.
-    """
-    need = math.ceil(digits * math.log2(10))
-    if x_bits < need or y_bits < need:
-        raise InsufficientPrecision(
-            f"comparing to {digits} digits needs {need} bits; "
-            f"operands carry {x_bits} and {y_bits}"
-        )
-
-
 def matched_digits(x: PrecisionReal, y: PrecisionReal, digits: int) -> int:
     """:func:`agreement_digits` of two binary floats, capped at `digits`.
 
-    Operands must pass :func:`require_comparison_bits`. Callers wanting
-    headroom should budget 4 bits per digit, as :func:`working_precision` does.
+    Raises InsufficientPrecision unless both operands carry ceil(digits * log2(10))
+    bits, below which two binary floats cannot tell whether they agree to `digits`
+    decimals. :func:`working_precision`, at 4 bits per digit, clears that bound.
     """
     if digits < 1:
         raise ValueError("digits must be positive")
-    require_comparison_bits(digits, x.precision_bits, y.precision_bits)
+    need = math.ceil(digits * math.log2(10))
+    if x.precision_bits < need or y.precision_bits < need:
+        raise InsufficientPrecision(
+            f"comparing to {digits} digits needs {need} bits; "
+            f"operands carry {x.precision_bits} and {y.precision_bits}"
+        )
     return agreement_digits(x.to_fraction(), y.to_fraction(), digits)

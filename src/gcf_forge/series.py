@@ -30,14 +30,15 @@ INCONCLUSIVE = "inconclusive"
 FIXED_POINT_GUARD_BITS = 64
 
 
-def cascade(coupling: Coupling, scale: int) -> Iterator[tuple[int, int, int]]:
+def cascade(coupling: Coupling) -> Iterator[tuple[int, int, int]]:
     """(C_k, D_k, T_k) for k = 0, 1, ... in ints: t_k = C_k/D_k, S_k = T_k/D_k.
 
-    scale is any L that clears every coefficient denominator of c and d.
+    With L the lcm of every coefficient denominator of c and d,
     C_k = L prod_{j<=k} L c(j), D_k = prod_{j<=k+1} L d(j) and
     T_k = (L d(k+1)) T_{k-1} + C_k, so no step reduces a fraction. Raises
     ZeroDenominatorFactor(j) when the next term needs d(j) = 0.
     """
+    scale = common_denominator(coupling.c, coupling.d)
     c = integer_values(coupling.c, scale)
     d = integer_values(coupling.d, scale)
     C, D, T = scale, 1, 0
@@ -50,16 +51,11 @@ def cascade(coupling: Coupling, scale: int) -> Iterator[tuple[int, int, int]]:
         C *= cj
 
 
-def _cascade(coupling: Coupling) -> Iterator[tuple[int, int, int]]:
-    """:func:`cascade` at the coupling's own scale."""
-    return cascade(coupling, common_denominator(coupling.c, coupling.d))
-
-
 def partial_sums(coupling: Coupling, count: int) -> list[Fraction]:
     """Exact prefix sums S_n = t_0 + ... + t_n for n = 0..count-1."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    return [Fraction(T, D) for _, D, T in itertools.islice(_cascade(coupling), count)]
+    return [Fraction(T, D) for _, D, T in itertools.islice(cascade(coupling), count)]
 
 
 @dataclass(frozen=True)
@@ -145,7 +141,7 @@ def sum_to_precision(certificate: RatioCertificate, digits: int) -> tuple[Precis
     bits = working_precision(digits)
     if found := _fixed_point_sum(certificate.coupling, onset, budget, q, bits):
         return found
-    for k, (C, D, T) in enumerate(_cascade(certificate.coupling)):
+    for k, (C, D, T) in enumerate(cascade(certificate.coupling)):
         # a nonzero budget |C| has at least budget.bit_length() + C.bit_length() - 1
         # bits, so bit lengths rule the stop out without forming the large products
         near = budget.bit_length() + C.bit_length() <= q.bit_length() + D.bit_length() + 1

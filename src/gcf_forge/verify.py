@@ -21,7 +21,6 @@ from .numerics import (
     matched_digits,
     rational_to_real,
     real_reciprocal,
-    require_comparison_bits,
     working_precision,
 )
 from .series import CONVERGENT, ratio_certificate, sum_to_precision
@@ -98,10 +97,6 @@ def verify_conjecture(
     target_value = (
         eval_const_expr(problem.target, bits) if problem.target is not None else None
     )
-    if target_value is not None:
-        # gcf_value will carry `bits` too, so the comparison's refusal is known
-        # here; make it before the walk and the sum rather than after them
-        require_comparison_bits(digits, bits, target_value.precision_bits)
     coupling = eligible[0] if eligible else None
     walk = structural_walk(problem, depth, coupling)
     certificate = ratio_certificate(coupling) if coupling is not None else None

@@ -3,11 +3,12 @@
 Everything here is exact rational arithmetic built from first principles
 (Machin's arctangent formula, long division, alternating-series tails) or
 from sympy, which is imported inside the functions that use it so this
-module loads without it. Nothing above the last section imports the package
-or mpmath, so those references cannot share a failure mode with the code
-under test. The last section keeps the package's previous parser,
-coupling search and Fraction convergent loop verbatim, as references for
-parity tests.
+module loads without it. Nothing above the last two sections imports the
+package or mpmath, so those references cannot share a failure mode with the
+code under test. The next-to-last section keeps the package's previous
+parser, coupling search and Fraction convergent loop verbatim, as references
+for parity tests. The last one decodes a JSON report back into a
+VerificationReport for the round-trip tests.
 """
 
 from fractions import Fraction
@@ -310,7 +311,7 @@ def sympy_couplings(a, b) -> set:
 # classes, its error types and its budgets.
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import isqrt
 
 from gcf_forge.errors import (
@@ -647,3 +648,56 @@ def reference_convergents(
         B_prev, B = B, bn * B + an * B_prev
         out.append(ConvergentTriple(n, A, B, A / B if B != 0 else None))
     return out
+
+
+# --- the JSON report decoder, kept for round-trip tests ----------------------
+#
+# The program writes reports (cli.report_to_dict) and never reads them back;
+# these decode one into a VerificationReport, so tests can check that the
+# document loses nothing.
+
+import mpmath
+
+from gcf_forge.expr import parse_polynomial
+from gcf_forge.numerics import PrecisionReal
+from gcf_forge.verify import VerificationReport
+
+
+def real_from_decimal(text: str, precision_bits: int) -> PrecisionReal:
+    """Parse decimal text into a float carrying `precision_bits` bits."""
+    if precision_bits < 8:
+        raise ValueError("precision_bits must be at least 8")
+    with mpmath.mp.workprec(precision_bits):
+        value = +mpmath.mpmathify(text)
+    return PrecisionReal(value, precision_bits)
+
+
+def _real_from_dict(doc: dict | None) -> PrecisionReal | None:
+    if doc is None:
+        return None
+    return real_from_decimal(doc["decimal"], doc["precision_bits"])
+
+
+def _coupling_from_dict(doc: dict | None) -> Coupling | None:
+    if doc is None:
+        return None
+    return Coupling(c=parse_polynomial(doc["c"]), d=parse_polynomial(doc["d"]))
+
+
+# report fields whose JSON form is not the value itself; the rest pass through
+_DECODE = {
+    "problem": dict,
+    "coupling": _coupling_from_dict,
+    "other_couplings": lambda docs: tuple(_coupling_from_dict(doc) for doc in docs),
+    "rho": lambda text: None if text in (None, "infinite") else Fraction(text),
+    "series_value": _real_from_dict,
+    "gcf_value": _real_from_dict,
+    "target_value": _real_from_dict,
+}
+
+
+def report_from_dict(doc: dict) -> VerificationReport:
+    values = {f.name: doc[f.name] for f in fields(VerificationReport)}
+    for key, decode in _DECODE.items():
+        values[key] = decode(values[key])
+    return VerificationReport(**values)

@@ -14,10 +14,11 @@ from gcf_forge.cli import (
     build_parser,
     load_problem_file,
     main,
-    report_from_dict,
     report_to_dict,
 )
 from gcf_forge.errors import ProblemFileError
+
+from oracles import report_from_dict
 
 
 def write_problem(tmp_path: Path, name: str, **fields) -> str:
@@ -199,9 +200,7 @@ class TestVerify:
         rebuilt = report_from_dict(doc)
         assert report_to_dict(rebuilt) == doc
 
-    def test_precision_override_below_digits_exits_three(self, tmp_path, monkeypatch, capsys):
-        # 40-bit roundings of value and target agree to 30 "digits" although
-        # the two differ in the 20th; the comparison must refuse, not verify
+    def test_target_off_in_twentieth_digit_refuted(self, tmp_path, capsys):
         path = write_problem(
             tmp_path,
             "p.json",
@@ -210,43 +209,24 @@ class TestVerify:
             b="3*n^2 + 3*n + 1",
             target="8/pi^2 + 1/10^20",
         )
-        argv = ["verify", path, "--digits", "30", "--depth", "64"]
-        monkeypatch.delenv("GCF_FORGE_PRECISION_BITS", raising=False)
-        assert main(argv) == EXIT_REFUTED
+        assert main(["verify", path, "--digits", "30", "--depth", "64"]) == EXIT_REFUTED
         assert "digits matched: 20" in capsys.readouterr().out
-        monkeypatch.setenv("GCF_FORGE_PRECISION_BITS", "40")
-        assert main(argv) == EXIT_PRECONDITION
-        captured = capsys.readouterr()
-        assert "verdict" not in captured.out
-        assert "needs 100 bits" in captured.err
 
-    def test_precision_refused_before_walk_and_sum(self, problems_dir, monkeypatch, capsys):
-        # the operands' precision is known before the walk; with a target the
-        # refusal comes first, without one the pipeline runs as before
-        calls = []
-
-        def spy(name):
-            real = getattr(gcf_forge.verify, name)
-
-            def recorded(*args):
-                calls.append(name)
-                return real(*args)
-
-            monkeypatch.setattr(gcf_forge.verify, name, recorded)
-
-        spy("structural_walk")
-        spy("sum_to_precision")
-        monkeypatch.setenv("GCF_FORGE_PRECISION_BITS", "40")
-        argv = ["--digits", "3000", "--depth", "64"]
-        code = main(["verify", str(problems_dir / "eight_over_pi_squared.json"), *argv])
-        out, err = capsys.readouterr()
-        assert code == EXIT_PRECONDITION
-        assert (out, calls) == ("", [])
-        assert err == "error: comparing to 3000 digits needs 9966 bits; operands carry 40 and 40\n"
-        code = main(["verify", str(problems_dir / "reciprocal_log2.json"), *argv])
-        assert code == EXIT_INCONCLUSIVE
-        assert calls == ["structural_walk", "sum_to_precision"]
-        assert capsys.readouterr().err == ""
+    def test_precision_follows_digits_alone(self, problems_dir, tmp_path, monkeypatch, capsys):
+        # the working precision follows --digits alone, so 40 bits here, below
+        # the 100 that 30 digits need, change nothing
+        runs = []
+        for bits in (None, "40"):
+            if bits is None:
+                monkeypatch.delenv("GCF_FORGE_PRECISION_BITS", raising=False)
+            else:
+                monkeypatch.setenv("GCF_FORGE_PRECISION_BITS", bits)
+            report = tmp_path / "report.json"
+            argv = ["verify", str(problems_dir / "eight_over_pi_squared.json"), "--digits", "30"]
+            code = main([*argv, "--json", str(report)])
+            runs.append((code, capsys.readouterr(), report.read_bytes()))
+        assert runs[0][0] == EXIT_OK
+        assert runs[1] == runs[0]
 
     def test_missing_file_is_parse_error(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "nope.json")]) == EXIT_PARSE

@@ -6,15 +6,18 @@ from hypothesis import strategies as st
 
 from gcf_forge import InsufficientPrecision, rational_to_real, working_precision
 from gcf_forge.numerics import (
-    PRECISION_ENV_VAR,
     agreement_digits,
     enclosure_to_real,
     matched_digits,
-    real_from_decimal,
     real_reciprocal,
 )
 
-from oracles import agreement_digits_loop, eight_over_pi_squared, fraction_decimal
+from oracles import (
+    agreement_digits_loop,
+    eight_over_pi_squared,
+    fraction_decimal,
+    real_from_decimal,
+)
 
 
 def agree_to_digits(x, y, digits: int) -> bool:
@@ -140,13 +143,8 @@ class TestAgreementDigits:
         assert agreement_digits(y + Fraction(1, 10**5000), y, 6000) == 5000
 
 
-def test_working_precision_policy(monkeypatch):
-    monkeypatch.delenv(PRECISION_ENV_VAR, raising=False)
+def test_working_precision_policy():
     assert working_precision(50) == 50 * 4 + 64
-    monkeypatch.setenv(PRECISION_ENV_VAR, "333")
-    assert working_precision(50) == 333
-    monkeypatch.setenv(PRECISION_ENV_VAR, "4")
-    assert working_precision(50) == 8
 
 
 def test_reciprocal_round_trips():

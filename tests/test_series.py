@@ -15,7 +15,6 @@ from gcf_forge import (
     ratio_certificate,
     rational_to_real,
     sum_to_precision,
-    working_precision,
 )
 
 from gcf_forge import series
@@ -80,10 +79,11 @@ class TestTerms:
         assert err.value.index == 3
         assert partial_sums(coupling, 2) == [Fraction(-1, 2), Fraction(0)]
 
-    def test_stream_state_tracks_products(self, quartic_coupling):
-        L = 3
-        C, D, _ = next(islice(series.cascade(quartic_coupling, L), 5, None))
-        c, d = quartic_coupling.c, quartic_coupling.d
+    def test_stream_state_tracks_products(self):
+        c, d = Fraction(1, 2) * N**2, 2 * N**2 - Fraction(1, 3) * N
+        L = common_denominator(c, d)
+        assert L == 6
+        C, D, _ = next(islice(series.cascade(Coupling(c=c, d=d)), 5, None))
         assert C == L * math.prod(L * c(j) for j in range(1, 6))
         assert D == math.prod(L * d(j) for j in range(1, 7))
 
@@ -105,12 +105,13 @@ def signed_couplings(draw) -> Coupling:
 
 class TestCascade:
     @settings(max_examples=40, deadline=None)
-    @given(coupling=signed_couplings(), times=st.sampled_from([1, 6]))
-    def test_matches_fraction_products_and_sums(self, coupling, times):
-        scale = times * common_denominator(coupling.c, coupling.d)
+    @given(coupling=signed_couplings())
+    def test_matches_fraction_products_and_sums(self, coupling):
+        # signed_couplings draws rational coefficients, so L > 1 is common
+        scale = common_denominator(coupling.c, coupling.d)
         c, d = coupling.c, coupling.d
         numerator, denominator, total = Fraction(1), d(1), Fraction(0)
-        for k, (C, D, T) in enumerate(islice(series.cascade(coupling, scale), 41)):
+        for k, (C, D, T) in enumerate(islice(series.cascade(coupling), 41)):
             assert all(isinstance(v, int) for v in (C, D, T))
             assert C == scale ** (k + 1) * numerator
             assert D == scale ** (k + 1) * denominator
@@ -169,19 +170,20 @@ def fraction_reference(certificate, digits: int):
     total, used = fraction_series_sum(
         coupling.c, coupling.d, digits, onset, rho_bar / (1 - rho_bar)
     )
-    return rational_to_real(total, working_precision(digits)), used
+    # read through series, so a test that narrows its precision narrows this too
+    return rational_to_real(total, series.working_precision(digits)), used
 
 
 def exact_sum_runs(monkeypatch) -> list:
-    """Record each run of sum_to_precision's exact loop, its one reader of _cascade."""
+    """Record each run of sum_to_precision's exact loop, its one reader of cascade."""
     runs = []
-    cascade = series._cascade
+    cascade = series.cascade
 
     def spy(coupling):
         runs.append(coupling)
         return cascade(coupling)
 
-    monkeypatch.setattr(series, "_cascade", spy)
+    monkeypatch.setattr(series, "cascade", spy)
     return runs
 
 
@@ -284,7 +286,7 @@ class TestSumToPrecision:
         # the terms 1, 1/256, 0, ... sum to 257/256, halfway between two 8-bit
         # floats: the fixed-point enclosure straddles it, and only the exact
         # sum rounds it (half to even, down to 1)
-        monkeypatch.setenv("GCF_FORGE_PRECISION_BITS", "8")
+        monkeypatch.setattr(series, "working_precision", lambda digits: 8)
         runs = exact_sum_runs(monkeypatch)
         certificate = ratio_certificate(Coupling(c=2 - N, d=255 * N - 254))
         value, used = sum_to_precision(certificate, 1)
@@ -294,7 +296,7 @@ class TestSumToPrecision:
 
     def test_undecidable_stop_falls_back_to_exact_sum(self, quartic_coupling, monkeypatch):
         # F = 8 + 64 fraction bits cannot resolve a stop threshold near 10^-30
-        monkeypatch.setenv("GCF_FORGE_PRECISION_BITS", "8")
+        monkeypatch.setattr(series, "working_precision", lambda digits: 8)
         runs = exact_sum_runs(monkeypatch)
         certificate = ratio_certificate(quartic_coupling)
         assert sum_to_precision(certificate, 30) == fraction_reference(certificate, 30)
@@ -302,7 +304,6 @@ class TestSumToPrecision:
 
     @pytest.mark.parametrize("coupling", CLOSED_FORMS, ids=CLOSED_FORM_IDS)
     def test_closed_forms_stay_in_fixed_point(self, coupling, monkeypatch):
-        monkeypatch.delenv("GCF_FORGE_PRECISION_BITS", raising=False)
         runs = exact_sum_runs(monkeypatch)
         sum_to_precision(ratio_certificate(coupling), 160)
         assert runs == []

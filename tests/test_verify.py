@@ -250,6 +250,25 @@ class TestVerifyConjecture:
         assert report.terms_used is not None
         assert calls == [report.coupling]
 
+    # gcf_value is the reciprocal of a prefix sum stopped at a tail of
+    # 1/2 10^-40, which puts it about 9.5e-42 above 8/pi^2; a target within
+    # that distance of a digit boundary is counted on the wrong side of it
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    @pytest.mark.parametrize(
+        "target,verdict,digits",
+        [
+            ("8/pi^2 + 1/10^30 + 1/10^42", REFUTED_AT_DEPTH, 29),
+            ("8/pi^2 - 1/10^30 + 1/10^42", VERIFIED, 30),
+        ],
+        ids=["above", "below"],
+    )
+    def test_verdict_near_digit_boundary(self, quartic_a, quartic_b, target, verdict, digits):
+        problem = GcfProblem(
+            b0=Fraction(1), a=quartic_a, b=quartic_b, target=parse_const_expr(target)
+        )
+        report = verify_conjecture(problem, digits=30, depth=256)
+        assert (report.verdict, report.digits_matched) == (verdict, digits)
+
     def test_parameter_preconditions(self, quartic_problem):
         with pytest.raises(ValueError):
             verify_conjecture(quartic_problem, digits=0, depth=32)
