@@ -174,7 +174,10 @@ def cmd_verify(args) -> int:
     )
     _print_report(report)
     if args.json:
-        Path(args.json).write_text(json.dumps(report_to_dict(report), indent=2) + "\n")
+        try:
+            Path(args.json).write_text(json.dumps(report_to_dict(report), indent=2) + "\n")
+        except OSError as exc:  # exit 3, which no verdict uses
+            raise GcfForgeError(f"cannot write {args.json}: {exc}") from exc
         print(f"report written to {args.json}")
     if report.verdict == VERIFIED:
         return EXIT_OK

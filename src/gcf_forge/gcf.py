@@ -111,18 +111,29 @@ class StructuralWalk:
     last_defined: Fraction  # x_n at the largest n <= depth with B_n != 0
 
 
+def check_coupling(problem: GcfProblem, coupling: Coupling) -> None:
+    """Refuse a coupling that fails b0 = d(1) or its identities; then they hold at every n.
+
+    BoundaryRuleViolation unless b0 = d(1), and ValueError unless c(n) + d(n+1) = b(n)
+    and c(n) d(n) = -a(n) as polynomials.
+    """
+    if problem.b0 != coupling.d(1):
+        raise BoundaryRuleViolation(f"b0 = {problem.b0} but d(1) = {coupling.d(1)}")
+    if not verify_coupling(problem.a, problem.b, coupling):
+        raise ValueError(f"coupling {coupling} does not give c + d(n+1) = b, c d = -a")
+
+
 def structural_walk(
     problem: GcfProblem, depth: int, coupling: Coupling | None = None
 ) -> StructuralWalk:
     """Walk the recurrence once, in ints, for the convergents the report reads.
 
-    Without a coupling it steps :func:`_frames`. A coupling must satisfy
-    b0 = d(1) (BoundaryRuleViolation) and c(n) + d(n+1) = b(n),
-    c(n) d(n) = -a(n) as polynomials (ValueError). By the operator
-    factorization A_n = prod_{j<=n+1} d(j) and B_n = S_n prod d(j) then hold
-    at every n, so the walk steps only :func:`~gcf_forge.series.cascade`, reads
-    A' = D', B' = T', and raises ZeroDenominatorConvergent where B_n = 0 (the
-    cascade raises ZeroDenominatorFactor where d(j) = 0, j <= depth + 1).
+    Without a coupling it steps :func:`_frames`. A coupling must pass
+    :func:`check_coupling`. By the operator factorization A_n = prod_{j<=n+1} d(j)
+    and B_n = S_n prod d(j) then hold at every n, so the walk steps only
+    :func:`~gcf_forge.series.cascade`, reads A' = D', B' = T', and raises
+    ZeroDenominatorConvergent where B_n = 0 (the cascade raises
+    ZeroDenominatorFactor where d(j) = 0, j <= depth + 1).
     W_n = A_n B_{n-1} - A_{n-1} B_n obeys W_0 = -1 and W_n = -a(n) W_{n-1},
     so its sign is a parity bit, and x_{n-1} > x_n iff W_n B_{n-1} B_n < 0.
     """
@@ -131,10 +142,7 @@ def structural_walk(
     if coupling is None:
         frames = _frames(problem, _scale(problem))
     else:
-        if problem.b0 != coupling.d(1):
-            raise BoundaryRuleViolation(f"b0 = {problem.b0} but d(1) = {coupling.d(1)}")
-        if not verify_coupling(problem.a, problem.b, coupling):
-            raise ValueError(f"coupling {coupling} does not give c + d(n+1) = b, c d = -a")
+        check_coupling(problem, coupling)
         frames = ((D, T) for _, D, T in cascade(coupling))
     halfway = (depth + 1) // 2
     A, B = next(frames)  # B'_0 > 0

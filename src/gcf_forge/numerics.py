@@ -101,13 +101,21 @@ def real_reciprocal(x: PrecisionReal) -> PrecisionReal:
 def agreement_digits(x: Fraction, y: Fraction, cap: int) -> int:
     """Largest D in 0..cap with |x - y| <= 10^-D * max(1, |y|), exactly.
 
-    10^D <= r = max(1, |y|) / |x - y| iff 10^D <= floor(r); D = cap if x == y.
+    That is :func:`ratio_digits` of r = max(1, |y|) / |x - y|.
     """
-    gap = abs(x - y)
-    if cap <= 0 or not gap:
+    top, gap = max(Fraction(1), abs(y)), abs(x - y)
+    return ratio_digits(top.numerator * gap.denominator, top.denominator * gap.numerator, cap)
+
+
+def ratio_digits(num: int, den: int, cap: int) -> int:
+    """Largest D in 0..cap with 10^D <= r = num/den (num > 0, den >= 0; den = 0 is r = infinity).
+
+    The one rule for how many digits agree. 10^D <= r iff 10^D <= floor(r); D = cap when
+    den = 0, and the count never falls as r grows.
+    """
+    if cap <= 0 or not den:
         return max(cap, 0)
-    ratio = max(Fraction(1), abs(y)) / gap
-    whole = max(1, min(ratio.numerator // ratio.denominator, 10**cap))
+    whole = max(1, min(num // den, 10**cap))
     digits = int(math.log10(whole))  # within one of the exact value; correct it
     return digits - (10**digits > whole) + (10 ** (digits + 1) <= whole)
 

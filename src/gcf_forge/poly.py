@@ -329,11 +329,14 @@ def factor_rational(p: Polynomial) -> FactoredPolynomial:
     return FactoredPolynomial(content, sign, tuple(factors), residual)
 
 
-def cauchy_root_bound(p: Polynomial) -> Fraction:
-    """B with all complex roots of p inside |z| <= B (0 for constants)."""
-    if p.is_zero:
-        raise ZeroPolynomial("root bound of the zero polynomial")
-    if p.degree == 0:
-        return Fraction(0)
-    ints = p.numerators  # the common denominator cancels from the ratio
-    return 1 + Fraction(max(abs(c) for c in ints[:-1]), abs(ints[-1]))
+def root_bound_floor(ints) -> int:
+    """floor(B) for the Cauchy bound B = 1 + max |a_i| / |a_deg| of p = sum a_i n^i.
+
+    Every complex root of p lies in |z| <= B, so none reaches floor(B) + 1. ints
+    are the int coefficients, lowest first, not all zero; trailing zeros are
+    ignored. A nonzero constant has no root and gives 0.
+    """
+    deg = len(ints) - 1
+    while not ints[deg]:
+        deg -= 1
+    return 1 + max(map(abs, ints[:deg])) // abs(ints[deg]) if deg else 0

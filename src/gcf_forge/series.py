@@ -6,21 +6,28 @@ limit classifies convergence. Terms and partial sums come from one
 first-order cascade in plain ints. A convergent series is summed under a
 certified geometric tail bound in fixed point, where ints of about F bits
 enclose the exact prefix sum in [s - E, s + E] 2^-F; the exact cascade runs
-only when that enclosure cannot decide the stop or the rounding.
+only when that enclosure cannot decide the stop or the rounding. For a
+convergent coupling the same pass also reads the convergents x_n = 1/S_n to
+the walk's depth, so their cost is linear in the depth.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from .errors import NotConvergent, ZeroDenominatorFactor
 from .factorize import Coupling
-from .numerics import PrecisionReal, enclosure_to_real, rational_to_real, working_precision
-from .poly import Polynomial, cauchy_root_bound, common_denominator, integer_values
+from .numerics import (
+    PrecisionReal,
+    enclosure_to_real,
+    ratio_digits,
+    rational_to_real,
+    working_precision,
+)
+from .poly import Polynomial, common_denominator, integer_values, root_bound_floor
 
 CONVERGENT = "convergent"
 DIVERGENT = "divergent"
@@ -105,27 +112,44 @@ def _geometric_onset(certificate: RatioCertificate, rho_bar: Fraction) -> int:
 
     Past the Cauchy root bounds of D, rho_bar*D - N and rho_bar*D + N
     (D = |denominator|, N = numerator) none of them changes sign, so the
-    inequality holds on the whole tail once it holds at one point there.
+    inequality holds on the whole tail once it holds at one point there. The
+    guards are int lists, each scaled by a positive constant that moves no root.
     """
-    num = certificate.numerator
-    den = certificate.denominator
-    D = den if den.leading_coefficient > 0 else -den
-    guards = [D, rho_bar * D - num, rho_bar * D + num]
-    bound = max(cauchy_root_bound(g) for g in guards if not g.is_zero)
+    num, den = certificate.numerator, certificate.denominator
+    p, r = rho_bar.numerator, rho_bar.denominator
+    n_d, d_d = num.denominator, den.denominator
+    # d_d D, then r n_d d_d (rho_bar D -+ N)
+    D = den.numerators if den.numerators[-1] > 0 else [-x for x in den.numerators]
+    pD, rN = [p * n_d * x for x in D], [r * d_d * x for x in num.numerators]
+    guards = [D] + [
+        [x + s * y for x, y in itertools.zip_longest(pD, rN, fillvalue=0)] for s in (-1, 1)
+    ]
     # K exceeds the Cauchy bound of D, hence every pole of the ratio
-    K = math.floor(bound) + 1
-    if not (D(K) > 0 and abs(num(K)) <= rho_bar * D(K)):
+    K = max(root_bound_floor(g) for g in guards if any(g)) + 1
+    DK, NK = (sum(x * K**i for i, x in enumerate(g)) for g in (D, num.numerators))
+    if not (DK > 0 and r * d_d * abs(NK) <= p * n_d * DK):
         raise NotConvergent(f"no geometric onset certified at k = {K}")
     return K
+
+
+def _stop_rule(certificate: RatioCertificate, digits: int) -> tuple[int, int, int]:
+    """(onset, budget, q): stop at the first k >= onset with budget |t_k| <= q.
+
+    rho_bar = (|rho|+1)/2 bounds the ratio from :func:`_geometric_onset` on, so the tail
+    after k is at most |t_k| p/q with p/q = rho_bar / (1 - rho_bar), and budget = 2 10^digits p.
+    """
+    rho_bar = (abs(certificate.rho) + 1) / 2
+    onset = _geometric_onset(certificate, rho_bar)
+    tail_factor = rho_bar / (1 - rho_bar)
+    return onset, 2 * 10**digits * tail_factor.numerator, tail_factor.denominator
 
 
 def sum_to_precision(certificate: RatioCertificate, digits: int) -> tuple[PrecisionReal, int]:
     """Sum the certified series to within 10^(-digits); returns (value, terms used).
 
-    The tail after index k >= K (:func:`_geometric_onset`) is at most |t_k| p/q, where
-    p/q = rho_bar / (1 - rho_bar) and rho_bar = (|rho|+1)/2. The sum stops at the first
-    k >= K with 2 10^digits p |C_k| <= q |D_k|, decided by :func:`_fixed_point_sum` or,
-    when that cannot, by the exact cascade below, which then rounds T_k/D_k once.
+    The sum stops at the first k >= K with 2 10^digits p |C_k| <= q |D_k| (:func:`_stop_rule`),
+    decided by :func:`_fixed_point_pass` or, when that cannot, by the exact cascade below,
+    which then rounds T_k/D_k once.
     """
     if digits < 1:
         raise ValueError("digits must be positive")
@@ -133,14 +157,10 @@ def sum_to_precision(certificate: RatioCertificate, digits: int) -> tuple[Precis
         raise NotConvergent(
             f"series is {certificate.classification}; cannot certify a sum"
         )
-    rho_bar = (abs(certificate.rho) + 1) / 2
-    onset = _geometric_onset(certificate, rho_bar)
-    tail_factor = rho_bar / (1 - rho_bar)
-    budget = 2 * 10**digits * tail_factor.numerator
-    q = tail_factor.denominator
+    onset, budget, q = _stop_rule(certificate, digits)
     bits = working_precision(digits)
-    if found := _fixed_point_sum(certificate.coupling, onset, budget, q, bits):
-        return found
+    if found := _fixed_point_pass(certificate.coupling, onset, budget, q, bits):
+        return found[:2]
     for k, (C, D, T) in enumerate(cascade(certificate.coupling)):
         # a nonzero budget |C| has at least budget.bit_length() + C.bit_length() - 1
         # bits, so bit lengths rule the stop out without forming the large products
@@ -150,13 +170,60 @@ def sum_to_precision(certificate: RatioCertificate, digits: int) -> tuple[Precis
     return rational_to_real(Fraction(T, D), bits), k + 1
 
 
-def _fixed_point_sum(coupling: Coupling, onset: int, budget: int, q: int, bits: int):
+def sum_and_walk(certificate: RatioCertificate, digits: int, depth: int, cap: int):
+    """:func:`sum_to_precision` and the convergents' facts to depth, from one fixed-point pass.
+
+    Returns (value, terms, monotone, cauchy digits): sum_to_precision(certificate, digits),
+    whether x_0 > x_1 > ... > x_depth, and agreement_digits(x_h, x_depth, cap) with
+    h = (depth + 1) // 2. certificate is convergent and its coupling passed
+    :func:`~gcf_forge.gcf.check_coupling` for a problem, so x_n = 1/S_n and c(n) != 0 for
+    n >= 1 (a(n) = -c(n) d(n) != 0). None when the onset, the stop, the rounding, a sign
+    of S_n or the digits are uncertain; the exact walk and sum then decide.
+    """
+    try:
+        onset, budget, q = _stop_rule(certificate, digits)
+    except NotConvergent:
+        return None
+    bits = working_precision(digits)
+    found = _fixed_point_pass(certificate.coupling, onset, budget, q, bits, depth)
+    if found is None:
+        return None
+    value, terms, monotone, at_half, at_depth, F = found
+    cauchy = _cauchy_digits(at_half, at_depth, F, cap)
+    return None if cauchy is None else (value, terms, monotone, cauchy)
+
+
+def _cauchy_digits(at_half, at_depth, F: int, cap: int) -> int | None:
+    """agreement_digits(1/S_h, 1/S_N, cap) from enclosures, or None if they leave it open.
+
+    That is :func:`~gcf_forge.numerics.ratio_digits` of max(|S_N|, 1) |S_h| / |S_N - S_h|,
+    taken at both ends of its bracket. at_half = (s_h, E_h) and at_depth = (s_N, E_N)
+    enclose S_h and S_N as in :func:`_fixed_point_pass`, with |s| > E, and
+    S_N - S_h = t_(h+1) + ... + t_N lies within (E_N - E_h) 2^-F of (s_N - s_h) 2^-F.
+    """
+    (s_h, E_h), (s_N, E_N) = at_half, at_depth
+    low_h, high_h = abs(s_h) - E_h, abs(s_h) + E_h
+    low_N, high_N = max(abs(s_N) - E_N, 1 << F), max(abs(s_N) + E_N, 1 << F)
+    gap, spread = abs(s_N - s_h), E_N - E_h
+    least = ratio_digits(low_N * low_h, (gap + spread) << F, cap)
+    most = ratio_digits(high_N * high_h, max(gap - spread, 0) << F, cap)
+    return least if least == most else None
+
+
+def _fixed_point_pass(
+    coupling: Coupling, onset: int, budget: int, q: int, bits: int, depth: int = -1
+):
     """:func:`sum_to_precision`'s (value, terms) from F-bit fixed point, or None.
 
     With c' = L c and d' = L d, u_k = floor(u_{k-1} c'(k) / d'(k+1)) is within
     e_k = ceil(e_{k-1} |c'(k) / d'(k+1)|) + 1 of t_k 2^F. The stop |t_k| <= q/budget holds
     if |u_k| + e_k <= thr = floor(q 2^F / budget) and fails if |u_k| - e_k > thr. None when
     neither is certain, or when [s - E, s + E] 2^-F (s, E: sums of u, e) rounds two ways.
+
+    The pass runs to max(depth, stop) and returns (value, terms, monotone, (s_h, E_h),
+    (s_N, E_N), F) at h = (depth + 1) // 2 and N = depth. For k <= depth the sign of
+    S_k must be certain, |s_k| > E_k, or the result is None. x_{k-1} - x_k is
+    t_k / (S_{k-1} S_k), and t_k < 0 iff an odd number of c(1..k), d(1..k+1) are.
     """
     scale = common_denominator(coupling.c, coupling.d)
     c, d = (integer_values(p, scale) for p in (coupling.c, coupling.d))
@@ -165,7 +232,32 @@ def _fixed_point_sum(coupling: Coupling, onset: int, budget: int, q: int, bits: 
     thr = (q << F) // budget
     u, e, s, E = scale << F, 0, 0, 0  # u_{-1} = L 2^F exactly
     # c'(0) = 1 pairs with d'(1), then c'(k) with d'(k+1)
-    for k, ck, dk in zip(itertools.count(), itertools.chain((1,), c), d):
+    steps = zip(itertools.count(), itertools.chain((1,), c), d)
+    found, monotone, negative, half, at_half = None, True, False, (depth + 1) // 2, None
+    stop_from = onset  # the first k the stop is checked at; past depth + 1 once it is found
+    for k, ck, dk in itertools.islice(steps, depth + 1):
+        if not dk:
+            raise ZeroDenominatorFactor(k + 1)
+        u = u * ck // dk
+        e = -(-e * abs(ck) // abs(dk)) + 1
+        E += e
+        negative ^= (ck ^ dk) < 0  # t_k < 0
+        s_prev, s = s, s + u
+        if ((s ^ s_prev) < 0) != negative:  # x_{k-1} <= x_k (never at k = 0)
+            monotone = False
+        if abs(s) <= E:
+            return None  # the sign of S_k, hence of B_k, is uncertain
+        if k == half:
+            at_half = s, E
+        if k >= stop_from and abs(u) - e <= thr:
+            value = enclosure_to_real(s - E, s + E, F, bits) if abs(u) + e <= thr else None
+            if value is None:
+                return None
+            found, stop_from = (value, k + 1), depth + 1
+    walked = monotone, at_half, (s, E), F
+    if found is not None:
+        return (*found, *walked)
+    for k, ck, dk in steps:
         if not dk:
             raise ZeroDenominatorFactor(k + 1)
         u = u * ck // dk
@@ -173,4 +265,4 @@ def _fixed_point_sum(coupling: Coupling, onset: int, budget: int, q: int, bits: 
         s, E = s + u, E + e
         if k >= onset and abs(u) - e <= thr:
             value = enclosure_to_real(s - E, s + E, F, bits) if abs(u) + e <= thr else None
-            return None if value is None else (value, k + 1)
+            return None if value is None else (value, k + 1, *walked)

@@ -1,10 +1,12 @@
 """End-to-end pipeline: couple, decouple, certify, sum, compare.
 
 Given a problem, the pipeline finds a coupling and confirms the boundary
-selection rule b0 = d(1). The walk checks the coupling once as a polynomial
-identity, which proves the structural identities at every depth, and reads
-the convergents the report needs. The pipeline then certifies series
-convergence, sums to high precision, and compares the reciprocal to the target.
+selection rule b0 = d(1). The coupling is checked once as a polynomial
+identity, which proves the structural identities at every depth. A
+convergent series is then summed by one fixed-point pass that also reads the
+convergents x_n = 1/S_n the report needs; without one, or when that pass
+leaves a decision open, the exact walk reads them and the sum runs on its
+own. The pipeline compares the reciprocal of the sum to the target.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 from .expr import const_expr_to_text, eval_const_expr
 from .factorize import Coupling, find_couplings
-from .gcf import GcfProblem, structural_walk
+from .gcf import GcfProblem, check_coupling, structural_walk
 from .numerics import (
     PrecisionReal,
     agreement_digits,
@@ -23,7 +25,7 @@ from .numerics import (
     real_reciprocal,
     working_precision,
 )
-from .series import CONVERGENT, ratio_certificate, sum_to_precision
+from .series import CONVERGENT, ratio_certificate, sum_and_walk, sum_to_precision
 
 VERIFIED = "verified"
 REFUTED_AT_DEPTH = "refuted-at-depth"
@@ -98,31 +100,40 @@ def verify_conjecture(
         eval_const_expr(problem.target, bits) if problem.target is not None else None
     )
     coupling = eligible[0] if eligible else None
-    walk = structural_walk(problem, depth, coupling)
     certificate = ratio_certificate(coupling) if coupling is not None else None
     convergent = certificate is not None and certificate.classification == CONVERGENT
 
+    walked = None
     if convergent:
-        series_value, terms_used = sum_to_precision(certificate, digits + DIGIT_MARGIN)
+        check_coupling(problem, coupling)  # the identities then hold at every depth
+        walked = sum_and_walk(certificate, digits + DIGIT_MARGIN, depth, digits)
+    if walked is not None:
+        series_value, terms_used, monotone, cauchy_digits = walked
+    else:  # no convergent series, or the pass left a decision open: walk exactly
+        walk = structural_walk(problem, depth, coupling)
+        monotone, cauchy_digits = walk.monotone, 0
+        if walk.halfway is not None and walk.last is not None:
+            cauchy_digits = agreement_digits(walk.halfway, walk.last, digits)
+        series_value = terms_used = None
+        if convergent:
+            series_value, terms_used = sum_to_precision(certificate, digits + DIGIT_MARGIN)
+
+    if convergent:
         gcf_value = real_reciprocal(series_value)
     else:
         # no usable series: report the deepest defined convergent instead
-        series_value, terms_used = None, None
         gcf_value = rational_to_real(walk.last_defined, bits)
 
     digits_matched = None
     if target_value is not None:
         digits_matched = matched_digits(gcf_value, target_value, digits)
-    cauchy_digits = 0
-    if walk.halfway is not None and walk.last is not None:
-        cauchy_digits = agreement_digits(walk.halfway, walk.last, digits)
 
     if problem.target is not None and convergent:
         verdict = VERIFIED if digits_matched >= digits else REFUTED_AT_DEPTH
     else:
         verdict = INCONCLUSIVE
 
-    # the walk accepted the coupling, so the identities hold at every n <= depth
+    # the coupling passed check_coupling, so the identities hold at every n <= depth
     proved = depth if coupling is not None else None
     return VerificationReport(
         problem=_problem_echo(problem, name),
@@ -138,7 +149,7 @@ def verify_conjecture(
         gcf_value=gcf_value,
         target_value=target_value,
         digits_matched=digits_matched,
-        monotone_convergents=walk.monotone,
+        monotone_convergents=monotone,
         cauchy_digits=cauchy_digits,
         terms_used=terms_used,
         digits_requested=digits,

@@ -228,6 +228,17 @@ class TestVerify:
         assert runs[0][0] == EXIT_OK
         assert runs[1] == runs[0]
 
+    def test_unwritable_report_exits_three(self, quartic_file, tmp_path, capsys):
+        # a traceback would exit 1, which reads as refuted-at-depth
+        path = tmp_path / "no-such-dir" / "r.json"
+        argv = ["verify", quartic_file, "--digits", "10", "--depth", "16", "--json", str(path)]
+        assert main(argv) == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        assert "verdict: verified" in captured.out
+        assert "report written" not in captured.out
+        assert not path.exists()
+
     def test_missing_file_is_parse_error(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "nope.json")]) == EXIT_PARSE
 

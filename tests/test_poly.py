@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcf_forge import Polynomial, ZeroPolynomial, factor_rational, parse_polynomial
-from gcf_forge.poly import cauchy_root_bound, integer_values
+from gcf_forge.poly import integer_values, root_bound_floor
 
 from oracles import (
     integer_roots,
@@ -284,8 +284,8 @@ class TestSympyOracle:
 class TestRootAnalysis:
     def test_cauchy_bound_contains_roots(self):
         p = (N - 3) * (N + 5) * (2 * N - 1)
-        bound = cauchy_root_bound(p)
-        assert all(abs(r) <= bound for r, _ in factor_rational(p).rational_roots())
+        above = root_bound_floor(p.numerators) + 1
+        assert all(abs(r) < above for r, _ in factor_rational(p).rational_roots())
 
     def test_integer_roots_from(self):
         p = (N - 3) * (N - Fraction(1, 2)) * N

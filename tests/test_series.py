@@ -18,6 +18,7 @@ from gcf_forge import (
 )
 
 from gcf_forge import series
+from gcf_forge.numerics import agreement_digits
 from gcf_forge.poly import common_denominator, factor_rational
 
 from oracles import (
@@ -254,7 +255,7 @@ class TestSumToPrecision:
     def test_uncertified_onset_raises(self, monkeypatch):
         # a root bound that is too small must not slip past an onset check
         # that `python -O` would strip
-        monkeypatch.setattr(series, "cauchy_root_bound", lambda p: Fraction(0))
+        monkeypatch.setattr(series, "root_bound_floor", lambda ints: 0)
         with pytest.raises(NotConvergent):
             sum_to_precision(ratio_certificate(Coupling(c=N**2 + 100, d=2 * N**2 - N)), 10)
 
@@ -313,6 +314,22 @@ class TestSumToPrecision:
         coarse, _ = sum_to_precision(ratio_certificate(quartic_coupling), 12)
         fine = sum(terms(quartic_coupling, 250), Fraction(0))
         assert abs(coarse.to_fraction() - fine) <= Fraction(1, 10**12)
+
+
+class TestCauchyDigits:
+    def test_bracket_carries_the_tail_error(self):
+        # S_h = 1 within 2^-64, and S_N - S_h = 10 2^-64 within 10 2^-64: the ratio
+        # lies between (2^64 - 1) / 20 ~ 9.2e17 and infinity
+        half, last = (1 << 64, 1), ((1 << 64) + 10, 11)
+        assert series._cauchy_digits(half, last, 64, 17) == 17
+        assert series._cauchy_digits(half, last, 64, 18) is None
+
+    def test_matches_agreement_digits_when_decided(self):
+        # x = 1/S: S_h = 3/2 and S_N = 3/2 + 2^-40 to within 2^-100
+        F, s_h = 100, 3 << 99
+        s_N = s_h + (1 << 60)
+        x_h, x_N = Fraction(1 << F, s_h), Fraction(1 << F, s_N)
+        assert series._cauchy_digits((s_h, 1), (s_N, 2), F, 30) == agreement_digits(x_h, x_N, 30)
 
 
 class TestCentralBinomialSum:

@@ -1,14 +1,21 @@
 import operator
 from fractions import Fraction
 from itertools import accumulate
+from unittest.mock import patch
 
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from gcf_forge import (
     BoundaryRuleViolation,
     Coupling,
+    GcfForgeError,
     GcfProblem,
+    InvalidProblem,
     Polynomial,
+    VerificationReport,
+    ZeroDenominatorConvergent,
     check_boundary_selection,
     convergents,
     parse_const_expr,
@@ -20,6 +27,7 @@ from gcf_forge.numerics import agreement_digits
 from gcf_forge.verify import INCONCLUSIVE, REFUTED_AT_DEPTH, VERIFIED
 
 from oracles import close_to, eight_over_pi_squared, reference_convergents, terms
+from test_series import convergent_couplings
 
 N = Polynomial.variable()
 
@@ -36,6 +44,32 @@ def auxiliary_trace(problem, coupling, frame, depth) -> list[Fraction]:
     else:
         ys = [Fraction(0)] + [t.B for t in rows]
     return [ys[k + 1] - coupling.d(k + 1) * ys[k] for k in range(depth + 1)]
+
+
+def walk_and_pass_calls(monkeypatch) -> tuple[list, list]:
+    """Record each exact walk verify runs and each fixed-point pass over a series."""
+    walks, passes = [], []
+    walk, fixed_point_pass = verify.structural_walk, series._fixed_point_pass
+
+    def counted_walk(*args):
+        walks.append(args)
+        return walk(*args)
+
+    def counted_pass(*args):
+        passes.append(args)
+        return fixed_point_pass(*args)
+
+    monkeypatch.setattr(verify, "structural_walk", counted_walk)
+    monkeypatch.setattr(series, "_fixed_point_pass", counted_pass)
+    return walks, passes
+
+
+def outcome(problem: GcfProblem, digits: int, depth: int):
+    """The report, or the type and message of the error verify raised."""
+    try:
+        return verify_conjecture(problem, digits=digits, depth=depth)
+    except GcfForgeError as exc:
+        return type(exc), str(exc)
 
 
 class TestAuxiliaryTrace:
@@ -209,15 +243,17 @@ class TestVerifyConjecture:
         assert gap <= tolerance
 
     def test_one_walk_per_call(self, quartic_problem, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return structural_walk(*args)
-
-        monkeypatch.setattr(verify, "structural_walk", counted)
+        # a convergent job walks in the fixed-point pass alone; an uncoupled or
+        # non-convergent one walks the exact recurrence once
+        walks, passes = walk_and_pass_calls(monkeypatch)
         verify_conjecture(quartic_problem, digits=10, depth=16)
-        assert len(calls) == 1
+        assert (len(walks), len(passes)) == (0, 1)
+        uncoupled = GcfProblem(b0=Fraction(1), a=Polynomial.constant(-1), b=Polynomial.constant(1))
+        rho_one = GcfProblem(b0=Fraction(1), a=-(N**2), b=2 * N + 1)
+        for problem in (uncoupled, rho_one):
+            walks.clear()
+            verify_conjecture(problem, digits=10, depth=16)
+            assert (len(walks), len(passes)) == (1, 1)
 
     def test_one_factorization_per_call(self, quartic_a, quartic_b, monkeypatch):
         # building the problem factors -a; the coupling search reads that result
@@ -269,8 +305,49 @@ class TestVerifyConjecture:
         report = verify_conjecture(problem, digits=30, depth=256)
         assert (report.verdict, report.digits_matched) == (verdict, digits)
 
+    def test_uncertain_pass_falls_back_to_exact_walk(self, quartic_problem, monkeypatch):
+        # 8 working bits cannot decide a stop near 10^-20, so the pass gives up
+        # and the exact walk and sum make the same report as with no pass at all
+        monkeypatch.setattr(series, "working_precision", lambda digits: 8)
+        walks, passes = walk_and_pass_calls(monkeypatch)
+        report = verify_conjecture(quartic_problem, digits=10, depth=32)
+        assert walks and passes
+        monkeypatch.setattr(verify, "sum_and_walk", lambda *args: None)
+        assert verify_conjecture(quartic_problem, digits=10, depth=32) == report
+
+    def test_vanishing_partial_sum_through_verify(self):
+        # c = -8, d = 2n^2 converges with S_1 = 1/2 - 8/(2 * 8) = 0, so B_1 = 0;
+        # the pass cannot sign S_1 and the exact walk raises
+        c, d = Polynomial.constant(-8), 2 * N**2
+        problem = GcfProblem(b0=d(1), a=-(c * d), b=c + d.shift(1))
+        with pytest.raises(ZeroDenominatorConvergent) as err:
+            verify_conjecture(problem, digits=10, depth=16)
+        assert err.value.index == 1
+
     def test_parameter_preconditions(self, quartic_problem):
         with pytest.raises(ValueError):
             verify_conjecture(quartic_problem, digits=0, depth=32)
         with pytest.raises(ValueError):
             verify_conjecture(quartic_problem, digits=10, depth=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coupling=convergent_couplings(), depth=st.integers(4, 300), digits=st.integers(1, 100))
+@example(Coupling(c=Polynomial.constant(-8), d=2 * N**2), 16, 10)  # B_1 = 0
+@example(Coupling(c=-N, d=2 * N), 40, 30)  # alternating terms: not monotone
+def test_pass_matches_exact_walk(coupling, depth, digits):
+    # the Euler problem of a convergent coupling; verify may pick another coupling
+    c, d = coupling.c, coupling.d
+    try:
+        problem = GcfProblem(b0=d(1), a=-(c * d), b=c + d.shift(1))
+    except InvalidProblem:
+        reject()
+    report = outcome(problem, digits, depth)
+    with patch.object(verify, "sum_and_walk", lambda *args: None):
+        assert outcome(problem, digits, depth) == report
+    if isinstance(report, VerificationReport):
+        xs = [row.x for row in reference_convergents(problem, depth)]
+        monotone = None not in xs and all(x > y for x, y in zip(xs, xs[1:]))
+        halfway, last = xs[(depth + 1) // 2], xs[depth]
+        cauchy = 0 if None in (halfway, last) else agreement_digits(halfway, last, digits)
+        assert (report.monotone_convergents, report.cauchy_digits) == (monotone, cauchy)
