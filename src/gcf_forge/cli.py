@@ -53,11 +53,20 @@ class ProblemFile:
 
 def load_problem_file(path: str | Path) -> ProblemFile:
     try:
-        raw = Path(path).read_text()
-    except OSError as exc:
+        raw = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFileError(f"cannot read {path}: {exc}") from exc
+
+    def unique_fields(pairs: list[tuple[str, object]]) -> dict:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:  # json.loads alone would keep the last value silently
+                raise ProblemFileError(f"{path}: duplicate field {key!r}")
+            doc[key] = value
+        return doc
+
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, object_pairs_hook=unique_fields)
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):

@@ -4,8 +4,9 @@ Both the numerator sequence A_n and the denominator sequence B_n obey the
 same three-term recurrence y_n = b(n) y_{n-1} + a(n) y_{n-2}; they differ
 only in their initial frames (A_{-1}, A_0) = (1, b0) and (B_{-1}, B_0) =
 (0, 1). :func:`_frames` steps both in plain ints; :func:`convergents`
-tabulates them as reduced fractions, and :func:`structural_walk` reads them,
-or with a coupling the series cascade alone, for what the report needs.
+tabulates them as reduced fractions, and :func:`structural_walk` reads them
+for what the report needs when a problem has no coupling. A coupled problem
+is walked by :mod:`~gcf_forge.series` after :func:`check_coupling`.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import BoundaryRuleViolation, InvalidProblem, ZeroDenominatorConvergent
+from .errors import BoundaryRuleViolation, InvalidProblem
 from .expr import ConstExpr
 from .factorize import Coupling, verify_coupling
 from .poly import FactoredPolynomial, Polynomial, common_denominator, factor_rational
 from .poly import integer_values
-from .series import cascade
 
 DEFAULT_DEPTH = 512
 
@@ -123,27 +123,15 @@ def check_coupling(problem: GcfProblem, coupling: Coupling) -> None:
         raise ValueError(f"coupling {coupling} does not give c + d(n+1) = b, c d = -a")
 
 
-def structural_walk(
-    problem: GcfProblem, depth: int, coupling: Coupling | None = None
-) -> StructuralWalk:
-    """Walk the recurrence once, in ints, for the convergents the report reads.
+def structural_walk(problem: GcfProblem, depth: int) -> StructuralWalk:
+    """Walk an uncoupled problem's recurrence once, in ints, for the convergents it reports.
 
-    Without a coupling it steps :func:`_frames`. A coupling must pass
-    :func:`check_coupling`. By the operator factorization A_n = prod_{j<=n+1} d(j)
-    and B_n = S_n prod d(j) then hold at every n, so the walk steps only
-    :func:`~gcf_forge.series.cascade`, reads A' = D', B' = T', and raises
-    ZeroDenominatorConvergent where B_n = 0 (the cascade raises
-    ZeroDenominatorFactor where d(j) = 0, j <= depth + 1).
-    W_n = A_n B_{n-1} - A_{n-1} B_n obeys W_0 = -1 and W_n = -a(n) W_{n-1},
-    so its sign is a parity bit, and x_{n-1} > x_n iff W_n B_{n-1} B_n < 0.
+    It steps :func:`_frames`. W_n = A_n B_{n-1} - A_{n-1} B_n obeys W_0 = -1 and
+    W_n = -a(n) W_{n-1}, so its sign is a parity bit, and x_{n-1} > x_n iff W_n B_{n-1} B_n < 0.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if coupling is None:
-        frames = _frames(problem, _scale(problem))
-    else:
-        check_coupling(problem, coupling)
-        frames = ((D, T) for _, D, T in cascade(coupling))
+    frames = _frames(problem, _scale(problem))
     halfway = (depth + 1) // 2
     A, B = next(frames)  # B'_0 > 0
     half = last_defined = (A, B)
@@ -152,8 +140,6 @@ def structural_walk(
     steps = zip(range(1, depth + 1), integer_values(problem.a, problem.a.denominator), frames)
     for n, an, (A, B_next) in steps:
         B_prev, B = B, B_next
-        if B == 0 and coupling is not None:
-            raise ZeroDenominatorConvergent(n)
         negative ^= an > 0  # the sign of W_n = -a(n) W_{n-1}
         # the product W_n B_{n-1} B_n is negative iff an odd number of factors is
         monotone = monotone and B != 0 and (negative ^ (B_prev < 0) ^ (B < 0))

@@ -6,19 +6,20 @@ limit classifies convergence. Terms and partial sums come from one
 first-order cascade in plain ints. A convergent series is summed under a
 certified geometric tail bound in fixed point, where ints of about F bits
 enclose the exact prefix sum in [s - E, s + E] 2^-F; the exact cascade runs
-only when that enclosure cannot decide the stop or the rounding. For a
-convergent coupling the same pass also reads the convergents x_n = 1/S_n to
-the walk's depth, so their cost is linear in the depth.
+only when that enclosure cannot decide the stop or the rounding. The same
+pass reads a coupled problem's convergents x_n = 1/S_n to the walk's depth,
+so each coupled job steps its cascade once, at a cost linear in the depth.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import NotConvergent, ZeroDenominatorFactor
+from .errors import NotConvergent, ZeroDenominatorConvergent, ZeroDenominatorFactor
 from .factorize import Coupling
 from .numerics import (
     PrecisionReal,
@@ -147,9 +148,9 @@ def _stop_rule(certificate: RatioCertificate, digits: int) -> tuple[int, int, in
 def sum_to_precision(certificate: RatioCertificate, digits: int) -> tuple[PrecisionReal, int]:
     """Sum the certified series to within 10^(-digits); returns (value, terms used).
 
-    The sum stops at the first k >= K with 2 10^digits p |C_k| <= q |D_k| (:func:`_stop_rule`),
-    decided by :func:`_fixed_point_pass` or, when that cannot, by the exact cascade below,
-    which then rounds T_k/D_k once.
+    The sum stops at the first k >= K with 2 10^digits p |C_k| <= q |D_k| (:func:`_stop_rule`).
+    It is :func:`sum_and_walk` to depth 0, whose walk of x_0 = 1/t_0 can neither fail nor
+    give up: T_0 = L > 0, and |s_0| = |u_0| >= 2^(bits + 63) > E_0 = 1.
     """
     if digits < 1:
         raise ValueError("digits must be positive")
@@ -157,40 +158,33 @@ def sum_to_precision(certificate: RatioCertificate, digits: int) -> tuple[Precis
         raise NotConvergent(
             f"series is {certificate.classification}; cannot certify a sum"
         )
-    onset, budget, q = _stop_rule(certificate, digits)
-    bits = working_precision(digits)
-    if found := _fixed_point_pass(certificate.coupling, onset, budget, q, bits):
-        return found[:2]
-    for k, (C, D, T) in enumerate(cascade(certificate.coupling)):
-        # a nonzero budget |C| has at least budget.bit_length() + C.bit_length() - 1
-        # bits, so bit lengths rule the stop out without forming the large products
-        near = budget.bit_length() + C.bit_length() <= q.bit_length() + D.bit_length() + 1
-        if k >= onset and (near or C == 0) and budget * abs(C) <= q * abs(D):
-            break
-    return rational_to_real(Fraction(T, D), bits), k + 1
+    return sum_and_walk(certificate, digits, 0, 0)[:2]
 
 
 def sum_and_walk(certificate: RatioCertificate, digits: int, depth: int, cap: int):
-    """:func:`sum_to_precision` and the convergents' facts to depth, from one fixed-point pass.
+    """Walk a coupled problem's convergents to depth and sum its series in one pass.
 
-    Returns (value, terms, monotone, cauchy digits): sum_to_precision(certificate, digits),
-    whether x_0 > x_1 > ... > x_depth, and agreement_digits(x_h, x_depth, cap) with
-    h = (depth + 1) // 2. certificate is convergent and its coupling passed
+    Returns (value, terms, monotone, cauchy digits, last): whether x_0 > x_1 > ... > x_depth,
+    and agreement_digits(x_h, x_depth, cap) with h = (depth + 1) // 2. A convergent
+    certificate gives (value, terms) = sum_to_precision(certificate, digits) and last = None;
+    any other gives value = terms = None and last = x_depth. The coupling passed
     :func:`~gcf_forge.gcf.check_coupling` for a problem, so x_n = 1/S_n and c(n) != 0 for
-    n >= 1 (a(n) = -c(n) d(n) != 0). None when the onset, the stop, the rounding, a sign
-    of S_n or the digits are uncertain; the exact walk and sum then decide.
+    n >= 1 (a(n) = -c(n) d(n) != 0). :func:`_exact_pass` walks whenever
+    :func:`_fixed_point_pass` cannot decide, so the result is the same either way.
     """
-    try:
-        onset, budget, q = _stop_rule(certificate, digits)
-    except NotConvergent:
-        return None
-    bits = working_precision(digits)
-    found = _fixed_point_pass(certificate.coupling, onset, budget, q, bits, depth)
-    if found is None:
-        return None
-    value, terms, monotone, at_half, at_depth, F = found
-    cauchy = _cauchy_digits(at_half, at_depth, F, cap)
-    return None if cauchy is None else (value, terms, monotone, cauchy)
+    coupling, stop = certificate.coupling, None
+    if certificate.classification == CONVERGENT:
+        stop = _stop_rule(certificate, digits)
+        bits = working_precision(digits)
+        if found := _fixed_point_pass(coupling, *stop, bits, depth, cap):
+            return (*found, None)
+    summed, monotone, (D_h, T_h), (D_N, T_N) = _exact_pass(coupling, depth, stop)
+    # agreement_digits(D_h/T_h, D_N/T_N, cap), cross-multiplied
+    cauchy = ratio_digits(max(abs(D_N), abs(T_N)) * abs(T_h), abs(D_h * T_N - D_N * T_h), cap)
+    if summed is None:
+        return None, None, monotone, cauchy, Fraction(D_N, T_N)
+    terms, total = summed
+    return rational_to_real(total, bits), terms, monotone, cauchy, None
 
 
 def _cauchy_digits(at_half, at_depth, F: int, cap: int) -> int | None:
@@ -211,19 +205,19 @@ def _cauchy_digits(at_half, at_depth, F: int, cap: int) -> int | None:
 
 
 def _fixed_point_pass(
-    coupling: Coupling, onset: int, budget: int, q: int, bits: int, depth: int = -1
+    coupling: Coupling, onset: int, budget: int, q: int, bits: int, depth: int, cap: int
 ):
-    """:func:`sum_to_precision`'s (value, terms) from F-bit fixed point, or None.
+    """:func:`sum_and_walk`'s (value, terms, monotone, cauchy digits) in fixed point, or None.
 
     With c' = L c and d' = L d, u_k = floor(u_{k-1} c'(k) / d'(k+1)) is within
     e_k = ceil(e_{k-1} |c'(k) / d'(k+1)|) + 1 of t_k 2^F. The stop |t_k| <= q/budget holds
     if |u_k| + e_k <= thr = floor(q 2^F / budget) and fails if |u_k| - e_k > thr. None when
     neither is certain, or when [s - E, s + E] 2^-F (s, E: sums of u, e) rounds two ways.
 
-    The pass runs to max(depth, stop) and returns (value, terms, monotone, (s_h, E_h),
-    (s_N, E_N), F) at h = (depth + 1) // 2 and N = depth. For k <= depth the sign of
-    S_k must be certain, |s_k| > E_k, or the result is None. x_{k-1} - x_k is
-    t_k / (S_{k-1} S_k), and t_k < 0 iff an odd number of c(1..k), d(1..k+1) are.
+    The pass runs to max(depth, stop). For k <= depth the sign of S_k must be certain,
+    |s_k| > E_k, and so must :func:`_cauchy_digits` at h = (depth + 1) // 2 and depth, or
+    the result is None. x_{k-1} - x_k is t_k / (S_{k-1} S_k), and t_k < 0 iff an odd
+    number of c(1..k), d(1..k+1) are.
     """
     scale = common_denominator(coupling.c, coupling.d)
     c, d = (integer_values(p, scale) for p in (coupling.c, coupling.d))
@@ -231,38 +225,61 @@ def _fixed_point_pass(
     F = bits + FIXED_POINT_GUARD_BITS + max(0, abs(d1).bit_length() - scale.bit_length())
     thr = (q << F) // budget
     u, e, s, E = scale << F, 0, 0, 0  # u_{-1} = L 2^F exactly
+    found, monotone, negative, half = None, True, False, (depth + 1) // 2
     # c'(0) = 1 pairs with d'(1), then c'(k) with d'(k+1)
-    steps = zip(itertools.count(), itertools.chain((1,), c), d)
-    found, monotone, negative, half, at_half = None, True, False, (depth + 1) // 2, None
-    stop_from = onset  # the first k the stop is checked at; past depth + 1 once it is found
-    for k, ck, dk in itertools.islice(steps, depth + 1):
+    for k, ck, dk in zip(itertools.count(), itertools.chain((1,), c), d):
         if not dk:
             raise ZeroDenominatorFactor(k + 1)
         u = u * ck // dk
         e = -(-e * abs(ck) // abs(dk)) + 1
-        E += e
-        negative ^= (ck ^ dk) < 0  # t_k < 0
-        s_prev, s = s, s + u
-        if ((s ^ s_prev) < 0) != negative:  # x_{k-1} <= x_k (never at k = 0)
-            monotone = False
-        if abs(s) <= E:
-            return None  # the sign of S_k, hence of B_k, is uncertain
-        if k == half:
-            at_half = s, E
-        if k >= stop_from and abs(u) - e <= thr:
+        s_prev, s, E = s, s + u, E + e
+        if k <= depth:
+            negative ^= (ck ^ dk) < 0  # t_k < 0
+            if ((s < 0) != (s_prev < 0)) != negative:  # x_{k-1} <= x_k (never at k = 0)
+                monotone = False
+            if abs(s) <= E:
+                return None  # the sign of S_k, hence of B_k, is uncertain
+            if k == half:
+                at_half = s, E
+            if k == depth and (cauchy := _cauchy_digits(at_half, (s, E), F, cap)) is None:
+                return None
+        if found is None and k >= onset and abs(u) - e <= thr:
             value = enclosure_to_real(s - E, s + E, F, bits) if abs(u) + e <= thr else None
             if value is None:
                 return None
-            found, stop_from = (value, k + 1), depth + 1
-    walked = monotone, at_half, (s, E), F
-    if found is not None:
-        return (*found, *walked)
-    for k, ck, dk in steps:
-        if not dk:
-            raise ZeroDenominatorFactor(k + 1)
-        u = u * ck // dk
-        e = -(-e * abs(ck) // abs(dk)) + 1
-        s, E = s + u, E + e
-        if k >= onset and abs(u) - e <= thr:
-            value = enclosure_to_real(s - E, s + E, F, bits) if abs(u) + e <= thr else None
-            return None if value is None else (value, k + 1, *walked)
+            found = value, k + 1
+        if found is not None and k >= depth:
+            return (*found, monotone, cauchy)
+
+
+def _exact_pass(coupling: Coupling, depth: int, stop: tuple[int, int, int] | None = None):
+    """Step :func:`cascade` once, to max(depth, the stop), for the walk and the exact sum.
+
+    stop = (onset, budget, q) from :func:`_stop_rule` ends the sum at the first k >= onset with
+    budget |C_k| <= q |D_k|. Returns ((k + 1, S_k) at the stop or None without one, monotone,
+    (D_h, T_h), (D_N, T_N)) with h = (depth + 1) // 2 and N = depth. x_n = D_n/T_n, so T_n = 0
+    raises ZeroDenominatorConvergent(n) for n <= depth, and x_{n-1} > x_n iff t_n = C_n/D_n
+    and S_{n-1} S_n share a sign: x_{n-1} - x_n = t_n / (S_{n-1} S_n), S_n = T_n/D_n.
+    """
+    onset, budget, q = stop or (math.inf, 0, 0)
+    summed, monotone, negative, half = None, True, False, (depth + 1) // 2
+    for k, (C, D, T) in enumerate(cascade(coupling)):
+        if k <= depth:
+            if T == 0:
+                raise ZeroDenominatorConvergent(k)
+            # signs by comparison: ^ on big ints would allocate a new int
+            was_negative, negative = negative, (T < 0) != (D < 0)  # S_k < 0; S_{-1} = 0
+            if ((C < 0) != (D < 0)) != (was_negative != negative):  # x_{k-1} <= x_k
+                monotone = False
+            if k == half:
+                at_half = D, T
+            if k == depth:
+                at_depth = D, T
+        if summed is None and k >= onset:
+            # a nonzero budget |C| has at least budget.bit_length() + C.bit_length() - 1
+            # bits, so bit lengths rule the stop out without forming the large products
+            near = budget.bit_length() + C.bit_length() <= q.bit_length() + D.bit_length() + 1
+            if (near or C == 0) and budget * abs(C) <= q * abs(D):
+                summed = k + 1, Fraction(T, D)
+        if k >= depth and (summed is not None or stop is None):
+            return summed, monotone, at_half, at_depth

@@ -2,11 +2,11 @@
 
 Given a problem, the pipeline finds a coupling and confirms the boundary
 selection rule b0 = d(1). The coupling is checked once as a polynomial
-identity, which proves the structural identities at every depth. A
-convergent series is then summed by one fixed-point pass that also reads the
-convergents x_n = 1/S_n the report needs; without one, or when that pass
-leaves a decision open, the exact walk reads them and the sum runs on its
-own. The pipeline compares the reciprocal of the sum to the target.
+identity, which proves the structural identities at every depth. The
+coupled recurrence is then the series' cascade, and one pass over it reads
+the convergents x_n = 1/S_n the report needs and sums a convergent series;
+only a problem without a coupling walks its three-term recurrence. The
+pipeline compares the reciprocal of the sum to the target.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .numerics import (
     real_reciprocal,
     working_precision,
 )
-from .series import CONVERGENT, ratio_certificate, sum_and_walk, sum_to_precision
+from .series import CONVERGENT, ratio_certificate, sum_and_walk
 
 VERIFIED = "verified"
 REFUTED_AT_DEPTH = "refuted-at-depth"
@@ -103,26 +103,23 @@ def verify_conjecture(
     certificate = ratio_certificate(coupling) if coupling is not None else None
     convergent = certificate is not None and certificate.classification == CONVERGENT
 
-    walked = None
-    if convergent:
-        check_coupling(problem, coupling)  # the identities then hold at every depth
-        walked = sum_and_walk(certificate, digits + DIGIT_MARGIN, depth, digits)
-    if walked is not None:
-        series_value, terms_used, monotone, cauchy_digits = walked
-    else:  # no convergent series, or the pass left a decision open: walk exactly
-        walk = structural_walk(problem, depth, coupling)
-        monotone, cauchy_digits = walk.monotone, 0
+    if coupling is None:
+        walk = structural_walk(problem, depth)
+        monotone, cauchy_digits, last = walk.monotone, 0, walk.last_defined
         if walk.halfway is not None and walk.last is not None:
             cauchy_digits = agreement_digits(walk.halfway, walk.last, digits)
         series_value = terms_used = None
-        if convergent:
-            series_value, terms_used = sum_to_precision(certificate, digits + DIGIT_MARGIN)
+    else:
+        check_coupling(problem, coupling)  # the identities then hold at every depth
+        series_value, terms_used, monotone, cauchy_digits, last = sum_and_walk(
+            certificate, digits + DIGIT_MARGIN, depth, digits
+        )
 
     if convergent:
         gcf_value = real_reciprocal(series_value)
     else:
         # no usable series: report the deepest defined convergent instead
-        gcf_value = rational_to_real(walk.last_defined, bits)
+        gcf_value = rational_to_real(last, bits)
 
     digits_matched = None
     if target_value is not None:

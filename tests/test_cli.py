@@ -242,6 +242,22 @@ class TestVerify:
     def test_missing_file_is_parse_error(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "nope.json")]) == EXIT_PARSE
 
+    def test_undecodable_file_is_parse_error(self, tmp_path, capsys):
+        # a UnicodeDecodeError is a ValueError, which would exit 3 and name no path
+        path = tmp_path / "p.json"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["verify", str(path)]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
+    def test_duplicate_field_is_parse_error(self, tmp_path, capsys):
+        # json.loads alone keeps the last b0 and would verify b0 = 2
+        path = tmp_path / "p.json"
+        path.write_text('{"b0": "1", "a": "-(2*n^4 - n^3)", "b": "3*n^2 + 3*n + 1", "b0": "2"}')
+        assert main(["verify", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr() == ("", f"error: {path}: duplicate field 'b0'\n")
+
     @pytest.mark.parametrize(
         "fields",
         [

@@ -2,6 +2,7 @@ import math
 import operator
 from fractions import Fraction
 from itertools import accumulate
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,9 +19,14 @@ from gcf_forge import (
     ZeroDenominatorConvergent,
     convergents,
     partial_sums,
+    ratio_certificate,
     structural_walk,
+    sum_to_precision,
     verify_conjecture,
 )
+from gcf_forge import series
+from gcf_forge.gcf import check_coupling
+from gcf_forge.numerics import agreement_digits
 
 from oracles import reference_convergents
 
@@ -54,6 +60,13 @@ def reference_walk(rows: list[ConvergentTriple], coupling=None):
         last=xs[-1],
         last_defined=next(x for x in reversed(xs) if x is not None),
     )
+
+
+def exact_coupled_walk(problem, coupling, depth, digits=10, cap=30):
+    """check_coupling, then sum_and_walk with the fixed-point pass off: the exact pass alone."""
+    check_coupling(problem, coupling)
+    with patch.object(series, "_fixed_point_pass", lambda *args: None):
+        return series.sum_and_walk(ratio_certificate(coupling), digits, depth, cap)
 
 
 def brute_force_frames(b0, a_of, b_of, depth):
@@ -213,7 +226,7 @@ class TestStructuralWalk:
     @example(Coupling(c=Fraction(5, 2) - N, d=3 - 2 * N), 0, "cd")
     def test_matches_fraction_reference(self, coupling, agree, bumped):
         # agree > 0 hands the walk a coupling that matches the problem's only
-        # up to index agree. It fails the polynomial identity, so the walk
+        # up to index agree. It fails the polynomial identity, so check_coupling
         # refuses it at every depth. Bumping c alone breaks the sum identity;
         # bumping d breaks both, and d-only-f lowers c by the bump at n + 1
         # so that c + d(n+1) = b still holds and only c d = -a fails
@@ -224,26 +237,42 @@ class TestStructuralWalk:
             d_bump = 0 if bumped == "c" else bump
             coupling = Coupling(c=coupling.c + c_bump, d=coupling.d + d_bump)
         table = reference_convergents(problem, 40)
+        certificate = ratio_certificate(coupling)
+        if not agree and certificate.classification == "convergent":
+            summed = sum_to_precision(certificate, 10)  # the fixed-point pass, if it decides
         for depth in range(41):
             rows = table[: depth + 1]
             assert structural_walk(problem, depth) == reference_walk(rows)
             if agree:
                 with pytest.raises(ValueError, match="does not give"):
-                    structural_walk(problem, depth, coupling)
+                    exact_coupled_walk(problem, coupling, depth)
                 continue
             try:
                 expected = reference_walk(rows, coupling)
             except ZeroDenominatorConvergent as err:
                 with pytest.raises(ZeroDenominatorConvergent) as got:
-                    structural_walk(problem, depth, coupling)
+                    exact_coupled_walk(problem, coupling, depth)
                 assert got.value.index == err.index
                 continue
-            assert structural_walk(problem, depth, coupling) == expected
+            _, monotone, half, at_depth = series._exact_pass(coupling, depth)
+            assert (monotone, Fraction(*half), Fraction(*at_depth)) == (
+                expected.monotone, expected.halfway, expected.last
+            )
+            value, terms, monotone, cauchy, last = exact_coupled_walk(problem, coupling, depth)
+            assert monotone == expected.monotone
+            assert cauchy == agreement_digits(expected.halfway, expected.last, 30)
+            if certificate.classification == "convergent":
+                assert ((value, terms), last) == (summed, None)
+            else:
+                assert (value, terms, last) == (None, None, expected.last)
 
     def test_flagship_deep_pin(self, quartic_problem, quartic_coupling):
-        walk = structural_walk(quartic_problem, 1500, quartic_coupling)
-        assert walk.monotone
-        assert walk.last == 1 / partial_sums(quartic_coupling, 1501)[-1]
+        sums = partial_sums(quartic_coupling, 1501)
+        _, _, monotone, cauchy, _ = exact_coupled_walk(quartic_problem, quartic_coupling, 1500)
+        assert monotone
+        assert cauchy == agreement_digits(1 / sums[750], 1 / sums[1500], 30)
+        _, _, _, (D, T) = series._exact_pass(quartic_coupling, 1500)
+        assert Fraction(D, T) == 1 / sums[1500]
         report = verify_conjecture(quartic_problem, digits=10, depth=1500)
         assert report.exact_identity_depth == 1500
         assert report.numerator_product_depth == 1500
@@ -271,7 +300,7 @@ class TestStructuralWalk:
             b0=quartic_problem.b0 + Fraction(1, 3), a=quartic_problem.a, b=quartic_problem.b
         )
         with pytest.raises(BoundaryRuleViolation):
-            structural_walk(shifted, 10, quartic_coupling)
+            exact_coupled_walk(shifted, quartic_coupling, 10)
 
     def test_vanishing_partial_sum_is_a_zero_denominator(self):
         # c = -n, d = 1: S_1 = 1 - 1 = 0, so B_1 = S_1 * d(1) d(2) = 0
@@ -281,13 +310,13 @@ class TestStructuralWalk:
             reference_walk(reference_convergents(problem, 5), coupling)
         assert err.value.index == 1
         with pytest.raises(ZeroDenominatorConvergent) as err:
-            structural_walk(problem, 5, coupling)
+            exact_coupled_walk(problem, coupling, 5)
         assert err.value.index == 1
 
     def test_non_coupling_is_a_caller_error(self, quartic_problem):
         # b0 = d(1) holds, but c(n) + d(n+1) misses b(n) by n - 1
         with pytest.raises(ValueError, match="does not give"):
-            structural_walk(quartic_problem, 10, Coupling(c=N * N + N - 1, d=2 * N * N - N))
+            exact_coupled_walk(quartic_problem, Coupling(c=N * N + N - 1, d=2 * N * N - N), 10)
 
     def test_negative_depth_rejected(self, quartic_problem):
         with pytest.raises(ValueError):

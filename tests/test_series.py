@@ -176,7 +176,7 @@ def fraction_reference(certificate, digits: int):
 
 
 def exact_sum_runs(monkeypatch) -> list:
-    """Record each run of sum_to_precision's exact loop, its one reader of cascade."""
+    """Record each run of sum_to_precision's exact pass, its one reader of cascade."""
     runs = []
     cascade = series.cascade
 

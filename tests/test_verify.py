@@ -19,7 +19,6 @@ from gcf_forge import (
     check_boundary_selection,
     convergents,
     parse_const_expr,
-    structural_walk,
     verify_conjecture,
 )
 from gcf_forge import factorize, gcf, poly, series, verify
@@ -27,6 +26,7 @@ from gcf_forge.numerics import agreement_digits
 from gcf_forge.verify import INCONCLUSIVE, REFUTED_AT_DEPTH, VERIFIED
 
 from oracles import close_to, eight_over_pi_squared, reference_convergents, terms
+from test_gcf import exact_coupled_walk
 from test_series import convergent_couplings
 
 N = Polynomial.variable()
@@ -46,22 +46,25 @@ def auxiliary_trace(problem, coupling, frame, depth) -> list[Fraction]:
     return [ys[k + 1] - coupling.d(k + 1) * ys[k] for k in range(depth + 1)]
 
 
-def walk_and_pass_calls(monkeypatch) -> tuple[list, list]:
-    """Record each exact walk verify runs and each fixed-point pass over a series."""
-    walks, passes = [], []
-    walk, fixed_point_pass = verify.structural_walk, series._fixed_point_pass
+def walk_calls(monkeypatch) -> dict[str, list]:
+    """Record each walk verify runs: uncoupled walks, exact cascades and fixed-point passes."""
+    calls = {"walks": [], "cascades": [], "passes": []}
 
-    def counted_walk(*args):
-        walks.append(args)
-        return walk(*args)
+    def counted(name, fn):
+        def spy(*args):
+            calls[name].append(args)
+            return fn(*args)
 
-    def counted_pass(*args):
-        passes.append(args)
-        return fixed_point_pass(*args)
+        return spy
 
-    monkeypatch.setattr(verify, "structural_walk", counted_walk)
-    monkeypatch.setattr(series, "_fixed_point_pass", counted_pass)
-    return walks, passes
+    monkeypatch.setattr(verify, "structural_walk", counted("walks", verify.structural_walk))
+    monkeypatch.setattr(series, "cascade", counted("cascades", series.cascade))
+    monkeypatch.setattr(series, "_fixed_point_pass", counted("passes", series._fixed_point_pass))
+    return calls
+
+
+def counts(calls: dict[str, list]) -> tuple[int, int, int]:
+    return len(calls["walks"]), len(calls["cascades"]), len(calls["passes"])
 
 
 def outcome(problem: GcfProblem, digits: int, depth: int):
@@ -96,7 +99,7 @@ class TestAuxiliaryTrace:
         shifted = perturbed(quartic_problem, quartic_coupling.d(1) + 1)
         assert auxiliary_trace(shifted, quartic_coupling, "numerator", 3)[0] == 1
         with pytest.raises(BoundaryRuleViolation):
-            structural_walk(shifted, 3, quartic_coupling)
+            exact_coupled_walk(shifted, quartic_coupling, 3)
 
 
 class TestBoundaryAndCollapse:
@@ -130,7 +133,7 @@ class TestBoundaryAndCollapse:
         shifted = perturbed(quartic_problem, 2)
         assert convergents(shifted, 0)[0].A != quartic_coupling.d(1)
         with pytest.raises(BoundaryRuleViolation):
-            structural_walk(shifted, 10, quartic_coupling)
+            exact_coupled_walk(shifted, quartic_coupling, 10)
 
     def test_reciprocal_identity_full_depth(self, quartic_problem, quartic_coupling):
         sums = accumulate(terms(quartic_coupling, 101))
@@ -143,7 +146,7 @@ class TestBoundaryAndCollapse:
         self, quartic_problem, quartic_coupling
     ):
         with pytest.raises(BoundaryRuleViolation):
-            structural_walk(perturbed(quartic_problem, 2), 10, quartic_coupling)
+            exact_coupled_walk(perturbed(quartic_problem, 2), quartic_coupling, 10)
 
     def test_casoratian_recursion_depth(self, quartic_problem):
         assert verify_conjecture(quartic_problem, digits=10, depth=100).casoratian_depth == 100
@@ -158,9 +161,9 @@ class TestBoundaryAndCollapse:
 
 class TestPincherleEvidence:
     def test_monotone_decreasing(self, quartic_problem, quartic_coupling):
-        walk = structural_walk(quartic_problem, 64, quartic_coupling)
-        assert walk.monotone
-        assert agreement_digits(walk.halfway, walk.last, 30) >= 5
+        _, _, monotone, cauchy, _ = exact_coupled_walk(quartic_problem, quartic_coupling, 64)
+        assert monotone
+        assert cauchy >= 5
 
     def test_first_step_decreases(self, quartic_problem):
         rows = convergents(quartic_problem, 1)
@@ -243,17 +246,27 @@ class TestVerifyConjecture:
         assert gap <= tolerance
 
     def test_one_walk_per_call(self, quartic_problem, monkeypatch):
-        # a convergent job walks in the fixed-point pass alone; an uncoupled or
-        # non-convergent one walks the exact recurrence once
-        walks, passes = walk_and_pass_calls(monkeypatch)
-        verify_conjecture(quartic_problem, digits=10, depth=16)
-        assert (len(walks), len(passes)) == (0, 1)
+        # each job steps one recurrence once: a convergent job in the fixed-point
+        # pass, an uncoupled one in the exact three-term walk, a rho = 1 one in
+        # the exact cascade, and a pass that gives up (8 working bits) in one
+        # pass and then one cascade
+        calls = walk_calls(monkeypatch)
         uncoupled = GcfProblem(b0=Fraction(1), a=Polynomial.constant(-1), b=Polynomial.constant(1))
         rho_one = GcfProblem(b0=Fraction(1), a=-(N**2), b=2 * N + 1)
-        for problem in (uncoupled, rho_one):
-            walks.clear()
+        for problem, expected in [
+            (quartic_problem, (0, 0, 1)),
+            (uncoupled, (1, 0, 0)),
+            (rho_one, (0, 1, 0)),
+        ]:
+            for found in calls.values():
+                found.clear()
             verify_conjecture(problem, digits=10, depth=16)
-            assert (len(walks), len(passes)) == (1, 1)
+            assert counts(calls) == expected
+        for found in calls.values():
+            found.clear()
+        monkeypatch.setattr(series, "working_precision", lambda digits: 8)
+        verify_conjecture(quartic_problem, digits=10, depth=32)
+        assert counts(calls) == (0, 1, 1)
 
     def test_one_factorization_per_call(self, quartic_a, quartic_b, monkeypatch):
         # building the problem factors -a; the coupling search reads that result
@@ -307,17 +320,25 @@ class TestVerifyConjecture:
 
     def test_uncertain_pass_falls_back_to_exact_walk(self, quartic_problem, monkeypatch):
         # 8 working bits cannot decide a stop near 10^-20, so the pass gives up
-        # and the exact walk and sum make the same report as with no pass at all
+        # and one exact pass walks and sums, with the same report as with no pass at all
         monkeypatch.setattr(series, "working_precision", lambda digits: 8)
-        walks, passes = walk_and_pass_calls(monkeypatch)
+        calls = walk_calls(monkeypatch)
         report = verify_conjecture(quartic_problem, digits=10, depth=32)
-        assert walks and passes
-        monkeypatch.setattr(verify, "sum_and_walk", lambda *args: None)
+        assert calls["passes"] and calls["cascades"]
+        monkeypatch.setattr(series, "_fixed_point_pass", lambda *args: None)
         assert verify_conjecture(quartic_problem, digits=10, depth=32) == report
+
+    def test_undecided_cauchy_bracket_falls_back_to_exact_walk(self, quartic_problem, monkeypatch):
+        # an enclosure that leaves the digit count open must not be read as 0 digits
+        report = verify_conjecture(quartic_problem, digits=10, depth=32)
+        monkeypatch.setattr(series, "_cauchy_digits", lambda *args: None)
+        calls = walk_calls(monkeypatch)
+        assert verify_conjecture(quartic_problem, digits=10, depth=32) == report
+        assert counts(calls) == (0, 1, 1)
 
     def test_vanishing_partial_sum_through_verify(self):
         # c = -8, d = 2n^2 converges with S_1 = 1/2 - 8/(2 * 8) = 0, so B_1 = 0;
-        # the pass cannot sign S_1 and the exact walk raises
+        # the pass cannot sign S_1 and the exact pass raises
         c, d = Polynomial.constant(-8), 2 * N**2
         problem = GcfProblem(b0=d(1), a=-(c * d), b=c + d.shift(1))
         with pytest.raises(ZeroDenominatorConvergent) as err:
@@ -343,7 +364,7 @@ def test_pass_matches_exact_walk(coupling, depth, digits):
     except InvalidProblem:
         reject()
     report = outcome(problem, digits, depth)
-    with patch.object(verify, "sum_and_walk", lambda *args: None):
+    with patch.object(series, "_fixed_point_pass", lambda *args: None):
         assert outcome(problem, digits, depth) == report
     if isinstance(report, VerificationReport):
         xs = [row.x for row in reference_convergents(problem, depth)]
