@@ -34,7 +34,7 @@ from .expr import (
     parse_rational,
 )
 from .factorize import Coupling, find_couplings, verify_coupling
-from .gcf import ConvergentTriple, GcfProblem, StructuralWalk, convergents, structural_walk
+from .gcf import ConvergentTriple, GcfProblem, convergents, structural_walk
 from .numerics import PrecisionReal, rational_to_real, working_precision
 from .poly import FactoredPolynomial, Polynomial, factor_rational
 from .series import RatioCertificate, partial_sums, ratio_certificate, sum_to_precision
@@ -61,7 +61,6 @@ __all__ = [
     "PrecisionReal",
     "ProblemFileError",
     "RatioCertificate",
-    "StructuralWalk",
     "UnknownSymbol",
     "VerificationReport",
     "ZeroDenominatorConvergent",

@@ -200,12 +200,15 @@ def _print_report(report: VerificationReport) -> None:
     if name:
         print(f"problem: {name}")
     print(f"  b0 = {report.problem['b0']}; a = {report.problem['a']}; b = {report.problem['b']}")
-    if report.coupling is None:
+    if report.coupling is None and not report.other_couplings:
         print("coupling: none within linear-split search space")
+    elif report.coupling is None:  # every coupling found fails b0 = d(1)
+        print("\n".join(f"coupling: {coupling}" for coupling in report.other_couplings))
+        print("boundary rule b0 = d(1): fails")
     else:
         extra = f" (+{len(report.other_couplings)} more)" if report.other_couplings else ""
         print(f"coupling: {report.coupling}{extra}")
-        print(f"boundary rule b0 = d(1): {'holds' if report.boundary_rule_holds else 'fails'}")
+        print("boundary rule b0 = d(1): holds")
         print(
             "structural depths: "
             f"reciprocal identity {report.exact_identity_depth}/{report.depth}, "

@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
+from typing import Callable
 
 import mpmath
 
@@ -291,12 +292,11 @@ class _ConstParser(_Parser):
         return self.node(Neg, value)
 
     def power(self, index: int, base: ConstExpr, exponent: ConstExpr) -> ConstExpr:
-        position = self.offset(index)
-        folded = _fold_rational(exponent, position)
+        folded = _fold_rational(exponent, lambda: self.offset(index))
         if folded is None or folded.denominator != 1:
-            raise ExprSyntaxError("exponent must be an integer", position)
+            raise ExprSyntaxError("exponent must be an integer", self.offset(index))
         if excess := _power_excess((), 1, int(folded)):
-            raise ExprSyntaxError(excess, position)
+            raise ExprSyntaxError(excess, self.offset(index))
         return self.node(Pow, base, int(folded))
 
     def literal(self, value: int) -> ConstExpr:
@@ -314,8 +314,8 @@ class _ConstParser(_Parser):
         return self.node(Sqrt, operand)
 
 
-def _fold_rational(expr: ConstExpr, position: int) -> Fraction | None:
-    """Exact value of a pi/sqrt-free subtree, else None; position is for errors."""
+def _fold_rational(expr: ConstExpr, position: Callable[[], int]) -> Fraction | None:
+    """Exact value of a pi/sqrt-free subtree, else None; position() places an error."""
     if isinstance(expr, Num):
         return expr.value
     if isinstance(expr, Neg):
@@ -342,7 +342,7 @@ def _fold_rational(expr: ConstExpr, position: int) -> Fraction | None:
         if base == 0 and expr.exponent < 0:
             raise DivisionByZero("zero raised to a negative exponent")
         if excess := _power_excess((base.numerator,), base.denominator, expr.exponent):
-            raise ExprSyntaxError(excess, position)
+            raise ExprSyntaxError(excess, position())
         return base**expr.exponent
     return None
 

@@ -19,6 +19,7 @@ from typing import Iterator
 from .errors import BoundaryRuleViolation, InvalidProblem
 from .expr import ConstExpr
 from .factorize import Coupling, verify_coupling
+from .numerics import agreement_digits
 from .poly import FactoredPolynomial, Polynomial, common_denominator, factor_rational
 from .poly import integer_values
 
@@ -101,14 +102,9 @@ def convergents(problem: GcfProblem, depth: int = DEFAULT_DEPTH) -> list[Converg
     return out
 
 
-@dataclass(frozen=True)
-class StructuralWalk:
-    """What :func:`structural_walk` found over n = 0..depth; x_n is None where B_n = 0."""
-
-    monotone: bool  # x_0 > x_1 > ... > x_depth, all defined
-    halfway: Fraction | None  # x at n = (depth + 1) // 2
-    last: Fraction | None  # x_depth
-    last_defined: Fraction  # x_n at the largest n <= depth with B_n != 0
+def check_boundary_selection(problem: GcfProblem, coupling: Coupling) -> bool:
+    """True iff b0 = d(1) exactly, the rule that zeroes the numerator trace."""
+    return problem.b0 == coupling.d(1)
 
 
 def check_coupling(problem: GcfProblem, coupling: Coupling) -> None:
@@ -117,17 +113,20 @@ def check_coupling(problem: GcfProblem, coupling: Coupling) -> None:
     BoundaryRuleViolation unless b0 = d(1), and ValueError unless c(n) + d(n+1) = b(n)
     and c(n) d(n) = -a(n) as polynomials.
     """
-    if problem.b0 != coupling.d(1):
+    if not check_boundary_selection(problem, coupling):
         raise BoundaryRuleViolation(f"b0 = {problem.b0} but d(1) = {coupling.d(1)}")
     if not verify_coupling(problem.a, problem.b, coupling):
         raise ValueError(f"coupling {coupling} does not give c + d(n+1) = b, c d = -a")
 
 
-def structural_walk(problem: GcfProblem, depth: int) -> StructuralWalk:
+def structural_walk(problem: GcfProblem, depth: int, cap: int) -> tuple[bool, int, Fraction]:
     """Walk an uncoupled problem's recurrence once, in ints, for the convergents it reports.
 
-    It steps :func:`_frames`. W_n = A_n B_{n-1} - A_{n-1} B_n obeys W_0 = -1 and
-    W_n = -a(n) W_{n-1}, so its sign is a parity bit, and x_{n-1} > x_n iff W_n B_{n-1} B_n < 0.
+    Returns (monotone, cauchy digits, last): whether x_0 > x_1 > ... > x_depth, all defined;
+    agreement_digits(x_h, x_depth, cap) with h = (depth + 1) // 2, or 0 when either is
+    undefined; and x_n at the largest n <= depth with B_n != 0. It steps :func:`_frames`.
+    W_n = A_n B_{n-1} - A_{n-1} B_n obeys W_0 = -1 and W_n = -a(n) W_{n-1}, so its sign is
+    a parity bit, and x_{n-1} > x_n iff W_n B_{n-1} B_n < 0.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -148,10 +147,5 @@ def structural_walk(problem: GcfProblem, depth: int) -> StructuralWalk:
         if n == halfway:
             half = (A, B)
 
-    last = Fraction(A, B) if B else None  # the final frame, reduced once
-    return StructuralWalk(
-        monotone=monotone,
-        halfway=Fraction(*half) if half[1] else None,
-        last=last,
-        last_defined=last if B else Fraction(*last_defined),
-    )
+    cauchy = agreement_digits(half, (A, B), cap) if half[1] and B else 0
+    return monotone, cauchy, Fraction(*last_defined)  # reduced once

@@ -37,8 +37,8 @@ def decimal_digits_for_bits(bits: int) -> int:
 class PrecisionReal:
     """A binary floating value plus the mantissa width it carries.
 
-    The wrapped mpf is a dyadic rational, so :meth:`to_fraction` is exact;
-    comparisons and error accounting in this package go through it.
+    The wrapped mpf is a dyadic rational, so :meth:`to_fraction` is exact,
+    and :func:`matched_digits` compares two of them exactly.
     """
 
     value: mpmath.mpf
@@ -98,13 +98,15 @@ def real_reciprocal(x: PrecisionReal) -> PrecisionReal:
     return PrecisionReal(value, x.precision_bits)
 
 
-def agreement_digits(x: Fraction, y: Fraction, cap: int) -> int:
+def agreement_digits(x: tuple[int, int], y: tuple[int, int], cap: int) -> int:
     """Largest D in 0..cap with |x - y| <= 10^-D * max(1, |y|), exactly.
 
-    That is :func:`ratio_digits` of r = max(1, |y|) / |x - y|.
+    x = p/q and y = r/s are int pairs with q, s != 0, of any signs and not
+    necessarily reduced. That is :func:`ratio_digits` of
+    max(1, |y|) / |x - y| = max(|r|, |s|) |q| / |p s - r q|.
     """
-    top, gap = max(Fraction(1), abs(y)), abs(x - y)
-    return ratio_digits(top.numerator * gap.denominator, top.denominator * gap.numerator, cap)
+    (p, q), (r, s) = x, y
+    return ratio_digits(max(abs(r), abs(s)) * abs(q), abs(p * s - r * q), cap)
 
 
 def ratio_digits(num: int, den: int, cap: int) -> int:
@@ -135,4 +137,4 @@ def matched_digits(x: PrecisionReal, y: PrecisionReal, digits: int) -> int:
             f"comparing to {digits} digits needs {need} bits; "
             f"operands carry {x.precision_bits} and {y.precision_bits}"
         )
-    return agreement_digits(x.to_fraction(), y.to_fraction(), digits)
+    return agreement_digits(to_rational(x.value._mpf_), to_rational(y.value._mpf_), digits)

@@ -23,6 +23,7 @@ from .errors import NotConvergent, ZeroDenominatorConvergent, ZeroDenominatorFac
 from .factorize import Coupling
 from .numerics import (
     PrecisionReal,
+    agreement_digits,
     enclosure_to_real,
     ratio_digits,
     rational_to_real,
@@ -178,11 +179,10 @@ def sum_and_walk(certificate: RatioCertificate, digits: int, depth: int, cap: in
         bits = working_precision(digits)
         if found := _fixed_point_pass(coupling, *stop, bits, depth, cap):
             return (*found, None)
-    summed, monotone, (D_h, T_h), (D_N, T_N) = _exact_pass(coupling, depth, stop)
-    # agreement_digits(D_h/T_h, D_N/T_N, cap), cross-multiplied
-    cauchy = ratio_digits(max(abs(D_N), abs(T_N)) * abs(T_h), abs(D_h * T_N - D_N * T_h), cap)
+    summed, monotone, at_half, at_depth = _exact_pass(coupling, depth, stop)
+    cauchy = agreement_digits(at_half, at_depth, cap)
     if summed is None:
-        return None, None, monotone, cauchy, Fraction(D_N, T_N)
+        return None, None, monotone, cauchy, Fraction(*at_depth)
     terms, total = summed
     return rational_to_real(total, bits), terms, monotone, cauchy, None
 

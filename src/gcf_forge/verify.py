@@ -16,10 +16,9 @@ from fractions import Fraction
 
 from .expr import const_expr_to_text, eval_const_expr
 from .factorize import Coupling, find_couplings
-from .gcf import GcfProblem, check_coupling, structural_walk
+from .gcf import GcfProblem, check_boundary_selection, check_coupling, structural_walk
 from .numerics import (
     PrecisionReal,
-    agreement_digits,
     matched_digits,
     rational_to_real,
     real_reciprocal,
@@ -34,11 +33,6 @@ INCONCLUSIVE = "inconclusive"
 #: extra decimal digits carried internally so that agreement at the
 #: requested digit count is not starved by the summation's own budget
 DIGIT_MARGIN = 10
-
-
-def check_boundary_selection(problem: GcfProblem, coupling: Coupling) -> bool:
-    """True iff b0 = d(1) exactly, the rule that zeroes the numerator trace."""
-    return problem.b0 == coupling.d(1)
 
 
 @dataclass(frozen=True)
@@ -104,11 +98,8 @@ def verify_conjecture(
     convergent = certificate is not None and certificate.classification == CONVERGENT
 
     if coupling is None:
-        walk = structural_walk(problem, depth)
-        monotone, cauchy_digits, last = walk.monotone, 0, walk.last_defined
-        if walk.halfway is not None and walk.last is not None:
-            cauchy_digits = agreement_digits(walk.halfway, walk.last, digits)
         series_value = terms_used = None
+        monotone, cauchy_digits, last = structural_walk(problem, depth, digits)
     else:
         check_coupling(problem, coupling)  # the identities then hold at every depth
         series_value, terms_used, monotone, cauchy_digits, last = sum_and_walk(

@@ -530,7 +530,7 @@ class _ConstParser(_Parser):
         return self.node(Neg, value)
 
     def power(self, tok: _Token, base: ConstExpr, exponent: ConstExpr) -> ConstExpr:
-        folded = _fold_rational(exponent, tok.pos)
+        folded = _fold_rational(exponent, lambda: tok.pos)
         if folded is None or folded.denominator != 1:
             raise ExprSyntaxError("exponent must be an integer", tok.pos)
         _check_power((), 1, int(folded), tok.pos)

@@ -200,6 +200,21 @@ class TestVerify:
         rebuilt = report_from_dict(doc)
         assert report_to_dict(rebuilt) == doc
 
+    def test_couplings_failing_boundary_rule_are_printed(self, tmp_path, capsys):
+        # the flagship with b0 = 2: its one coupling has d(1) = 1, so none is eligible
+        path = write_problem(
+            tmp_path, "p.json", b0="2", a="-(2*n^4 - n^3)", b="3*n^2 + 3*n + 1", target="8/pi^2"
+        )
+        report = tmp_path / "report.json"
+        argv = ["verify", path, "--digits", "20", "--depth", "16", "--json", str(report)]
+        assert main(argv) == EXIT_INCONCLUSIVE
+        out = capsys.readouterr().out
+        assert "coupling: c = n^2; d = 2*n^2 - n\nboundary rule b0 = d(1): fails\n" in out
+        assert "none within" not in out
+        doc = json.loads(report.read_text())
+        assert doc["coupling"] is None and not doc["boundary_rule_holds"]
+        assert doc["other_couplings"] == [{"c": "n^2", "d": "2*n^2 - n"}]
+
     def test_target_off_in_twentieth_digit_refuted(self, tmp_path, capsys):
         path = write_problem(
             tmp_path,
@@ -369,3 +384,22 @@ def test_golden_verify(problems_dir, tmp_path, capsys, stem, golden, extra):
     assert err == ""
     assert report.read_text() == (GOLDEN / f"{golden}.verify.json").read_text()
     assert code == (EXIT_OK if stem == "eight_over_pi_squared" else EXIT_INCONCLUSIVE)
+
+
+UNCOUPLED = {"name": "uncoupled_decreasing", "b0": "2", "a": "-(n^2 + 2)", "b": "3*n + 1"}
+
+
+@pytest.mark.parametrize("depth", [16, 4000])
+def test_golden_verify_uncoupled(tmp_path, capsys, depth):
+    # no coupling, so the three-term walk alone gives the convergents; they fall
+    # strictly, and at depth 4000 the halfway one agrees with the last to 30 digits
+    path = tmp_path / "uncoupled_decreasing.json"
+    path.write_text(json.dumps(UNCOUPLED))
+    report = tmp_path / "report.json"
+    code = main(["verify", str(path), "--depth", str(depth), "--json", str(report)])
+    out, err = capsys.readouterr()
+    golden = f"uncoupled_decreasing.depth-{depth}.verify"
+    assert out == (GOLDEN / f"{golden}.txt").read_text() + f"report written to {report}\n"
+    assert err == ""
+    assert report.read_text() == (GOLDEN / f"{golden}.json").read_text()
+    assert code == EXIT_INCONCLUSIVE

@@ -33,6 +33,7 @@ from gcf_forge.expr import (
     Sqrt,
     Sub,
     _fold_rational,
+    _Parser,
 )
 from gcf_forge.numerics import matched_digits
 
@@ -281,7 +282,7 @@ def test_precedence_matches_python(case):
     except ZeroDivisionError:
         assume(False)
     assert parse_rational(text) == expected
-    assert _fold_rational(parse_const_expr(text), 0) == expected
+    assert _fold_rational(parse_const_expr(text), lambda: 0) == expected
 
 
 # --- nesting and size budgets -------------------------------------------------
@@ -334,7 +335,7 @@ class TestBudgets:
         assert parse_polynomial(f"(n+1)^{_MAX_DEGREE}").degree == _MAX_DEGREE
         assert parse_polynomial(f"n^{half} * n^{_MAX_DEGREE - half}").degree == _MAX_DEGREE
         assert parse_rational(f"2^{_MAX_POWER_BITS}") == 2**_MAX_POWER_BITS
-        folded = _fold_rational(parse_const_expr(f"(1/2)^{_MAX_POWER_BITS}"), 0)
+        folded = _fold_rational(parse_const_expr(f"(1/2)^{_MAX_POWER_BITS}"), lambda: 0)
         assert folded == Fraction(1, 2**_MAX_POWER_BITS)
         assert parse_rational(f"(-1)^{_MAX_EXPONENT}") == 1
         eval_const_expr(parse_const_expr(f"pi^-{_MAX_EXPONENT}"), 64)
@@ -406,6 +407,24 @@ def well_formed_texts():
         ),
         max_leaves=12,
     )
+
+
+def test_offsets_only_for_an_error(monkeypatch):
+    # a parse that succeeds finds no token offset, even through a power
+    calls = []
+    offset = _Parser.offset
+
+    def spy(self, index):
+        calls.append(index)
+        return offset(self, index)
+
+    monkeypatch.setattr(_Parser, "offset", spy)
+    parse_const_expr("8/pi^2")
+    assert calls == []
+    # folding 4^(2^16) breaks the power budget: the one offset found is the outer caret's
+    with pytest.raises(ExprSyntaxError, match="power too large") as info:
+        parse_const_expr("8/pi^(4^(2^16))")
+    assert (calls, info.value.position) == ([3], 4)
 
 
 @settings(max_examples=300, deadline=None)

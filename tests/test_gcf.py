@@ -15,7 +15,6 @@ from gcf_forge import (
     GcfProblem,
     InvalidProblem,
     Polynomial,
-    StructuralWalk,
     ZeroDenominatorConvergent,
     convergents,
     partial_sums,
@@ -26,9 +25,8 @@ from gcf_forge import (
 )
 from gcf_forge import series
 from gcf_forge.gcf import check_coupling
-from gcf_forge.numerics import agreement_digits
 
-from oracles import reference_convergents
+from oracles import agreement_digits_loop, reference_convergents
 
 N = Polynomial.variable()
 
@@ -39,11 +37,13 @@ def cross_products(rows: list[ConvergentTriple]) -> list[Fraction]:
     return [A * B_prev - A_prev * B for (A_prev, B_prev), (A, B) in zip(frames, frames[1:])]
 
 
-def reference_walk(rows: list[ConvergentTriple], coupling=None):
-    """Every StructuralWalk field at depth len(rows) - 1, from the convergent rows.
+def reference_walk(rows: list[ConvergentTriple], coupling=None, cap: int = 30):
+    """A walk's (monotone, cauchy digits, last) at depth len(rows) - 1, from the convergent rows.
 
-    With a coupling, the rows must also show what the walk takes from the
-    operator factorization, A_n = prod d(j) and x_n S_n = 1, at every index.
+    The cauchy digits compare x_h, h = (depth + 1) // 2, with x_depth (0 when either is
+    undefined), and last is the deepest defined x_n. With a coupling, the rows must also
+    show what the walk takes from the operator factorization, A_n = prod d(j) and
+    x_n S_n = 1, at every index.
     """
     depth = len(rows) - 1
     xs = [t.x for t in rows]
@@ -54,11 +54,11 @@ def reference_walk(rows: list[ConvergentTriple], coupling=None):
                 raise ZeroDenominatorConvergent(t.n)
             if t.A != p or t.x * s != 1:
                 raise AssertionError(f"the coupling does not collapse the rows at n = {t.n}")
-    return StructuralWalk(
-        monotone=None not in xs and all(p > q for p, q in zip(xs, xs[1:])),
-        halfway=xs[(depth + 1) // 2],
-        last=xs[-1],
-        last_defined=next(x for x in reversed(xs) if x is not None),
+    halfway, last = xs[(depth + 1) // 2], xs[-1]
+    return (
+        None not in xs and all(p > q for p, q in zip(xs, xs[1:])),
+        0 if None in (halfway, last) else agreement_digits_loop(halfway, last, cap),
+        next(x for x in reversed(xs) if x is not None),
     )
 
 
@@ -172,7 +172,7 @@ class TestCasoratian:
         w = cross_products(rows)
         for n in range(1, 31):
             assert rows[n - 1].x - rows[n].x == -w[n] / (rows[n - 1].B * rows[n].B) > 0
-        assert structural_walk(quartic_problem, 30).monotone
+        assert structural_walk(quartic_problem, 30, 30)[0]  # monotone
 
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -242,35 +242,33 @@ class TestStructuralWalk:
             summed = sum_to_precision(certificate, 10)  # the fixed-point pass, if it decides
         for depth in range(41):
             rows = table[: depth + 1]
-            assert structural_walk(problem, depth) == reference_walk(rows)
+            assert structural_walk(problem, depth, 30) == reference_walk(rows)
             if agree:
                 with pytest.raises(ValueError, match="does not give"):
                     exact_coupled_walk(problem, coupling, depth)
                 continue
             try:
-                expected = reference_walk(rows, coupling)
+                monotone, cauchy, last = reference_walk(rows, coupling)
             except ZeroDenominatorConvergent as err:
                 with pytest.raises(ZeroDenominatorConvergent) as got:
                     exact_coupled_walk(problem, coupling, depth)
                 assert got.value.index == err.index
                 continue
-            _, monotone, half, at_depth = series._exact_pass(coupling, depth)
-            assert (monotone, Fraction(*half), Fraction(*at_depth)) == (
-                expected.monotone, expected.halfway, expected.last
+            _, exact_monotone, half, at_depth = series._exact_pass(coupling, depth)
+            assert (exact_monotone, Fraction(*half), Fraction(*at_depth)) == (
+                monotone, rows[(depth + 1) // 2].x, last
             )
-            value, terms, monotone, cauchy, last = exact_coupled_walk(problem, coupling, depth)
-            assert monotone == expected.monotone
-            assert cauchy == agreement_digits(expected.halfway, expected.last, 30)
+            value, terms, *walk = exact_coupled_walk(problem, coupling, depth)
             if certificate.classification == "convergent":
-                assert ((value, terms), last) == (summed, None)
+                assert (value, terms, *walk) == (*summed, monotone, cauchy, None)
             else:
-                assert (value, terms, last) == (None, None, expected.last)
+                assert (value, terms, *walk) == (None, None, monotone, cauchy, last)
 
     def test_flagship_deep_pin(self, quartic_problem, quartic_coupling):
         sums = partial_sums(quartic_coupling, 1501)
         _, _, monotone, cauchy, _ = exact_coupled_walk(quartic_problem, quartic_coupling, 1500)
         assert monotone
-        assert cauchy == agreement_digits(1 / sums[750], 1 / sums[1500], 30)
+        assert cauchy == agreement_digits_loop(1 / sums[750], 1 / sums[1500], 30)
         _, _, _, (D, T) = series._exact_pass(quartic_coupling, 1500)
         assert Fraction(D, T) == 1 / sums[1500]
         report = verify_conjecture(quartic_problem, digits=10, depth=1500)
@@ -285,11 +283,10 @@ class TestStructuralWalk:
             b0=Fraction(1), a=Polynomial.constant(-1), b=Polynomial.constant(1)
         )
         rows = reference_convergents(problem, 11)
-        walk = structural_walk(problem, 11)
+        walk = structural_walk(problem, 11, 30)
         assert walk == reference_walk(rows)
-        assert walk.last is None
-        assert walk.last_defined == rows[10].x
-        assert not walk.monotone
+        assert rows[11].x is None  # so x_11 has no cauchy digits and x_10 is the last
+        assert walk == (False, 0, rows[10].x)
         report = verify_conjecture(problem, digits=10, depth=11)
         assert report.coupling is None
         assert report.exact_identity_depth is None and report.numerator_product_depth is None
@@ -320,4 +317,4 @@ class TestStructuralWalk:
 
     def test_negative_depth_rejected(self, quartic_problem):
         with pytest.raises(ValueError):
-            structural_walk(quartic_problem, -1)
+            structural_walk(quartic_problem, -1, 30)

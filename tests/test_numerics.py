@@ -131,16 +131,20 @@ class TestAgreementDigits:
         ),
         relative=st.booleans(),
         cap=st.integers(-2, 45),
+        scales=st.tuples(*[st.integers(-99, 99).filter(bool)] * 2),
     )
-    def test_matches_digit_loop(self, y, gap, relative, cap):
-        # a relative gap times max(1, |y|) lands exactly on the 10^-D boundaries
+    def test_matches_digit_loop(self, y, gap, relative, cap, scales):
+        # a relative gap times max(1, |y|) lands exactly on the 10^-D boundaries;
+        # each pair is scaled by a nonzero int, so it is unreduced and its
+        # denominator may be negative
         x = y + gap * max(1, abs(y)) if relative else y + gap
-        assert agreement_digits(x, y, cap) == agreement_digits_loop(x, y, cap)
+        pairs = [(k * v.numerator, k * v.denominator) for k, v in zip(scales, (x, y))]
+        assert agreement_digits(*pairs, cap) == agreement_digits_loop(x, y, cap)
 
     def test_deep_agreement_beyond_decimal_text_limit(self):
         # 10^-5000 apart: more digits than int's default decimal-text limit
-        y = Fraction(1, 3)
-        assert agreement_digits(y + Fraction(1, 10**5000), y, 6000) == 5000
+        x = Fraction(1, 3) + Fraction(1, 10**5000)
+        assert agreement_digits((x.numerator, x.denominator), (1, 3), 6000) == 5000
 
 
 def test_working_precision_policy():

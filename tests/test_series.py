@@ -328,7 +328,7 @@ class TestCauchyDigits:
         # x = 1/S: S_h = 3/2 and S_N = 3/2 + 2^-40 to within 2^-100
         F, s_h = 100, 3 << 99
         s_N = s_h + (1 << 60)
-        x_h, x_N = Fraction(1 << F, s_h), Fraction(1 << F, s_N)
+        x_h, x_N = (1 << F, s_h), (1 << F, s_N)
         assert series._cauchy_digits((s_h, 1), (s_N, 2), F, 30) == agreement_digits(x_h, x_N, 30)
 
 

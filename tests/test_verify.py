@@ -22,10 +22,15 @@ from gcf_forge import (
     verify_conjecture,
 )
 from gcf_forge import factorize, gcf, poly, series, verify
-from gcf_forge.numerics import agreement_digits
 from gcf_forge.verify import INCONCLUSIVE, REFUTED_AT_DEPTH, VERIFIED
 
-from oracles import close_to, eight_over_pi_squared, reference_convergents, terms
+from oracles import (
+    agreement_digits_loop,
+    close_to,
+    eight_over_pi_squared,
+    reference_convergents,
+    terms,
+)
 from test_gcf import exact_coupled_walk
 from test_series import convergent_couplings
 
@@ -370,5 +375,5 @@ def test_pass_matches_exact_walk(coupling, depth, digits):
         xs = [row.x for row in reference_convergents(problem, depth)]
         monotone = None not in xs and all(x > y for x, y in zip(xs, xs[1:]))
         halfway, last = xs[(depth + 1) // 2], xs[depth]
-        cauchy = 0 if None in (halfway, last) else agreement_digits(halfway, last, digits)
+        cauchy = 0 if None in (halfway, last) else agreement_digits_loop(halfway, last, digits)
         assert (report.monotone_convergents, report.cauchy_digits) == (monotone, cauchy)
