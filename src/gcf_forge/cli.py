@@ -98,8 +98,6 @@ def _to_json(value):
         return {"decimal": value.to_decimal(), "precision_bits": value.precision_bits}
     if isinstance(value, Coupling):
         return {"c": value.c.to_text(), "d": value.d.to_text()}
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, tuple):
         return [_to_json(item) for item in value]
     if isinstance(value, dict):
@@ -107,18 +105,24 @@ def _to_json(value):
     return value
 
 
+def _rho_text(rho: Fraction | None) -> str:
+    """A classified series' limit ratio; None is an infinite limit."""
+    return "infinite" if rho is None else str(rho)
+
+
 def report_to_dict(report: VerificationReport) -> dict:
     doc = {f.name: _to_json(getattr(report, f.name)) for f in fields(report)}
-    if report.rho is None and report.classification is not None:
-        doc["rho"] = "infinite"  # a classified series with no finite limit ratio
+    if report.classification is not None:  # else no series, and rho is None
+        doc["rho"] = _rho_text(report.rho)
     return doc
 
 
 # --- commands -----------------------------------------------------------------
 
 
-def _preview(q: Fraction, digits: int = 12) -> str:
-    return rational_to_real(q, max(64, digits * 4)).to_decimal(digits)
+def _preview(q: Fraction) -> str:
+    """A table entry: q rounded to 64 bits, shown to 12 digits."""
+    return rational_to_real((q.numerator, q.denominator), 64).to_decimal(12)
 
 
 def cmd_eval(args) -> int:
@@ -160,11 +164,10 @@ def cmd_series(args) -> int:
     coupling = couplings[0]
     sums = partial_sums(coupling, args.count)  # refuses a negative count before any output
     certificate = ratio_certificate(coupling)
-    rho = "infinite" if certificate.rho is None else str(certificate.rho)
     print(f"coupling: {coupling}")
     print(
         f"ratio: ({certificate.numerator.to_text()}) / ({certificate.denominator.to_text()})"
-        f"   rho = {rho}   [{certificate.classification}]"
+        f"   rho = {_rho_text(certificate.rho)}   [{certificate.classification}]"
     )
     print(f"{'k':>5}  {'t_k':>24}  S_k")
     for k, s in enumerate(sums):
@@ -215,8 +218,7 @@ def _print_report(report: VerificationReport) -> None:
             f"numerator product {report.numerator_product_depth}/{report.depth}, "
             f"casoratian {report.casoratian_depth}/{report.depth}"
         )
-        rho = "infinite" if report.rho is None else str(report.rho)
-        print(f"rho = {rho}   [{report.classification}]")
+        print(f"rho = {_rho_text(report.rho)}   [{report.classification}]")
     # previews show matched digits plus a small margin, not full precision
     shown = (report.digits_matched or report.digits_requested) + 5
     if report.series_value is not None:

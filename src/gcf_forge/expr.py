@@ -27,7 +27,7 @@ from .errors import (
     NonPolynomial,
     UnknownSymbol,
 )
-from .numerics import PrecisionReal, _mpf_from_fraction
+from .numerics import PrecisionReal, _round_ratio
 from .poly import Polynomial, _power, _product, _reduced
 
 
@@ -370,7 +370,7 @@ def eval_const_expr(expr: ConstExpr, precision_bits: int) -> PrecisionReal:
 
 def _eval_node(expr: ConstExpr):
     if isinstance(expr, Num):
-        return _mpf_from_fraction(expr.value)
+        return _round_ratio(expr.value.numerator, expr.value.denominator)
     if isinstance(expr, Pi):
         return +mpmath.mp.pi
     if isinstance(expr, Neg):

@@ -119,14 +119,16 @@ def check_coupling(problem: GcfProblem, coupling: Coupling) -> None:
         raise ValueError(f"coupling {coupling} does not give c + d(n+1) = b, c d = -a")
 
 
-def structural_walk(problem: GcfProblem, depth: int, cap: int) -> tuple[bool, int, Fraction]:
+def structural_walk(
+    problem: GcfProblem, depth: int, cap: int
+) -> tuple[bool, int, tuple[int, int]]:
     """Walk an uncoupled problem's recurrence once, in ints, for the convergents it reports.
 
     Returns (monotone, cauchy digits, last): whether x_0 > x_1 > ... > x_depth, all defined;
     agreement_digits(x_h, x_depth, cap) with h = (depth + 1) // 2, or 0 when either is
-    undefined; and x_n at the largest n <= depth with B_n != 0. It steps :func:`_frames`.
-    W_n = A_n B_{n-1} - A_{n-1} B_n obeys W_0 = -1 and W_n = -a(n) W_{n-1}, so its sign is
-    a parity bit, and x_{n-1} > x_n iff W_n B_{n-1} B_n < 0.
+    undefined; and x_n as the unreduced pair (A'_n, B'_n) at the largest n <= depth with
+    B_n != 0. It steps :func:`_frames`. W_n = A_n B_{n-1} - A_{n-1} B_n obeys W_0 = -1 and
+    W_n = -a(n) W_{n-1}, so its sign is a parity bit, and x_{n-1} > x_n iff W_n B_{n-1} B_n < 0.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -148,4 +150,4 @@ def structural_walk(problem: GcfProblem, depth: int, cap: int) -> tuple[bool, in
             half = (A, B)
 
     cauchy = agreement_digits(half, (A, B), cap) if half[1] and B else 0
-    return monotone, cauchy, Fraction(*last_defined)  # reduced once
+    return monotone, cauchy, last_defined

@@ -1,17 +1,17 @@
 """Exact and arbitrary-precision number support shared by every stage.
 
-Integers are plain Python ints (unbounded), exact rationals are
-``fractions.Fraction`` (always reduced, positive denominator), and
-approximate reals are mpmath binary floats tagged with the mantissa
-width they were computed at; :func:`working_precision` sets that width
-from the requested digit count and nothing else.
+Integers are plain Python ints (unbounded). An exact rational enters as
+an int pair (p, q) with q != 0, of any signs and not necessarily reduced,
+so no walk reduces its last frame. Approximate reals are mpmath binary
+floats tagged with the mantissa width they were computed at;
+:func:`working_precision` sets that width from the requested digit count
+and nothing else.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 from mpmath.libmp import from_rational, round_nearest, to_rational
@@ -37,17 +37,12 @@ def decimal_digits_for_bits(bits: int) -> int:
 class PrecisionReal:
     """A binary floating value plus the mantissa width it carries.
 
-    The wrapped mpf is a dyadic rational, so :meth:`to_fraction` is exact,
-    and :func:`matched_digits` compares two of them exactly.
+    The wrapped mpf is a dyadic rational, so :func:`matched_digits` compares
+    two of them exactly.
     """
 
     value: mpmath.mpf
     precision_bits: int
-
-    def to_fraction(self) -> Fraction:
-        """Exact value of the underlying binary float."""
-        p, q = to_rational(self.value._mpf_)
-        return Fraction(int(p), int(q))
 
     def to_decimal(self, digits: int | None = None) -> str:
         """Decimal text; defaults to enough digits to round-trip exactly."""
@@ -59,23 +54,20 @@ class PrecisionReal:
         return self.to_decimal()
 
 
-def _mpf_from_fraction(q: Fraction) -> mpmath.mpf:
-    # correctly rounded at the *current* mpmath working precision
-    return mpmath.mpf(
-        from_rational(q.numerator, q.denominator, mpmath.mp.prec, round_nearest)
-    )
+def _round_ratio(p: int, q: int) -> mpmath.mpf:
+    # p/q (q != 0, any signs, unreduced) correctly rounded at the *current* mpmath precision
+    return mpmath.mpf(from_rational(p, q, mpmath.mp.prec, round_nearest))
 
 
-def rational_to_real(q: Fraction | int, precision_bits: int) -> PrecisionReal:
-    """Round an exact rational to a binary float of `precision_bits` bits.
+def rational_to_real(x: tuple[int, int], precision_bits: int) -> PrecisionReal:
+    """Round x = p/q, an int pair as in :func:`agreement_digits`, to `precision_bits` bits.
 
-    Single correct rounding: |result - q| <= 2^(1-precision_bits) * |q|.
+    Single correct rounding, ties to even: |result - x| <= 2^(1-precision_bits) * |x|.
     """
     if precision_bits < 8:
         raise ValueError("precision_bits must be at least 8")
-    q = Fraction(q)
     with mpmath.mp.workprec(precision_bits):
-        value = _mpf_from_fraction(q)
+        value = _round_ratio(*x)
     return PrecisionReal(value, precision_bits)
 
 

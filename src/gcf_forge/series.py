@@ -168,10 +168,11 @@ def sum_and_walk(certificate: RatioCertificate, digits: int, depth: int, cap: in
     Returns (value, terms, monotone, cauchy digits, last): whether x_0 > x_1 > ... > x_depth,
     and agreement_digits(x_h, x_depth, cap) with h = (depth + 1) // 2. A convergent
     certificate gives (value, terms) = sum_to_precision(certificate, digits) and last = None;
-    any other gives value = terms = None and last = x_depth. The coupling passed
-    :func:`~gcf_forge.gcf.check_coupling` for a problem, so x_n = 1/S_n and c(n) != 0 for
-    n >= 1 (a(n) = -c(n) d(n) != 0). :func:`_exact_pass` walks whenever
-    :func:`_fixed_point_pass` cannot decide, so the result is the same either way.
+    any other gives value = terms = None and last = x_depth as the unreduced int pair
+    (D_depth, T_depth). The coupling passed :func:`~gcf_forge.gcf.check_coupling` for a
+    problem, so x_n = 1/S_n and c(n) != 0 for n >= 1 (a(n) = -c(n) d(n) != 0).
+    :func:`_exact_pass` walks whenever :func:`_fixed_point_pass` cannot decide, so the
+    result is the same either way.
     """
     coupling, stop = certificate.coupling, None
     if certificate.classification == CONVERGENT:
@@ -182,7 +183,7 @@ def sum_and_walk(certificate: RatioCertificate, digits: int, depth: int, cap: in
     summed, monotone, at_half, at_depth = _exact_pass(coupling, depth, stop)
     cauchy = agreement_digits(at_half, at_depth, cap)
     if summed is None:
-        return None, None, monotone, cauchy, Fraction(*at_depth)
+        return None, None, monotone, cauchy, at_depth
     terms, total = summed
     return rational_to_real(total, bits), terms, monotone, cauchy, None
 
@@ -256,10 +257,11 @@ def _exact_pass(coupling: Coupling, depth: int, stop: tuple[int, int, int] | Non
     """Step :func:`cascade` once, to max(depth, the stop), for the walk and the exact sum.
 
     stop = (onset, budget, q) from :func:`_stop_rule` ends the sum at the first k >= onset with
-    budget |C_k| <= q |D_k|. Returns ((k + 1, S_k) at the stop or None without one, monotone,
-    (D_h, T_h), (D_N, T_N)) with h = (depth + 1) // 2 and N = depth. x_n = D_n/T_n, so T_n = 0
-    raises ZeroDenominatorConvergent(n) for n <= depth, and x_{n-1} > x_n iff t_n = C_n/D_n
-    and S_{n-1} S_n share a sign: x_{n-1} - x_n = t_n / (S_{n-1} S_n), S_n = T_n/D_n.
+    budget |C_k| <= q |D_k|. Returns ((k + 1, (T_k, D_k)) at the stop or None without one,
+    monotone, (D_h, T_h), (D_N, T_N)) with h = (depth + 1) // 2 and N = depth, all unreduced.
+    x_n = D_n/T_n, so T_n = 0 raises ZeroDenominatorConvergent(n) for n <= depth, and
+    x_{n-1} > x_n iff t_n = C_n/D_n and S_{n-1} S_n share a sign:
+    x_{n-1} - x_n = t_n / (S_{n-1} S_n), S_n = T_n/D_n.
     """
     onset, budget, q = stop or (math.inf, 0, 0)
     summed, monotone, negative, half = None, True, False, (depth + 1) // 2
@@ -280,6 +282,6 @@ def _exact_pass(coupling: Coupling, depth: int, stop: tuple[int, int, int] | Non
             # bits, so bit lengths rule the stop out without forming the large products
             near = budget.bit_length() + C.bit_length() <= q.bit_length() + D.bit_length() + 1
             if (near or C == 0) and budget * abs(C) <= q * abs(D):
-                summed = k + 1, Fraction(T, D)
+                summed = k + 1, (T, D)
         if k >= depth and (summed is not None or stop is None):
             return summed, monotone, at_half, at_depth

@@ -7,8 +7,8 @@ module loads without it. Nothing above the last two sections imports the
 package or mpmath, so those references cannot share a failure mode with the
 code under test. The next-to-last section keeps the package's previous
 parser, coupling search and Fraction convergent loop verbatim, as references
-for parity tests. The last one decodes a JSON report back into a
-VerificationReport for the round-trip tests.
+for parity tests. The last one reads the exact value of a binary float and
+decodes a JSON report back into a VerificationReport for the round-trip tests.
 """
 
 from fractions import Fraction
@@ -176,6 +176,31 @@ def agreement_digits_loop(x: Fraction, y: Fraction, cap: int) -> int:
     while digits < cap and gap * 10 ** (digits + 1) <= scale:
         digits += 1
     return digits
+
+
+def round_to_bits(p: int, q: int, bits: int) -> Fraction:
+    """p/q (q != 0) rounded to the nearest float with a `bits`-bit mantissa, ties to even.
+
+    The mantissa is m = |p/q| 2^-e rounded to an int, for the e with 2^(bits-1) <= m < 2^bits.
+    """
+    if q < 0:
+        p, q = -p, -q
+    if p == 0:
+        return Fraction(0)
+    sign, p = (-1 if p < 0 else 1), abs(p)
+
+    def scaled(e):  # |p/q| 2^-e as an int pair
+        return (p, q << e) if e >= 0 else (p << -e, q)
+
+    e = p.bit_length() - q.bit_length() - bits  # 2^(bits-1) < |p/q| 2^-e < 2^(bits+1)
+    num, den = scaled(e)
+    if num >= den << bits:
+        e += 1
+        num, den = scaled(e)
+    mantissa, rest = divmod(num, den)
+    if 2 * rest > den or (2 * rest == den and mantissa & 1):
+        mantissa += 1
+    return sign * mantissa * Fraction(2) ** e
 
 
 # --- polynomials as lists of Fraction coefficients, lowest degree first -------
@@ -650,17 +675,24 @@ def reference_convergents(
     return out
 
 
-# --- the JSON report decoder, kept for round-trip tests ----------------------
+# --- binary floats read exactly, and the JSON report decoder -----------------
 #
 # The program writes reports (cli.report_to_dict) and never reads them back;
 # these decode one into a VerificationReport, so tests can check that the
 # document loses nothing.
 
 import mpmath
+from mpmath.libmp import to_rational
 
 from gcf_forge.expr import parse_polynomial
 from gcf_forge.numerics import PrecisionReal
 from gcf_forge.verify import VerificationReport
+
+
+def exact_value(x: PrecisionReal) -> Fraction:
+    """The exact value of a binary float, a dyadic rational."""
+    p, q = to_rational(x.value._mpf_)
+    return Fraction(int(p), int(q))
 
 
 def real_from_decimal(text: str, precision_bits: int) -> PrecisionReal:

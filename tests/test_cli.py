@@ -387,19 +387,33 @@ def test_golden_verify(problems_dir, tmp_path, capsys, stem, golden, extra):
 
 
 UNCOUPLED = {"name": "uncoupled_decreasing", "b0": "2", "a": "-(n^2 + 2)", "b": "3*n + 1"}
+# c = 2n^2, d = 2n^2 - n: a coupling whose series has rho = 1, so no sum stops
+# the exact cascade that reads the convergents
+RHO_ONE = {"name": "rho_one_coupled", "b0": "1", "a": "-2*n^2*(2*n^2 - n)", "b": "4*n^2 + 3*n + 1"}
+
+
+def _check_inconclusive_golden(tmp_path, capsys, doc, depth):
+    # no sum to compare, so the deepest convergent is the reported value
+    path = tmp_path / f"{doc['name']}.json"
+    path.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    code = main(["verify", str(path), "--depth", str(depth), "--json", str(report)])
+    out, err = capsys.readouterr()
+    golden = f"{doc['name']}.depth-{depth}.verify"
+    assert out == (GOLDEN / f"{golden}.txt").read_text() + f"report written to {report}\n"
+    assert err == ""
+    assert report.read_text() == (GOLDEN / f"{golden}.json").read_text()
+    assert code == EXIT_INCONCLUSIVE
 
 
 @pytest.mark.parametrize("depth", [16, 4000])
 def test_golden_verify_uncoupled(tmp_path, capsys, depth):
     # no coupling, so the three-term walk alone gives the convergents; they fall
     # strictly, and at depth 4000 the halfway one agrees with the last to 30 digits
-    path = tmp_path / "uncoupled_decreasing.json"
-    path.write_text(json.dumps(UNCOUPLED))
-    report = tmp_path / "report.json"
-    code = main(["verify", str(path), "--depth", str(depth), "--json", str(report)])
-    out, err = capsys.readouterr()
-    golden = f"uncoupled_decreasing.depth-{depth}.verify"
-    assert out == (GOLDEN / f"{golden}.txt").read_text() + f"report written to {report}\n"
-    assert err == ""
-    assert report.read_text() == (GOLDEN / f"{golden}.json").read_text()
-    assert code == EXIT_INCONCLUSIVE
+    _check_inconclusive_golden(tmp_path, capsys, UNCOUPLED, depth)
+
+
+@pytest.mark.parametrize("depth", [16, 4000])
+def test_golden_verify_rho_one(tmp_path, capsys, depth):
+    # the only walk no bundled problem takes: the exact cascade without a stop
+    _check_inconclusive_golden(tmp_path, capsys, RHO_ONE, depth)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gcf_forge import InsufficientPrecision, rational_to_real, working_precision
@@ -15,8 +15,10 @@ from gcf_forge.numerics import (
 from oracles import (
     agreement_digits_loop,
     eight_over_pi_squared,
+    exact_value,
     fraction_decimal,
     real_from_decimal,
+    round_to_bits,
 )
 
 
@@ -30,49 +32,86 @@ rationals = st.fractions(
 )
 
 
+def real(q: Fraction, bits: int):
+    """rational_to_real of a Fraction, as its reduced int pair."""
+    return rational_to_real(q.as_integer_ratio(), bits)
+
+
+nonzero = st.integers(-(2**64), 2**64).filter(bool)
+
+
 class TestRationalToReal:
     def test_dyadic_is_exact(self):
-        v = rational_to_real(Fraction(1, 2), 64)
-        assert v.to_fraction() == Fraction(1, 2)
+        v = rational_to_real((1, 2), 64)
+        assert exact_value(v) == Fraction(1, 2)
         assert v.precision_bits == 64
 
     def test_six_sevenths_within_bound(self):
         q = Fraction(6, 7)
-        v = rational_to_real(q, 64)
-        assert abs(v.to_fraction() - q) <= Fraction(1, 2**63) * q
+        v = real(q, 64)
+        assert abs(exact_value(v) - q) <= Fraction(1, 2**63) * q
         # long-division oracle for the decimal expansion
         assert v.to_decimal(18).startswith(fraction_decimal(q, 12))
 
     def test_zero(self):
-        assert rational_to_real(Fraction(0), 64).to_fraction() == 0
+        assert exact_value(rational_to_real((0, -5), 64)) == 0
 
     def test_rejects_tiny_precision(self):
         with pytest.raises(ValueError):
-            rational_to_real(Fraction(1, 3), 7)
+            rational_to_real((1, 3), 7)
 
     @given(q=rationals, bits=st.integers(min_value=8, max_value=128))
     def test_relative_error_bound(self, q, bits):
-        v = rational_to_real(q, bits)
-        assert abs(v.to_fraction() - q) <= Fraction(1, 2 ** (bits - 1)) * abs(q)
+        v = real(q, bits)
+        assert abs(exact_value(v) - q) <= Fraction(1, 2 ** (bits - 1)) * abs(q)
 
     @given(x=rationals, y=rationals, bits=st.integers(min_value=16, max_value=96))
     def test_subtraction_consistent_with_exact(self, x, y, bits):
-        xr = rational_to_real(x, bits).to_fraction()
-        yr = rational_to_real(y, bits).to_fraction()
+        xr = exact_value(real(x, bits))
+        yr = exact_value(real(y, bits))
         combined = Fraction(1, 2 ** (bits - 1)) * (abs(x) + abs(y))
         assert abs((xr - yr) - (x - y)) <= combined
 
     @given(q=rationals, bits=st.integers(min_value=8, max_value=200))
     def test_decimal_round_trip_is_exact(self, q, bits):
-        v = rational_to_real(q, bits)
+        v = real(q, bits)
         again = real_from_decimal(v.to_decimal(), bits)
-        assert again.to_fraction() == v.to_fraction()
+        assert exact_value(again) == exact_value(v)
+
+    @given(
+        p=st.integers(-(2**400), 2**400),
+        q=st.integers(-(2**400), 2**400).filter(bool),
+        k=nonzero,
+        bits=st.integers(min_value=8, max_value=300),
+    )
+    def test_unreduced_pair_rounds_once(self, p, q, k, bits):
+        # any nonzero multiple of (p, q), negative denominators included,
+        # rounds to what exact round-to-nearest-even gives for p/q
+        assert exact_value(rational_to_real((k * p, k * q), bits)) == round_to_bits(p, q, bits)
+
+    @given(
+        bits=st.integers(min_value=8, max_value=300),
+        low=st.integers(0, 2**300),
+        exponent=st.integers(-300, 300),
+        k=nonzero,
+    )
+    @example(bits=8, low=0, exponent=-7, k=1)  # 257/256, halfway between 1 and 1 + 2^-7
+    @example(bits=8, low=1, exponent=-7, k=-3)  # -777/-768 = 259/256 goes up to 130/128
+    def test_planted_ties_go_to_even(self, bits, low, exponent, k):
+        # (2m + 1) 2^(e-1), m of exactly `bits` bits, lies halfway between two floats
+        odd = 2 * ((1 << (bits - 1)) + low % (1 << (bits - 1))) + 1
+        p, q = odd << max(exponent - 1, 0), 1 << max(1 - exponent, 0)
+        rounded = round_to_bits(p, q, bits)
+        mantissa = rounded / Fraction(2) ** exponent
+        assert mantissa.denominator == 1 and mantissa.numerator % 2 == 0
+        assert abs(rounded - Fraction(p, q)) == Fraction(2) ** (exponent - 1)
+        assert exact_value(rational_to_real((k * p, k * q), bits)) == rounded
 
 
 class TestEnclosureToReal:
     def test_straddled_midpoint_is_undecided(self):
         # 257/256 lies halfway between the 8-bit floats 1 and 1 + 1/128
-        assert enclosure_to_real(257, 257, 8, 8) == rational_to_real(Fraction(257, 256), 8)
+        assert enclosure_to_real(257, 257, 8, 8) == rational_to_real((257, 256), 8)
         assert enclosure_to_real(256, 258, 8, 8) is None
 
     @given(
@@ -87,17 +126,17 @@ class TestEnclosureToReal:
             assert value is not None
         if value is not None:
             for end in (middle - radius, middle, middle + radius):
-                assert value == rational_to_real(Fraction(end, 2**shift), bits)
+                assert value == rational_to_real((end, 2**shift), bits)
 
 
 class TestAgreeToDigits:
     def test_against_pi_reference(self):
         lhs = real_from_decimal("0.8105694691", 80)
-        rhs = rational_to_real(eight_over_pi_squared(40), 80)
+        rhs = real(eight_over_pi_squared(40), 80)
         assert agree_to_digits(lhs, rhs, 9)
 
     def test_reflexive(self):
-        x = rational_to_real(Fraction(355, 113), 64)
+        x = rational_to_real((355, 113), 64)
         assert agree_to_digits(x, x, 15)
 
     def test_gap_beyond_tolerance(self):
@@ -106,18 +145,18 @@ class TestAgreeToDigits:
         assert not agree_to_digits(x, y, 2)
 
     def test_insufficient_precision(self):
-        x = rational_to_real(Fraction(1, 3), 32)
-        y = rational_to_real(Fraction(1, 3), 80)
+        x = rational_to_real((1, 3), 32)
+        y = rational_to_real((1, 3), 80)
         with pytest.raises(InsufficientPrecision):
             agree_to_digits(x, y, 15)  # 15 digits need 50 bits, x has 32
 
     def test_information_bound_is_the_cutoff(self):
         # 70 digits need 233 bits; 256-bit operands are enough
-        x = rational_to_real(Fraction(1, 3), 256)
+        x = rational_to_real((1, 3), 256)
         assert agree_to_digits(x, x, 70)
 
     def test_rejects_nonpositive_digits(self):
-        x = rational_to_real(Fraction(1), 64)
+        x = rational_to_real((1, 1), 64)
         with pytest.raises(ValueError):
             agree_to_digits(x, x, 0)
 
@@ -152,7 +191,7 @@ def test_working_precision_policy():
 
 
 def test_reciprocal_round_trips():
-    x = rational_to_real(Fraction(8, 11), 128)
+    x = rational_to_real((8, 11), 128)
     inv = real_reciprocal(x)
-    product = x.to_fraction() * inv.to_fraction()
+    product = exact_value(x) * exact_value(inv)
     assert abs(product - 1) <= Fraction(1, 2**126)

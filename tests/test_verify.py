@@ -28,6 +28,7 @@ from oracles import (
     agreement_digits_loop,
     close_to,
     eight_over_pi_squared,
+    exact_value,
     reference_convergents,
     terms,
 )
@@ -185,7 +186,7 @@ class TestPincherleEvidence:
         assert report.series_value is None
         assert report.verdict == INCONCLUSIVE
         x_depth = reference_convergents(problem, 16)[-1].x
-        assert close_to(report.gcf_value.to_fraction(), x_depth, 30)
+        assert close_to(exact_value(report.gcf_value), x_depth, 30)
 
 
 class TestVerifyConjecture:
@@ -234,19 +235,19 @@ class TestVerifyConjecture:
         assert report.digits_matched is None
         assert report.series_value is not None
         assert close_to(
-            report.gcf_value.to_fraction(), eight_over_pi_squared(30), 20
+            exact_value(report.gcf_value), eight_over_pi_squared(30), 20
         )
 
     def test_reciprocal_invariant(self, quartic_problem):
         report = verify_conjecture(quartic_problem, digits=20, depth=32)
-        product = report.gcf_value.to_fraction() * report.series_value.to_fraction()
+        product = exact_value(report.gcf_value) * exact_value(report.series_value)
         assert abs(product - 1) <= Fraction(1, 2**100)
 
     def test_gcf_value_tracks_last_convergent(self, quartic_problem):
         depth = 64
         report = verify_conjecture(quartic_problem, digits=25, depth=depth)
         x_depth = reference_convergents(quartic_problem, depth)[-1].x
-        gap = abs(report.gcf_value.to_fraction() - x_depth)
+        gap = abs(exact_value(report.gcf_value) - x_depth)
         tolerance = Fraction(1, 10**report.cauchy_digits) * max(1, abs(x_depth))
         assert gap <= tolerance
 
@@ -272,6 +273,28 @@ class TestVerifyConjecture:
         monkeypatch.setattr(series, "working_precision", lambda digits: 8)
         verify_conjecture(quartic_problem, digits=10, depth=32)
         assert counts(calls) == (0, 1, 1)
+
+    def test_last_frame_is_never_reduced(self, monkeypatch):
+        # with no sum, the deepest convergent is the reported value: at depth
+        # 4000 its frame has tens of thousands of bits, and it reaches the
+        # rounding as an unreduced int pair, not as a Fraction built from it
+        built = []
+        new = Fraction.__new__
+
+        def spy(cls, numerator=0, denominator=None, **kwargs):
+            built.extend(
+                x.bit_length() for x in (numerator, denominator)
+                if isinstance(x, int) and x.bit_length() > 10_000
+            )
+            return new(cls, numerator, denominator, **kwargs)
+
+        uncoupled = GcfProblem(b0=Fraction(2), a=-(N**2 + 2), b=3 * N + 1)
+        rho_one = GcfProblem(b0=Fraction(1), a=-2 * N**2 * (2 * N**2 - N), b=4 * N**2 + 3 * N + 1)
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(spy))
+        for problem in (uncoupled, rho_one):
+            report = verify_conjecture(problem, digits=30, depth=4000)
+            assert report.series_value is None and report.gcf_value is not None
+        assert built == []
 
     def test_one_factorization_per_call(self, quartic_a, quartic_b, monkeypatch):
         # building the problem factors -a; the coupling search reads that result
