@@ -6,10 +6,10 @@ A coupling must satisfy, as polynomial identities,
 
 which turns the second-order recurrence into a first-order cascade. The
 search factors -a over its rational roots and takes every monic divisor Q
-of -a built from those factors (and an indivisible residual, if any) as the
-monic part of d. With d = v*Q, the sum identity fixes c = b - v*Q(n+1), so
-the one unknown left is the scalar v: a root of a monic quadratic, checked
-against the whole product identity.
+of -a built from those factors (and an indivisible residual, if any), of a
+degree that deg a and deg b allow, as the monic part of d. With d = v*Q, the
+sum identity fixes c = b - v*Q(n+1), so the one unknown left is the scalar v:
+a root of a monic quadratic, checked against the whole product identity.
 """
 
 from __future__ import annotations
@@ -90,9 +90,16 @@ def find_couplings(
     if factored.residual is not None:
         items.append((factored.residual, 1))
     divisors = _divisors(items)
+    # deg d = deg Q and deg c = deg a - deg Q. b = c + d(n+1) has the larger of the two degrees
+    # unless they tie and the leading terms cancel, so deg Q is deg b or deg a - deg b when
+    # 2 deg b >= deg a, else deg a / 2 (b = 0 has degree -1)
+    A, B = a.degree, b.degree
+    degrees = {B, A - B} if 2 * B >= A else {A // 2} if A % 2 == 0 else ()
     e = b.denominator
     found: list[Coupling] = []
     for (Q, Q_den), (R, R_den) in zip(divisors, reversed(divisors)):
+        if len(Q) - 1 not in degrees:
+            continue
         for v in _scales(b, kappa, R, R_den, len(Q) - 1):
             # c = b - v Q(n+1) is C over e vd Q_den; v c == kappa R, cross-multiplied
             vn, vd = v.numerator, v.denominator

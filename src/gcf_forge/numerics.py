@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import mpmath
-from mpmath.libmp import from_rational, round_nearest, to_rational
+from mpmath.libmp import from_rational, mpf_shift, round_nearest, to_rational
 
 from .errors import DivisionByZero, InsufficientPrecision
 
@@ -55,8 +55,11 @@ class PrecisionReal:
 
 
 def _round_ratio(p: int, q: int) -> mpmath.mpf:
-    # p/q (q != 0, any signs, unreduced) correctly rounded at the *current* mpmath precision
-    return mpmath.mpf(from_rational(p, q, mpmath.mp.prec, round_nearest))
+    # p/q (q != 0, any signs, unreduced) correctly rounded at the *current* mpmath precision;
+    # trailing zero bits move into an exact shift, as mpmath on ints strips them bytewise
+    zp, zq = ((n & -n).bit_length() - 1 if n else 0 for n in (p, q))
+    odd = from_rational(p >> zp, q >> zq, mpmath.mp.prec, round_nearest)
+    return mpmath.mpf(mpf_shift(odd, zp - zq))
 
 
 def rational_to_real(x: tuple[int, int], precision_bits: int) -> PrecisionReal:

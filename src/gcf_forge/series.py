@@ -134,16 +134,18 @@ def _geometric_onset(certificate: RatioCertificate, rho_bar: Fraction) -> int:
     return K
 
 
-def _stop_rule(certificate: RatioCertificate, digits: int) -> tuple[int, int, int]:
-    """(onset, budget, q): stop at the first k >= onset with budget |t_k| <= q.
+def _stop_rule(certificate: RatioCertificate, digits: int) -> tuple[int, int, int, int]:
+    """(onset, budget, q, slack): stop at the first k >= onset with budget |t_k| <= q.
 
     rho_bar = (|rho|+1)/2 bounds the ratio from :func:`_geometric_onset` on, so the tail
     after k is at most |t_k| p/q with p/q = rho_bar / (1 - rho_bar), and budget = 2 10^digits p.
+    slack = ceil(2 / (1 - rho_bar)) is at least rho_bar slack + 2.
     """
     rho_bar = (abs(certificate.rho) + 1) / 2
     onset = _geometric_onset(certificate, rho_bar)
     tail_factor = rho_bar / (1 - rho_bar)
-    return onset, 2 * 10**digits * tail_factor.numerator, tail_factor.denominator
+    slack = math.ceil(2 / (1 - rho_bar))
+    return onset, 2 * 10**digits * tail_factor.numerator, tail_factor.denominator, slack
 
 
 def sum_to_precision(certificate: RatioCertificate, digits: int) -> tuple[PrecisionReal, int]:
@@ -206,7 +208,8 @@ def _cauchy_digits(at_half, at_depth, F: int, cap: int) -> int | None:
 
 
 def _fixed_point_pass(
-    coupling: Coupling, onset: int, budget: int, q: int, bits: int, depth: int, cap: int
+    coupling: Coupling, onset: int, budget: int, q: int, slack: int, bits: int, depth: int,
+    cap: int,
 ):
     """:func:`sum_and_walk`'s (value, terms, monotone, cauchy digits) in fixed point, or None.
 
@@ -219,6 +222,10 @@ def _fixed_point_pass(
     |s_k| > E_k, and so must :func:`_cauchy_digits` at h = (depth + 1) // 2 and depth, or
     the result is None. x_{k-1} - x_k is t_k / (S_{k-1} S_k), and t_k < 0 iff an odd
     number of c(1..k), d(1..k+1) are.
+
+    Past k0 = max(depth, onset + 1), |c'(k) / d'(k+1)| <= rho_bar and d'(k+1) != 0, so
+    e_k < rho_bar e_{k-1} + 2 <= B = max(e_k0, slack) (:func:`_stop_rule`): a lean loop
+    tests u against thr +- B alone and takes E_k0 + (k - k0) B for E.
     """
     scale = common_denominator(coupling.c, coupling.d)
     c, d = (integer_values(p, scale) for p in (coupling.c, coupling.d))
@@ -227,8 +234,10 @@ def _fixed_point_pass(
     thr = (q << F) // budget
     u, e, s, E = scale << F, 0, 0, 0  # u_{-1} = L 2^F exactly
     found, monotone, negative, half = None, True, False, (depth + 1) // 2
+    k0 = max(depth, onset + 1)
     # c'(0) = 1 pairs with d'(1), then c'(k) with d'(k+1)
-    for k, ck, dk in zip(itertools.count(), itertools.chain((1,), c), d):
+    steps = zip(itertools.count(), itertools.chain((1,), c), d)
+    for k, ck, dk in steps:
         if not dk:
             raise ZeroDenominatorFactor(k + 1)
         u = u * ck // dk
@@ -251,19 +260,31 @@ def _fixed_point_pass(
             found = value, k + 1
         if found is not None and k >= depth:
             return (*found, monotone, cauchy)
+        if k == k0:
+            break
+    B = max(e, slack)
+    # |u| <= thr - B stops for certain, |u| > thr + B goes on, and between is undecided
+    low, high, neg_low, neg_high = thr - B, thr + B, B - thr, -thr - B
+    for k, ck, dk in steps:
+        u = u * ck // dk
+        s += u
+        if neg_high <= u <= high:
+            E += (k - k0) * B
+            value = enclosure_to_real(s - E, s + E, F, bits) if neg_low <= u <= low else None
+            return None if value is None else (value, k + 1, monotone, cauchy)
 
 
-def _exact_pass(coupling: Coupling, depth: int, stop: tuple[int, int, int] | None = None):
+def _exact_pass(coupling: Coupling, depth: int, stop: tuple[int, int, int, int] | None = None):
     """Step :func:`cascade` once, to max(depth, the stop), for the walk and the exact sum.
 
-    stop = (onset, budget, q) from :func:`_stop_rule` ends the sum at the first k >= onset with
+    stop = (onset, budget, q, _) from :func:`_stop_rule` ends the sum at the first k >= onset with
     budget |C_k| <= q |D_k|. Returns ((k + 1, (T_k, D_k)) at the stop or None without one,
     monotone, (D_h, T_h), (D_N, T_N)) with h = (depth + 1) // 2 and N = depth, all unreduced.
     x_n = D_n/T_n, so T_n = 0 raises ZeroDenominatorConvergent(n) for n <= depth, and
     x_{n-1} > x_n iff t_n = C_n/D_n and S_{n-1} S_n share a sign:
     x_{n-1} - x_n = t_n / (S_{n-1} S_n), S_n = T_n/D_n.
     """
-    onset, budget, q = stop or (math.inf, 0, 0)
+    onset, budget, q, _ = stop or (math.inf, 0, 0, 0)
     summed, monotone, negative, half = None, True, False, (depth + 1) // 2
     for k, (C, D, T) in enumerate(cascade(coupling)):
         if k <= depth:

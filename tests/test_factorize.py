@@ -105,7 +105,50 @@ def coupling_instances(draw):
     return -(c * d), c + d.shift(1), Coupling(c=c, d=d)
 
 
+@st.composite
+def cancelling_instances(draw):
+    """Plant a coupling whose leading terms cancel in b: deg c = deg d, lc(c) = -lc(d).
+
+    So deg b < deg a / 2, and b = 0 when c = -d(n+1). d splits over rational roots,
+    so the monic part of d lies inside the search space whatever c is.
+    """
+    d = Polynomial.constant(draw(st.fractions(1, 4, max_denominator=3)))
+    for root in draw(st.lists(roots, min_size=1, max_size=3)):
+        d = d * (N - root)
+    if draw(st.booleans()):
+        c = -d.shift(1)
+    else:
+        lower = draw(st.lists(st.fractions(-4, 4, max_denominator=3), max_size=d.degree))
+        c = Polynomial(lower) - d.leading_coefficient * N**d.degree
+    return -(c * d), c + d.shift(1), Coupling(c=c, d=d)
+
+
 class TestProperties:
+    @pytest.mark.parametrize(
+        "c,d",
+        [
+            (-2 * N**2 + 3 * N, 2 * N**2 - N),  # b = 5n + 1
+            (1 - N, N + 2),  # b = 4
+            (-(N + 1), N),  # b = 0
+            (-2 * N**2 - 5, 2 * N**2 - N),  # b = 3n - 4; c is the residual of -a
+        ],
+        ids=["quadratic", "linear", "zero-b", "residual"],
+    )
+    def test_cancelling_leading_terms(self, c, d):
+        a, b = -(c * d), c + d.shift(1)
+        assert b.degree < a.degree / 2
+        found = find_couplings(a, b)
+        assert Coupling(c=c, d=d) in found
+        assert found == reference_find_couplings(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=cancelling_instances())
+    def test_planted_cancelling_coupling_is_found(self, case):
+        a, b, planted = case
+        found = find_couplings(a, b)
+        assert planted in found
+        assert found == reference_find_couplings(a, b)
+
     @settings(max_examples=60, deadline=None)
     @given(case=coupling_instances())
     def test_planted_coupling_is_found(self, case):

@@ -324,3 +324,39 @@ class TestStructuralWalk:
     def test_negative_depth_rejected(self, quartic_problem):
         with pytest.raises(ValueError):
             structural_walk(quartic_problem, -1, 30)
+
+
+def fixed_point_walk(certificate, digits, depth, cap=30):
+    """sum_and_walk with the exact pass barred, so the fixed-point pass must decide alone."""
+
+    def barred(coupling):
+        raise AssertionError("the fixed-point pass left a decision to the exact pass")
+
+    with patch.object(series, "cascade", barred):
+        return series.sum_and_walk(certificate, digits, depth, cap)
+
+
+class TestLeanTail:
+    """Past k0 = max(depth, onset + 1) the fixed-point pass sums under a constant error bound."""
+
+    @pytest.mark.parametrize(
+        "coupling,digits",
+        [
+            (Coupling(c=-N, d=2 * N), 12),  # rho = -1/2: the terms alternate
+            (Coupling(c=-(N**2), d=2 * N**2 - N), 60),  # rho = -1/2
+            (Coupling(c=30 * N, d=N**2 + 1), 12),  # growing: the terms rise before they decay
+            (Coupling(c=30 * N, d=N**2 + 1), 60),
+            # wide: onset 32 far past the poles; rho = 0 stops there below ~100 digits
+            (Coupling(c=Polynomial.constant(3), d=N * (N + 10)), 300),
+        ],
+        ids=["alternating", "negative-rho", "growing-12", "growing-60", "wide"],
+    )
+    def test_matches_exact_pass_around_the_onset_and_stop(self, coupling, digits):
+        certificate = ratio_certificate(coupling)
+        onset = series._stop_rule(certificate, digits)[0]
+        stop = sum_to_precision(certificate, digits)[1] - 1
+        assert onset + 1 < stop
+        problem = euler_problem(coupling)
+        for depth in (0, onset, onset + 1, onset + 2, stop - 1, stop, stop + 7):
+            walked = fixed_point_walk(certificate, digits, depth)
+            assert walked == exact_coupled_walk(problem, coupling, depth, digits)

@@ -90,6 +90,19 @@ class TestRationalToReal:
         assert exact_value(rational_to_real((k * p, k * q), bits)) == round_to_bits(p, q, bits)
 
     @given(
+        p=st.integers(-(2**200), 2**200),
+        q=st.integers(-(2**200), 2**200).filter(bool),
+        zp=st.integers(0, 400),
+        zq=st.integers(0, 400),
+        bits=st.integers(min_value=8, max_value=300),
+    )
+    @example(p=3, q=1, zp=19995, zq=59990, bits=184)  # the shape of a deep cascade pair
+    def test_trailing_zero_bits_round_exactly(self, p, q, zp, zq, bits):
+        # independent powers of two on p and q, which the rounding shifts out first
+        x = (p << zp, q << zq)
+        assert exact_value(rational_to_real(x, bits)) == round_to_bits(*x, bits)
+
+    @given(
         bits=st.integers(min_value=8, max_value=300),
         low=st.integers(0, 2**300),
         exponent=st.integers(-300, 300),

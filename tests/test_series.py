@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
 from itertools import islice
+from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gcf_forge import (
@@ -310,11 +311,53 @@ class TestSumToPrecision:
         sum_to_precision(ratio_certificate(coupling), 160)
         assert runs == []
 
+    @pytest.mark.parametrize("digits,depth", [(160, 16), (40, 250)])
+    @pytest.mark.parametrize("coupling", CLOSED_FORMS, ids=CLOSED_FORM_IDS)
+    def test_closed_form_walks_stay_in_fixed_point(self, coupling, digits, depth, monkeypatch):
+        # the lean tail's looser enclosure still decides the benchmark's jobs alone
+        runs = exact_sum_runs(monkeypatch)
+        series.sum_and_walk(ratio_certificate(coupling), digits, depth, digits)
+        assert runs == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(coupling=convergent_couplings(), digits=st.integers(1, 200), guard=st.integers(4, 10))
+    @example(coupling=CLOSED_FORMS[2], digits=8, guard=8)
+    @example(coupling=GEOMETRIC, digits=11, guard=6)
+    @example(coupling=Coupling(c=-N, d=2 * N), digits=22, guard=6)
+    def test_matches_fraction_reference_with_few_guard_bits(self, coupling, digits, guard):
+        # with F a few bits past the working precision, the floor errors of a long tail
+        # reach the rounding, so an enclosure that undercounts them rounds some sums wrongly
+        certificate = ratio_certificate(coupling)
+        with patch.object(series, "FIXED_POINT_GUARD_BITS", guard):
+            summed = sum_to_precision(certificate, digits)
+        assert summed == fraction_reference(certificate, digits)
+
     def test_error_budget_is_met(self, quartic_coupling):
         # against a much finer run of the same series, exact to 10^-40
         coarse, _ = sum_to_precision(ratio_certificate(quartic_coupling), 12)
         fine = sum(terms(quartic_coupling, 250), Fraction(0))
         assert abs(exact_value(coarse) - fine) <= Fraction(1, 10**12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coupling=convergent_couplings(), depth=st.integers(0, 300))
+# the ratio climbs from about 1/4 at the onset towards 9/10, so e_k climbs past e_k0
+@example(coupling=Coupling(c=Fraction(9, 10) * N, d=N + 100), depth=0)
+def test_error_bound_past_the_onset_stays_below_the_lean_constant(coupling, depth):
+    # the fixed-point pass's e_k, replayed from k = 0 in Fractions: past
+    # k0 = max(depth, onset + 1) every e_k is at most B = max(e_k0, slack), the
+    # constant the lean tail loop adds to E for each term
+    onset, _, _, slack = series._stop_rule(ratio_certificate(coupling), 10)
+    k0 = max(depth, onset + 1)
+    c, d = coupling.c, coupling.d
+    e = 1  # e_0: u_0 = floor(L 2^F / d'(1)) and u_{-1} is exact
+    for k in range(1, k0 + 301):
+        assume(d(k + 1) != 0)  # the pass raises ZeroDenominatorFactor before the onset
+        e = math.ceil(e * abs(c(k) / d(k + 1))) + 1
+        if k == k0:
+            bound = max(e, slack)
+        elif k > k0:
+            assert e <= bound, k
 
 
 class TestCauchyDigits:
