@@ -12,6 +12,7 @@ Whitespace is insignificant; offsets in errors are 0-based.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -238,25 +239,8 @@ class Neg(ConstExpr):
 
 
 @dataclass(frozen=True)
-class Add(ConstExpr):
-    left: ConstExpr
-    right: ConstExpr
-
-
-@dataclass(frozen=True)
-class Sub(ConstExpr):
-    left: ConstExpr
-    right: ConstExpr
-
-
-@dataclass(frozen=True)
-class Mul(ConstExpr):
-    left: ConstExpr
-    right: ConstExpr
-
-
-@dataclass(frozen=True)
-class Div(ConstExpr):
+class Binary(ConstExpr):
+    op: str  # one of "+ - * /"
     left: ConstExpr
     right: ConstExpr
 
@@ -272,8 +256,8 @@ class Sqrt(ConstExpr):
     operand: ConstExpr
 
 
-_BINARY_NODES = {"+": Add, "-": Sub, "*": Mul, "/": Div}
-_NODE_SYMBOLS = {kind: symbol for symbol, kind in _BINARY_NODES.items()}
+# what a Binary node's op does, to Fractions when folding and to mpfs when evaluating
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 class _ConstParser(_Parser):
@@ -286,7 +270,7 @@ class _ConstParser(_Parser):
         return kind(*parts)
 
     def binary(self, index: int, left: ConstExpr, right: ConstExpr) -> ConstExpr:
-        return self.node(_BINARY_NODES[self.tokens[index]], left, right)
+        return self.node(Binary, self.tokens[index], left, right)
 
     def negate(self, value: ConstExpr) -> ConstExpr:
         return self.node(Neg, value)
@@ -321,20 +305,14 @@ def _fold_rational(expr: ConstExpr, position: Callable[[], int]) -> Fraction | N
     if isinstance(expr, Neg):
         v = _fold_rational(expr.operand, position)
         return None if v is None else -v
-    if isinstance(expr, (Add, Sub, Mul, Div)):
+    if isinstance(expr, Binary):
         left = _fold_rational(expr.left, position)
         right = _fold_rational(expr.right, position)
         if left is None or right is None:
             return None
-        if isinstance(expr, Add):
-            return left + right
-        if isinstance(expr, Sub):
-            return left - right
-        if isinstance(expr, Mul):
-            return left * right
-        if right == 0:
+        if expr.op == "/" and right == 0:
             raise DivisionByZero("division by zero in constant expression")
-        return left / right
+        return _ARITHMETIC[expr.op](left, right)
     if isinstance(expr, Pow):
         base = _fold_rational(expr.base, position)
         if base is None:
@@ -375,14 +353,10 @@ def _eval_node(expr: ConstExpr):
         return +mpmath.mp.pi
     if isinstance(expr, Neg):
         return -_eval_node(expr.operand)
-    if isinstance(expr, Add):
-        return _eval_node(expr.left) + _eval_node(expr.right)
-    if isinstance(expr, Sub):
-        return _eval_node(expr.left) - _eval_node(expr.right)
-    if isinstance(expr, Mul):
-        return _eval_node(expr.left) * _eval_node(expr.right)
-    if isinstance(expr, Div):
-        denominator = _eval_node(expr.right)
+    if isinstance(expr, Binary):
+        if expr.op != "/":
+            return _ARITHMETIC[expr.op](_eval_node(expr.left), _eval_node(expr.right))
+        denominator = _eval_node(expr.right)  # before the dividend, so a zero divisor raises first
         if denominator == 0:
             raise DivisionByZero("division by zero in constant expression")
         return _eval_node(expr.left) / denominator
@@ -417,11 +391,10 @@ def _print_node(expr: ConstExpr, slot: int) -> str:
         return "pi"
     if isinstance(expr, Neg):
         return _wrap(f"-{_print_node(expr.operand, _PREC_NEG)}", _PREC_NEG, slot)
-    if isinstance(expr, (Add, Sub, Mul, Div)):
-        symbol = _NODE_SYMBOLS[type(expr)]
-        prec = _PREC_ADD if symbol in "+-" else _PREC_MUL
+    if isinstance(expr, Binary):
+        prec = _PREC_ADD if expr.op in "+-" else _PREC_MUL
         # a right operand of equal precedence needs parentheses: a - (b - c)
-        text = f"{_print_node(expr.left, prec)} {symbol} {_print_node(expr.right, prec + 1)}"
+        text = f"{_print_node(expr.left, prec)} {expr.op} {_print_node(expr.right, prec + 1)}"
         return _wrap(text, prec, slot)
     if isinstance(expr, Pow):
         text = f"{_print_node(expr.base, _PREC_ATOM)}^{expr.exponent}"

@@ -347,12 +347,12 @@ from gcf_forge.errors import (
     ZeroPartialNumerator,
 )
 from gcf_forge.expr import (
-    _BINARY_NODES,
     _MAX_DEGREE,
     _MAX_EXPONENT,
     _MAX_NESTING,
     _MAX_NODES,
     _MAX_POWER_BITS,
+    Binary,
     ConstExpr,
     Neg,
     Num,
@@ -549,7 +549,7 @@ class _ConstParser(_Parser):
         return kind(*parts)
 
     def binary(self, tok: _Token, left: ConstExpr, right: ConstExpr) -> ConstExpr:
-        return self.node(_BINARY_NODES[tok.text], left, right)
+        return self.node(Binary, tok.text, left, right)
 
     def negate(self, value: ConstExpr) -> ConstExpr:
         return self.node(Neg, value)

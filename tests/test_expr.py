@@ -23,15 +23,12 @@ from gcf_forge.expr import (
     _MAX_NESTING,
     _MAX_NODES,
     _MAX_POWER_BITS,
-    Add,
-    Div,
-    Mul,
+    Binary,
     Neg,
     Num,
     Pi,
     Pow,
     Sqrt,
-    Sub,
     _fold_rational,
     _Parser,
 )
@@ -107,11 +104,11 @@ class TestParsePolynomial:
 
 class TestParseConstExpr:
     def test_target_shape(self):
-        assert parse_const_expr("8/pi^2") == Div(Num(Fraction(8)), Pow(Pi(), 2))
+        assert parse_const_expr("8/pi^2") == Binary("/", Num(Fraction(8)), Pow(Pi(), 2))
 
     def test_arcsine_value_shape(self):
         expr = parse_const_expr("2*(pi/4)^2")
-        assert expr == Mul(Num(Fraction(2)), Pow(Div(Pi(), Num(Fraction(4))), 2))
+        assert expr == Binary("*", Num(Fraction(2)), Pow(Binary("/", Pi(), Num(Fraction(4))), 2))
 
     def test_unknown_symbol(self):
         with pytest.raises(UnknownSymbol):
@@ -175,6 +172,50 @@ class TestEvalConstExpr:
         assert abs(exact_value(fine) - exact_value(coarse)) <= bound
 
 
+# canonical text, then the exact 64-bit value or (error type, message); the
+# errors pin the order in which the walkers meet the operands
+_DBZ = (DivisionByZero, "division by zero in constant expression")
+
+
+@pytest.mark.parametrize(
+    "source,text,expected",
+    [
+        # the divisor is evaluated before the dividend
+        ("sqrt(1-2)/(1-1)", "sqrt(1 - 2) / (1 - 1)", _DBZ),
+        # the left operand is evaluated first
+        ("sqrt(1-2) + 1/(1-1)", "sqrt(1 - 2) + 1 / (1 - 1)",
+         (NegativeSqrt, "square root of a negative value")),
+        # folding gives up on pi before it looks at the zero divisor
+        ("pi^(pi/0)", None, (ExprSyntaxError, "exponent must be an integer (at offset 2)")),
+        # folding folds both operands before it gives up on pi
+        ("pi^(pi + 0/0)", None, _DBZ),
+        ("1 - (2 - pi)", "1 - (2 - pi)",
+         Fraction(9876352897726857781, 4611686018427387904)),
+        ("(1 - 2) - pi", "1 - 2 - pi",
+         Fraction(-4774931233645408397, 1152921504606846976)),
+        ("2/(3/pi)", "2 / (3 / pi)", Fraction(9658692610769497123, 4611686018427387904)),
+        ("-(pi)^2", "-pi^2", Fraction(-5689439577989151081, 576460752303423488)),
+        ("(-pi)^2", "(-pi)^2", Fraction(5689439577989151081, 576460752303423488)),
+        ("(6 + 2) * 1 / pi^(3 - 1) - 0", "(6 + 2) * 1 / pi^2 - 0",
+         Fraction(14952367551164251575, 18446744073709551616)),
+        ("sqrt(2)*pi - 3", "sqrt(2) * pi - 3",
+         Fraction(13308246144264734011, 9223372036854775808)),
+    ],
+)
+def test_const_expr_text_and_value(source, text, expected):
+    def outcome():
+        expr = parse_const_expr(source)
+        assert const_expr_to_text(expr) == text
+        return exact_value(eval_const_expr(expr, 64))
+
+    if isinstance(expected, Fraction):
+        assert outcome() == expected
+    else:
+        with pytest.raises(expected[0]) as info:
+            outcome()
+        assert (type(info.value), str(info.value)) == expected
+
+
 # --- print/parse fixpoints ---------------------------------------------------
 
 coefficients = st.fractions(
@@ -190,7 +231,7 @@ def test_polynomial_print_parse_fixpoint(p):
 
 def const_exprs():
     # leaves the parser itself can produce: nonnegative integer literals and pi
-    # (rational literals reparse as Div nodes, which the recursion covers)
+    # (rational literals reparse as division nodes, which the recursion covers)
     leaves = st.one_of(
         st.builds(Num, st.integers(min_value=0, max_value=99).map(Fraction)),
         st.just(Pi()),
@@ -199,10 +240,7 @@ def const_exprs():
         leaves,
         lambda inner: st.one_of(
             st.builds(Neg, inner),
-            st.builds(Add, inner, inner),
-            st.builds(Sub, inner, inner),
-            st.builds(Mul, inner, inner),
-            st.builds(Div, inner, inner),
+            st.builds(Binary, st.sampled_from("+-*/"), inner, inner),
             st.builds(Pow, inner, st.integers(min_value=-4, max_value=4)),
             st.builds(Sqrt, inner),
         ),

@@ -360,6 +360,26 @@ def test_error_bound_past_the_onset_stays_below_the_lean_constant(coupling, dept
             assert e <= bound, k
 
 
+@pytest.mark.parametrize(
+    "rho",
+    [0, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(9, 10)],
+    ids=["0", "1_2", "-1_2", "2_3", "3_4", "9_10"],
+)
+def test_lean_constant_covers_the_worst_error_the_ratio_bound_allows(rho):
+    # past the onset the certificate allows any ratio up to rho_bar, so the worst
+    # error sequence is e_k = ceil(rho_bar e_{k-1}) + 1; it settles at
+    # ceil(1 / (1 - rho_bar)), which the lean tail's slack must cover
+    coupling = Coupling(c=2 * rho * N if rho else Polynomial.constant(1), d=2 * N - 1)
+    certificate = ratio_certificate(coupling)
+    assert certificate.rho == rho
+    _, _, _, slack = series._stop_rule(certificate, 10)
+    rho_bar = (abs(certificate.rho) + 1) / 2
+    e = 1
+    for k in range(500):
+        e = math.ceil(rho_bar * e) + 1
+        assert e <= slack, k
+
+
 class TestCauchyDigits:
     def test_bracket_carries_the_tail_error(self):
         # S_h = 1 within 2^-64, and S_N - S_h = 10 2^-64 within 10 2^-64: the ratio
