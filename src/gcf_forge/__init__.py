@@ -37,7 +37,7 @@ from .factorize import Coupling, find_couplings, verify_coupling
 from .gcf import ConvergentTriple, GcfProblem, convergents, structural_walk
 from .numerics import PrecisionReal, rational_to_real, working_precision
 from .poly import FactoredPolynomial, Polynomial, factor_rational
-from .series import RatioCertificate, partial_sums, ratio_certificate, sum_to_precision
+from .series import RatioCertificate, partial_sums, ratio_certificate
 from .verify import VerificationReport, check_boundary_selection, verify_conjecture
 
 __version__ = "0.1.0"
@@ -80,7 +80,6 @@ __all__ = [
     "ratio_certificate",
     "rational_to_real",
     "structural_walk",
-    "sum_to_precision",
     "verify_conjecture",
     "verify_coupling",
     "working_precision",

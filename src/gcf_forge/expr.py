@@ -205,7 +205,7 @@ class _PolynomialParser(_Parser):
 
 def parse_polynomial(source: str) -> Polynomial:
     """Parse polynomial text into canonical dense-coefficient form."""
-    return Polynomial._of(*_PolynomialParser(source).parse())
+    return Polynomial(*_PolynomialParser(source).parse())
 
 
 def parse_rational(source: str) -> Fraction:

@@ -107,8 +107,8 @@ def find_couplings(
             C, C_den = [x * vd * Q_den - e * vn * y for x, y in shifted], e * vd * Q_den
             left, right = vn * kappa.denominator * R_den, kappa.numerator * vd * C_den
             if all(x * left == y * right for x, y in zip_longest(C, R, fillvalue=0)):
-                d = Polynomial._of([vn * y for y in Q], vd * Q_den)
-                found.append(Coupling(c=Polynomial._of(C, C_den), d=d))
+                d = Polynomial([vn * y for y in Q], vd * Q_den)
+                found.append(Coupling(c=Polynomial(C, C_den), d=d))
     # by (deg c, coefficients of c, coefficients of d), as ints over one denominator L
     L = lcm(*(p.denominator for cp in found for p in (cp.c, cp.d)))
     return sorted(found, key=lambda cp: (cp.c.degree, *(

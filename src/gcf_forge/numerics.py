@@ -50,9 +50,6 @@ class PrecisionReal:
             digits = decimal_digits_for_bits(self.precision_bits)
         return mpmath.nstr(self.value, digits)
 
-    def __str__(self) -> str:
-        return self.to_decimal()
-
 
 def _round_ratio(p: int, q: int) -> mpmath.mpf:
     # p/q (q != 0, any signs, unreduced) correctly rounded at the *current* mpmath precision;

@@ -3,9 +3,11 @@
 A polynomial is stored as int numerators over one positive int denominator,
 p(n) = sum(numerators[i] * n^i) / denominator, lowest degree first. The form
 is canonical: no trailing zero numerator, gcd(denominator, *numerators) = 1,
-and the zero polynomial is () over 1, so equality compares ints. Arithmetic,
+and the zero polynomial is () over 1, so equality compares ints. The one
+constructor takes that int form and canonicalizes it. The coupling check
+needs only +, * and unary - between polynomials and ==; those, evaluation,
 the index shift p(n) -> p(n+k), rational-root factorization and the text
-form run on the ints; `coefficients` is a derived tuple of Fractions.
+form run on the ints.
 """
 
 from __future__ import annotations
@@ -24,34 +26,12 @@ RationalLike = int | Fraction
 class Polynomial:
     __slots__ = ("numerators", "denominator")
 
-    def __init__(self, coefficients: tuple | list = ()):
-        coeffs = [Fraction(c) for c in coefficients]
-        den = math.lcm(*(c.denominator for c in coeffs))
-        self._set([c.numerator * (den // c.denominator) for c in coeffs], den)
-
-    @classmethod
-    def _of(cls, numerators: list[int], denominator: int = 1) -> "Polynomial":
+    def __init__(self, numerators: list[int], denominator: int = 1):
         """The canonical form of numerators / denominator (any nonzero int); takes the list."""
-        p = object.__new__(cls)
-        p._set(numerators, denominator)
-        return p
-
-    def _set(self, numerators: list[int], denominator: int) -> None:
+        if not denominator:
+            raise ZeroDivisionError("polynomial with zero denominator")
         numerators, self.denominator = _reduced(numerators, denominator)
         self.numerators = tuple(numerators)
-
-    @classmethod
-    def constant(cls, value: RationalLike) -> "Polynomial":
-        return cls._of([value.numerator], value.denominator)
-
-    @classmethod
-    def variable(cls) -> "Polynomial":
-        """The polynomial n."""
-        return cls._of([0, 1])
-
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.denominator) for c in self.numerators)
 
     @property
     def is_zero(self) -> bool:
@@ -81,67 +61,29 @@ class Polynomial:
 
     def shift(self, k: int) -> "Polynomial":
         """The polynomial q with q(n) = p(n+k) identically."""
-        return Polynomial._of(_shift(self.numerators, k), self.denominator)
+        return Polynomial(_shift(self.numerators, k), self.denominator)
 
-    def __add__(self, other, sign: int = 1):
-        other = _lift(other)
-        if other is None:
-            return NotImplemented
+    def __add__(self, other: "Polynomial") -> "Polynomial":
         da, db = self.denominator, other.denominator
         g = math.gcd(da, db)
         a = [c * (db // g) for c in self.numerators]
-        b = [sign * (da // g) * c for c in other.numerators]
-        return Polynomial._of([x + y for x, y in zip_longest(a, b, fillvalue=0)], da // g * db)
+        b = [(da // g) * c for c in other.numerators]
+        return Polynomial([x + y for x, y in zip_longest(a, b, fillvalue=0)], da // g * db)
 
-    __radd__ = __add__
+    def __neg__(self) -> "Polynomial":
+        return Polynomial([-c for c in self.numerators], self.denominator)
 
-    def __neg__(self):
-        return Polynomial._of([-c for c in self.numerators], self.denominator)
-
-    def __sub__(self, other):
-        return self.__add__(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _lift(other)
-        if other is None:
-            return NotImplemented
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
         denominator = self.denominator * other.denominator
-        return Polynomial._of(_product(self.numerators, other.numerators), denominator)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            if scalar == 0:
-                raise ZeroDivisionError("polynomial divided by zero scalar")
-            return self * Fraction(scalar.denominator, scalar.numerator)
-        return NotImplemented
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        return Polynomial._of(_power(self.numerators, exponent), self.denominator**exponent)
+        return Polynomial(_product(self.numerators, other.numerators), denominator)
 
     def __eq__(self, other):
-        other = _lift(other)
-        if other is None:
+        if not isinstance(other, Polynomial):
             return NotImplemented
         return self.numerators == other.numerators and self.denominator == other.denominator
 
-    def __hash__(self):
-        # a constant equals its int or Fraction value, so it hashes like it
-        if self.degree < 1:
-            return hash(self.constant_term)
-        return hash((self.numerators, self.denominator))
-
     def __repr__(self):
         return f"Polynomial({self.to_text()!r})"
-
-    def __str__(self):
-        return self.to_text()
 
     def to_text(self) -> str:
         """Canonical text, highest degree first; reparses to an equal value."""
@@ -154,13 +96,6 @@ class Polynomial:
                 body = mag if not var else var if mag == "1" else f"{mag}*{var}"
                 parts.append((("+ " if c > 0 else "- ") if parts else "" if c > 0 else "-") + body)
         return " ".join(parts) or "0"
-
-
-def _lift(value) -> Polynomial | None:
-    """value as a Polynomial, or None when it is not a polynomial or a rational."""
-    if isinstance(value, Polynomial):
-        return value
-    return Polynomial.constant(value) if isinstance(value, (int, Fraction)) else None
 
 
 def _reduced(numerators: list[int], denominator: int) -> tuple[list[int], int]:
@@ -296,7 +231,7 @@ def factor_rational(p: Polynomial) -> FactoredPolynomial:
     # strip n^k
     zeros = next(i for i, c in enumerate(ints) if c)
     if zeros:
-        factors.append((Polynomial.variable(), zeros))
+        factors.append((Polynomial([0, 1]), zeros))
     g = sign * math.gcd(*ints)
     ints = [c // g for c in ints[zeros:]]  # primitive, positive leading coefficient
 
@@ -322,10 +257,10 @@ def factor_rational(p: Polynomial) -> FactoredPolynomial:
                 ints = _deflate(ints, num, den)
                 mult += 1
             if mult:
-                factors.append((Polynomial._of([-num, den], den), mult))
+                factors.append((Polynomial([-num, den], den), mult))
 
     factors.sort(key=lambda fm: -fm[0].constant_term)
-    residual = None if len(ints) < 2 else Polynomial._of(ints, ints[-1])
+    residual = None if len(ints) < 2 else Polynomial(ints, ints[-1])
     return FactoredPolynomial(content, sign, tuple(factors), residual)
 
 

@@ -22,7 +22,6 @@ from typing import Iterator
 from .errors import NotConvergent, ZeroDenominatorConvergent, ZeroDenominatorFactor
 from .factorize import Coupling
 from .numerics import (
-    PrecisionReal,
     agreement_digits,
     enclosure_to_real,
     ratio_digits,
@@ -148,29 +147,14 @@ def _stop_rule(certificate: RatioCertificate, digits: int) -> tuple[int, int, in
     return onset, 2 * 10**digits * tail_factor.numerator, tail_factor.denominator, slack
 
 
-def sum_to_precision(certificate: RatioCertificate, digits: int) -> tuple[PrecisionReal, int]:
-    """Sum the certified series to within 10^(-digits); returns (value, terms used).
-
-    The sum stops at the first k >= K with 2 10^digits p |C_k| <= q |D_k| (:func:`_stop_rule`).
-    It is :func:`sum_and_walk` to depth 0, whose walk of x_0 = 1/t_0 can neither fail nor
-    give up: T_0 = L > 0, and |s_0| = |u_0| >= 2^(bits + 63) > E_0 = 1.
-    """
-    if digits < 1:
-        raise ValueError("digits must be positive")
-    if certificate.classification != CONVERGENT:
-        raise NotConvergent(
-            f"series is {certificate.classification}; cannot certify a sum"
-        )
-    return sum_and_walk(certificate, digits, 0, 0)[:2]
-
-
 def sum_and_walk(certificate: RatioCertificate, digits: int, depth: int, cap: int):
     """Walk a coupled problem's convergents to depth and sum its series in one pass.
 
     Returns (value, terms, monotone, cauchy digits, last): whether x_0 > x_1 > ... > x_depth,
     and agreement_digits(x_h, x_depth, cap) with h = (depth + 1) // 2. A convergent
-    certificate gives (value, terms) = sum_to_precision(certificate, digits) and last = None;
-    any other gives value = terms = None and last = x_depth as the unreduced int pair
+    certificate gives value = the sum within 10^(-digits), rounded to working_precision(digits)
+    bits, terms = the count it used (:func:`_stop_rule`) and last = None; any other gives
+    value = terms = None and last = x_depth as the unreduced int pair
     (D_depth, T_depth). The coupling passed :func:`~gcf_forge.gcf.check_coupling` for a
     problem, so x_n = 1/S_n and c(n) != 0 for n >= 1 (a(n) = -c(n) d(n) != 0).
     :func:`_exact_pass` walks whenever :func:`_fixed_point_pass` cannot decide, so the

@@ -14,13 +14,13 @@ PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
 @pytest.fixture
 def quartic_a() -> Polynomial:
     # -(2n^4 - n^3)
-    return Polynomial((0, 0, 0, 1, -2))
+    return Polynomial([0, 0, 0, 1, -2])
 
 
 @pytest.fixture
 def quartic_b() -> Polynomial:
     # 3n^2 + 3n + 1
-    return Polynomial((1, 3, 3))
+    return Polynomial([1, 3, 3])
 
 
 @pytest.fixture
@@ -31,7 +31,7 @@ def quartic_problem(quartic_a, quartic_b) -> GcfProblem:
 @pytest.fixture
 def quartic_coupling() -> Coupling:
     # c = n^2, d = 2n^2 - n
-    return Coupling(c=Polynomial((0, 0, 1)), d=Polynomial((0, -1, 2)))
+    return Coupling(c=Polynomial([0, 0, 1]), d=Polynomial([0, -1, 2]))
 
 
 @pytest.fixture

@@ -6,9 +6,11 @@ from sympy, which is imported inside the functions that use it so this
 module loads without it. Nothing above the last two sections imports the
 package or mpmath, so those references cannot share a failure mode with the
 code under test. The next-to-last section keeps the package's previous
-parser, coupling search and Fraction convergent loop verbatim, as references
-for parity tests. The last one reads the exact value of a binary float and
-decodes a JSON report back into a VerificationReport for the round-trip tests.
+parser, coupling search and Fraction convergent loop as references for
+parity tests; the parser and the search compute on Fraction coefficient
+tuples and build a Polynomial only from their result. The last one reads the
+exact value of a binary float and decodes a JSON report back into a
+VerificationReport for the round-trip tests.
 """
 
 from fractions import Fraction
@@ -126,13 +128,13 @@ def terms(coupling, count: int) -> list[Fraction]:
     return out
 
 
-def reconstruct(factored):
-    """sign * content * prod(factor^multiplicity) * residual of a factorization."""
-    out = factored.sign * factored.content
+def reconstruct(factored) -> tuple:
+    """sign * content * prod(factor^multiplicity) * residual of a factorization, as Fractions."""
+    out = poly_trim([factored.sign * factored.content])
     for factor, multiplicity in factored.factors:
-        out = factor**multiplicity * out
+        out = poly_mul(out, poly_power(poly_of(factor), multiplicity))
     if factored.residual is not None:
-        out = factored.residual * out
+        out = poly_mul(out, poly_of(factored.residual))
     return out
 
 
@@ -206,6 +208,11 @@ def round_to_bits(p: int, q: int, bits: int) -> Fraction:
 # --- polynomials as lists of Fraction coefficients, lowest degree first -------
 
 
+def poly_of(p) -> tuple:
+    """The Fraction coefficients of a package Polynomial: its numerators over its denominator."""
+    return tuple(Fraction(c, p.denominator) for c in p.numerators)
+
+
 def poly_trim(coefficients) -> tuple:
     """The coefficients as Fractions, without trailing zeros."""
     out = [Fraction(c) for c in coefficients]
@@ -232,9 +239,14 @@ def poly_mul(p, q) -> tuple:
 
 
 def poly_power(p, exponent: int) -> tuple:
+    """p^exponent by repeated squaring (the reference parser meets exponents up to 2^16)."""
     out = (Fraction(1),)
-    for _ in range(exponent):
-        out = poly_mul(out, p)
+    while exponent:
+        if exponent & 1:
+            out = poly_mul(out, p)
+        exponent >>= 1
+        if exponent:
+            p = poly_mul(p, p)
     return out
 
 
@@ -328,16 +340,15 @@ def sympy_couplings(a, b) -> set:
     return found
 
 
-# --- the package's previous parser and coupling search, kept verbatim ----------
+# --- the package's previous parser and coupling search -------------------------
 #
-# References for parity tests: the token-object descent over Polynomial
-# values, and the coupling search over Polynomial divisors. Unlike the rest of
-# this module they import the package, for its Polynomial, its ConstExpr node
-# classes, its error types and its budgets.
+# References for parity tests: the token-object descent and the coupling search
+# over divisors, both on Fraction coefficient tuples. Unlike the rest of this
+# module they import the package, for its Polynomial (built once, from a
+# result), its ConstExpr node classes, its error types and its budgets.
 
 import math
 from dataclasses import dataclass, fields
-from math import isqrt
 
 from gcf_forge.errors import (
     DivisionByZero,
@@ -363,7 +374,22 @@ from gcf_forge.expr import (
 )
 from gcf_forge.factorize import Coupling
 from gcf_forge.gcf import DEFAULT_DEPTH, ConvergentTriple, GcfProblem
-from gcf_forge.poly import FactoredPolynomial, Polynomial, factor_rational
+from gcf_forge.poly import Polynomial, factor_rational
+from gcf_forge.series import sum_and_walk
+
+
+def polynomial(coefficients) -> Polynomial:
+    """The Polynomial with these int or Fraction coefficients, lowest degree first."""
+    coefficients = [Fraction(c) for c in coefficients]
+    den = math.lcm(*(c.denominator for c in coefficients))
+    return Polynomial([c.numerator * (den // c.denominator) for c in coefficients], den)
+
+
+def certified_sum(certificate, digits: int):
+    """(value, terms used) of a convergent certificate's sum to 10^(-digits); (None, None)
+    for any other. The depth-0 walk reads only x_0 = 1/t_0, so it can neither fail nor give up."""
+    return sum_and_walk(certificate, digits, 0, 0)[:2]
+
 
 _OPERATOR_CHARS = set("+-*/^()")
 
@@ -403,19 +429,17 @@ def _tokenize(source: str) -> list[_Token]:
     return tokens
 
 
-def _check_power(numerators, denominator: int, exponent: int, position: int) -> None:
+def _check_power(coefficients, exponent: int, position: int) -> None:
     """Refuse a power past the budgets before it is computed.
 
-    The base's coefficients are numerators over one denominator. With b the
-    larger bit length of a reduced coefficient's num and den, q^e has about
-    |e| (b - 1) to 2 |e| (b - 1) bits (b = 1: 0, +-1).
+    With b the larger bit length of a Fraction coefficient's num and den,
+    q^e has about |e| (b - 1) to 2 |e| (b - 1) bits (b = 1: 0, +-1).
     """
     if abs(exponent) > _MAX_EXPONENT:
         raise ExprSyntaxError("exponent too large", position)
     b = 1
-    for c in numerators:
-        g = math.gcd(c, denominator)
-        b = max(b, (c // g).bit_length(), (denominator // g).bit_length())
+    for c in coefficients:
+        b = max(b, c.numerator.bit_length(), c.denominator.bit_length())
     if abs(exponent) * (b - 1) > _MAX_POWER_BITS:
         raise ExprSyntaxError("power too large", position)
 
@@ -498,45 +522,47 @@ class _Parser:
 
 
 class _PolynomialParser(_Parser):
-    def binary(self, tok: _Token, left: Polynomial, right: Polynomial) -> Polynomial:
+    """Values are Fraction coefficient tuples, lowest degree first, no trailing zero."""
+
+    def binary(self, tok: _Token, left: tuple, right: tuple) -> tuple:
         if tok.text == "+":
-            return left + right
+            return poly_add(left, right)
         if tok.text == "-":
-            return left - right
+            return poly_add(left, poly_scale(right, -1))
         if tok.text == "*":
-            if left.degree + right.degree > _MAX_DEGREE:
+            if len(left) + len(right) - 2 > _MAX_DEGREE:
                 raise ExprSyntaxError("degree too large", tok.pos)
-            return left * right
-        if right.degree > 0:
+            return poly_mul(left, right)
+        if len(right) > 1:
             raise NonPolynomial("division by an expression containing n", tok.pos)
-        if right.is_zero:
+        if not right:
             raise DivisionByZero(f"division by zero (at offset {tok.pos})")
-        return left / right.constant_term
+        return poly_scale(left, 1 / right[0])
 
-    def negate(self, value: Polynomial) -> Polynomial:
-        return -value
+    def negate(self, value: tuple) -> tuple:
+        return poly_scale(value, -1)
 
-    def power(self, tok: _Token, base: Polynomial, exponent: Polynomial) -> Polynomial:
-        if exponent.degree > 0:
+    def power(self, tok: _Token, base: tuple, exponent: tuple) -> tuple:
+        if len(exponent) > 1:
             raise NonPolynomial("exponent contains n", tok.pos)
-        value = exponent.constant_term
+        value = exponent[0] if exponent else Fraction(0)
         if value.denominator != 1:
             raise NonPolynomial("exponent must be an integer", tok.pos)
         if value < 0:
             raise NonPolynomial("negative exponent", tok.pos)
-        _check_power(base.numerators, base.denominator, int(value), tok.pos)
-        if base.degree * value > _MAX_DEGREE:
+        _check_power(base, int(value), tok.pos)
+        if (len(base) - 1) * value > _MAX_DEGREE:
             raise ExprSyntaxError("degree too large", tok.pos)
-        return base ** int(value)
+        return poly_power(base, int(value))
 
-    def literal(self, value: int) -> Polynomial:
-        return Polynomial.constant(value)
+    def literal(self, value: int) -> tuple:
+        return poly_trim([value])
 
-    def name(self, tok: _Token) -> Polynomial:
+    def name(self, tok: _Token) -> tuple:
         if tok.text != "n":
             raise UnknownSymbol(tok.text, tok.pos)
         self.advance()
-        return Polynomial.variable()
+        return poly_trim([0, 1])
 
 
 class _ConstParser(_Parser):
@@ -558,7 +584,7 @@ class _ConstParser(_Parser):
         folded = _fold_rational(exponent, lambda: tok.pos)
         if folded is None or folded.denominator != 1:
             raise ExprSyntaxError("exponent must be an integer", tok.pos)
-        _check_power((), 1, int(folded), tok.pos)
+        _check_power((), int(folded), tok.pos)
         return self.node(Pow, base, int(folded))
 
     def literal(self, value: int) -> ConstExpr:
@@ -579,51 +605,49 @@ class _ConstParser(_Parser):
 
 
 def reference_parse_polynomial(source: str) -> Polynomial:
-    return _PolynomialParser(source).parse()
+    return polynomial(_PolynomialParser(source).parse())
 
 
 def reference_parse_rational(source: str) -> Fraction:
-    value = reference_parse_polynomial(source)
-    if value.degree > 0:
+    value = _PolynomialParser(source).parse()
+    if len(value) > 1:
         raise NonPolynomial("expected a constant, found n", 0)
-    return value.constant_term
+    return value[0] if value else Fraction(0)
 
 
 def reference_parse_const_expr(source: str) -> ConstExpr:
     return _ConstParser(source).parse()
 
 
-def _scales(b: Polynomial, kappa: Fraction, R: Polynomial, q: int) -> list[Fraction]:
-    """The nonzero rational roots v of v^2 - b_q v + kappa R_q = 0, found in ints.
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    """The nonnegative rational square root of q, or None when q has none."""
+    if q < 0:
+        return None
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(num, den) if num * num == q.numerator and den * den == q.denominator else None
 
-    With b_q = B/e and kappa R_q = K/f, M = B^2 f - 4 K e^2 is e^2 f times the
-    discriminant: v is rational iff M f = s^2, and then v = (B f +- s) / (2 e f).
-    """
-    B, e = b.numerators[q] if q <= b.degree else 0, b.denominator
-    K = kappa.numerator * (R.numerators[q] if q <= R.degree else 0)
-    f = kappa.denominator * R.denominator
-    M = B * B * f - 4 * K * e * e
-    s = isqrt(max(M * f, 0))
-    if s * s != M * f:
+
+def _scales(b: tuple, kappa: Fraction, R: tuple, q: int) -> list[Fraction]:
+    """The nonzero rational roots v of v^2 - b_q v + kappa R_q = 0, by the quadratic formula."""
+    b_q = b[q] if q < len(b) else 0
+    root = _rational_sqrt(b_q * b_q - 4 * kappa * (R[q] if q < len(R) else 0))
+    if root is None:
         return []
-    return [Fraction(w, 2 * e * f) for w in {B * f + s, B * f - s} if w]
+    return [v for v in {(b_q + root) / 2, (b_q - root) / 2} if v]
 
 
-def _divisors(items: list[tuple[Polynomial, int]]):
+def _divisors(items: list[tuple[tuple, int]]) -> list[tuple[tuple, tuple]]:
     """(Q, R) for every monic divisor Q of P = prod f^m, with Q*R == P."""
-    one = Polynomial.constant(1)
+    one = (Fraction(1),)
     pairs = [(one, one)]
     for f, m in items:
-        powers = [one]
-        for _ in range(m):
-            powers.append(powers[-1] * f)
-        pairs = [(Q * powers[k], R * powers[m - k]) for Q, R in pairs for k in range(m + 1)]
+        powers = [poly_power(f, k) for k in range(m + 1)]
+        pairs = [(poly_mul(Q, powers[k]), poly_mul(R, powers[m - k]))
+                 for Q, R in pairs for k in range(m + 1)]
     return pairs
 
 
-def reference_find_couplings(
-    a: Polynomial, b: Polynomial, minus_a: FactoredPolynomial | None = None
-) -> list[Coupling]:
+def reference_find_couplings(a: Polynomial, b: Polynomial) -> list[Coupling]:
     """All couplings reachable through rational-root splits of -a.
 
     With -a = kappa*Q*R (Q, R monic, kappa the signed content), each monic Q
@@ -633,25 +657,22 @@ def reference_find_couplings(
     rational root v is kept iff the whole identity holds. An empty result
     means no coupling exists *within this search space*; factorizations
     needing irrational or complex splits are out of reach by design.
-    minus_a is factor_rational(-a) when the caller already holds it.
     """
     if a.is_zero:
         raise ZeroPartialNumerator("a(n) is identically zero")
-    factored = factor_rational(-a) if minus_a is None else minus_a
+    factored = factor_rational(-a)
     kappa = factored.content * factored.sign
-    items = list(factored.factors)
+    items = [(poly_of(f), m) for f, m in factored.factors]
     if factored.residual is not None:
-        items.append((factored.residual, 1))
-    found: list[Coupling] = []
+        items.append((poly_of(factored.residual), 1))
+    b = poly_of(b)
+    found = []
     for Q, R in _divisors(items):
-        for v in _scales(b, kappa, R, Q.degree):
-            c = b - v * Q.shift(1)
-            if v * c == kappa * R:
-                found.append(Coupling(c=c, d=v * Q))
-    return sorted(
-        found,
-        key=lambda cp: (cp.c.degree, cp.c.coefficients, cp.d.coefficients),
-    )
+        for v in _scales(b, kappa, R, len(Q) - 1):
+            c = poly_add(b, poly_scale(poly_shift(Q, 1), -v))
+            if poly_scale(c, v) == poly_scale(R, kappa):
+                found.append((len(c) - 1, c, poly_scale(Q, v)))
+    return [Coupling(c=polynomial(c), d=polynomial(d)) for _, c, d in sorted(found)]
 
 
 def reference_convergents(

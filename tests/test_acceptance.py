@@ -12,9 +12,9 @@ from fractions import Fraction
 
 from gcf_forge import (
     Coupling,
-    Polynomial,
     convergents,
     find_couplings,
+    parse_polynomial,
     partial_sums,
     ratio_certificate,
     verify_conjecture,
@@ -29,8 +29,6 @@ from oracles import (
     pi_squared_over_8,
     pi_squared_over_18,
 )
-
-N = Polynomial.variable()
 
 
 def report(criterion: int, text: str) -> None:
@@ -56,7 +54,7 @@ def test_criterion_1_exact_reciprocal_identity(quartic_problem, quartic_coupling
 
 def test_criterion_2_coupling_recovery(quartic_a, quartic_b):
     found = find_couplings(quartic_a, quartic_b)
-    expected = Coupling(c=N**2, d=2 * N**2 - N)
+    expected = Coupling(c=parse_polynomial("n^2"), d=parse_polynomial("2*n^2 - n"))
     assert found == [expected], f"expected exactly one coupling, got {found}"
     assert verify_coupling(quartic_a, quartic_b, expected)
     report(2, "search returns exactly c = n^2, d = 2*n^2 - n, identities exact")
@@ -92,8 +90,8 @@ def test_criterion_3_constant_verification(problems_dir, tmp_path, capsys):
 
 def test_criterion_4_ratio_certificate(quartic_coupling):
     cert = ratio_certificate(quartic_coupling)
-    assert cert.numerator == (N + 1) ** 2
-    assert cert.denominator == (N + 2) * (2 * N + 3)
+    assert cert.numerator == parse_polynomial("(n + 1)^2")
+    assert cert.denominator == parse_polynomial("(n + 2)*(2*n + 3)")
     assert cert.rho == Fraction(1, 2)
     ts = series_terms(quartic_coupling, 102)
     for k in range(101):

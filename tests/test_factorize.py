@@ -13,64 +13,69 @@ from gcf_forge import (
     find_couplings,
     verify_coupling,
 )
+from gcf_forge import parse_polynomial as P
 
-from oracles import reference_find_couplings, sympy_couplings
-
-N = Polynomial.variable()
+from oracles import (
+    poly_add,
+    poly_of,
+    poly_trim,
+    polynomial,
+    reference_find_couplings,
+    sympy_couplings,
+)
 
 
 class TestQuarticCase:
     def test_unique_coupling_recovered(self, quartic_a, quartic_b):
         found = find_couplings(quartic_a, quartic_b)
-        assert found == [Coupling(c=N**2, d=2 * N**2 - N)]
+        assert found == [Coupling(c=P("n^2"), d=P("2*n^2 - n"))]
 
     def test_recovered_coupling_verifies(self, quartic_a, quartic_b, quartic_coupling):
         assert verify_coupling(quartic_a, quartic_b, quartic_coupling)
 
     def test_product_mismatch_rejected(self, quartic_a, quartic_b):
         assert not verify_coupling(
-            quartic_a, quartic_b, Coupling(c=N**2, d=N**2)
+            quartic_a, quartic_b, Coupling(c=P("n^2"), d=P("n^2"))
         )
 
     def test_swapped_coupling_rejected(self, quartic_a, quartic_b):
         # the sum constraint breaks: 2n^2-n + (n+1)^2 = 3n^2 + n + 1 != b
-        swapped = Coupling(c=2 * N**2 - N, d=N**2)
+        swapped = Coupling(c=P("2*n^2 - n"), d=P("n^2"))
         assert not verify_coupling(quartic_a, quartic_b, swapped)
 
 
 class TestSearchSpace:
     def test_symmetric_split(self):
-        found = find_couplings(-(N**2), 2 * N + 1)
-        assert Coupling(c=N, d=N) in found
-        assert all(verify_coupling(-(N**2), 2 * N + 1, cp) for cp in found)
+        a, b = P("-n^2"), P("2*n + 1")
+        found = find_couplings(a, b)
+        assert Coupling(c=P("n"), d=P("n")) in found
+        assert all(verify_coupling(a, b, cp) for cp in found)
 
     def test_no_rational_scalar_pair(self):
         # d = v, c = 1 - v and c*d = 1 give v^2 - v + 1 = 0: negative discriminant
-        assert find_couplings(Polynomial.constant(-1), Polynomial.constant(1)) == []
+        assert find_couplings(P("-1"), P("1")) == []
 
     def test_constant_pair_with_two_solutions(self):
         # v^2 - 3v + 2 = 0 has the roots 1 and 2: both orderings are couplings
-        found = find_couplings(Polynomial.constant(-2), Polynomial.constant(3))
+        found = find_couplings(P("-2"), P("3"))
         assert found == [
-            Coupling(c=Polynomial.constant(1), d=Polynomial.constant(2)),
-            Coupling(c=Polynomial.constant(2), d=Polynomial.constant(1)),
+            Coupling(c=P("1"), d=P("2")),
+            Coupling(c=P("2"), d=P("1")),
         ]
 
     def test_residual_assigned_whole(self):
         # -a = n^2 + 1 cannot be split; it must ride on one side entirely
-        a = -(N**2) - 1
-        b = N**2 + 2
-        found = find_couplings(a, b)
-        assert found == [Coupling(c=N**2 + 1, d=Polynomial.constant(1))]
+        found = find_couplings(P("-n^2 - 1"), P("n^2 + 2"))
+        assert found == [Coupling(c=P("n^2 + 1"), d=P("1"))]
 
     def test_geometric_family(self):
         # -a = 2n^2, b = 3n + 2 admits exactly c = n, d = 2n
-        found = find_couplings(-2 * N**2, 3 * N + 2)
-        assert found == [Coupling(c=N, d=2 * N)]
+        found = find_couplings(P("-2*n^2"), P("3*n + 2"))
+        assert found == [Coupling(c=P("n"), d=P("2*n"))]
 
     def test_zero_numerator_rejected(self):
         with pytest.raises(ZeroPartialNumerator):
-            find_couplings(Polynomial(), N)
+            find_couplings(Polynomial([]), P("n"))
 
 
 roots = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -87,9 +92,9 @@ def coupling_instances(draw):
     """
 
     def linear_product() -> Polynomial:
-        p = Polynomial.constant(draw(st.fractions(1, 4, max_denominator=3)))
+        p = polynomial([draw(st.fractions(1, 4, max_denominator=3))])
         for root in draw(st.lists(roots, min_size=0, max_size=2)):
-            p = p * (N - root)
+            p = p * polynomial([-root, 1])
         return p
 
     c = linear_product()
@@ -100,7 +105,7 @@ def coupling_instances(draw):
     if side != "none":
         # n^2 + p*n + q with p^2 < 4q has no real root
         p = draw(st.integers(-3, 3))
-        quadratic = N**2 + p * N + draw(st.integers(p * p // 4 + 1, p * p // 4 + 4))
+        quadratic = Polynomial([draw(st.integers(p * p // 4 + 1, p * p // 4 + 4)), p, 1])
         c, d = (c * quadratic, d) if side == "c" else (c, d * quadratic)
     return -(c * d), c + d.shift(1), Coupling(c=c, d=d)
 
@@ -112,14 +117,14 @@ def cancelling_instances(draw):
     So deg b < deg a / 2, and b = 0 when c = -d(n+1). d splits over rational roots,
     so the monic part of d lies inside the search space whatever c is.
     """
-    d = Polynomial.constant(draw(st.fractions(1, 4, max_denominator=3)))
+    d = polynomial([draw(st.fractions(1, 4, max_denominator=3))])
     for root in draw(st.lists(roots, min_size=1, max_size=3)):
-        d = d * (N - root)
+        d = d * polynomial([-root, 1])
     if draw(st.booleans()):
         c = -d.shift(1)
     else:
         lower = draw(st.lists(st.fractions(-4, 4, max_denominator=3), max_size=d.degree))
-        c = Polynomial(lower) - d.leading_coefficient * N**d.degree
+        c = polynomial(lower) + polynomial([0] * d.degree + [-d.leading_coefficient])
     return -(c * d), c + d.shift(1), Coupling(c=c, d=d)
 
 
@@ -127,14 +132,15 @@ class TestProperties:
     @pytest.mark.parametrize(
         "c,d",
         [
-            (-2 * N**2 + 3 * N, 2 * N**2 - N),  # b = 5n + 1
-            (1 - N, N + 2),  # b = 4
-            (-(N + 1), N),  # b = 0
-            (-2 * N**2 - 5, 2 * N**2 - N),  # b = 3n - 4; c is the residual of -a
+            ("-2*n^2 + 3*n", "2*n^2 - n"),  # b = 5n + 1
+            ("1 - n", "n + 2"),  # b = 4
+            ("-(n + 1)", "n"),  # b = 0
+            ("-2*n^2 - 5", "2*n^2 - n"),  # b = 3n - 4; c is the residual of -a
         ],
         ids=["quadratic", "linear", "zero-b", "residual"],
     )
     def test_cancelling_leading_terms(self, c, d):
+        c, d = P(c), P(d)
         a, b = -(c * d), c + d.shift(1)
         assert b.degree < a.degree / 2
         found = find_couplings(a, b)
@@ -173,7 +179,7 @@ class TestProperties:
         first = find_couplings(a, b)
         second = find_couplings(a, b)
         assert first == second
-        keys = [(cp.c.degree, cp.c.coefficients, cp.d.coefficients) for cp in first]
+        keys = [(cp.c.degree, poly_of(cp.c), poly_of(cp.d)) for cp in first]
         assert keys == sorted(keys)
 
 
@@ -186,17 +192,17 @@ class TestSympyOracle:
     def test_same_couplings_as_sympy(self, case, shift):
         pytest.importorskip("sympy")
         a, b, _ = case
-        b = b + shift  # a shifted b is, in general, not in Euler form
-        expected = sympy_couplings(a.coefficients, b.coefficients)
-        found = find_couplings(a, b)
-        assert {(cp.c.coefficients, cp.d.coefficients) for cp in found} == expected
+        b = poly_add(poly_of(b), poly_trim([shift]))  # a shifted b is, in general, not in Euler form
+        expected = sympy_couplings(poly_of(a), b)
+        found = find_couplings(a, polynomial(b))
+        assert {(poly_of(cp.c), poly_of(cp.d)) for cp in found} == expected
         assert len(found) == len(expected)
 
 
 # --- parity with the previous search ---------------------------------------------
 
 _ROOTS = [Fraction(k) for k in range(-3, 4)] + [Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)]
-_IRREDUCIBLE = [N**2 + 1, N**2 + N + 1, N**2 - 2 * N + 5, N**3 + N + 1, N**2 - 2]
+_IRREDUCIBLE = [P("n^2 + 1"), P("n^2 + n + 1"), P("n^2 - 2*n + 5"), P("n^3 + n + 1"), P("n^2 - 2")]
 
 
 def _rational(rng: random.Random) -> Fraction:
@@ -205,12 +211,12 @@ def _rational(rng: random.Random) -> Fraction:
 
 def _planted_side(rng: random.Random) -> Polynomial:
     """lead * prod (n - r), roots possibly repeated, sometimes with an irreducible factor."""
-    p = Polynomial.constant(_rational(rng) or Fraction(1))
+    p = polynomial([_rational(rng) or Fraction(1)])
     roots = [rng.choice(_ROOTS) for _ in range(rng.randint(0, 3))]
     if roots and rng.random() < 0.3:
         roots.append(roots[0])  # a repeated root
     for r in roots:
-        p = p * (N - r)
+        p = p * polynomial([-r, 1])
     if rng.random() < 0.2:
         p = p * rng.choice(_IRREDUCIBLE)
     return p
@@ -221,15 +227,16 @@ def parity_cases(seed: int, count: int):
     rng = random.Random(seed)
     for i in range(count):
         if i % 3 == 0:
-            a = Polynomial([_rational(rng) for _ in range(rng.randint(1, 5))])
-            b = Polynomial([_rational(rng) for _ in range(rng.randint(0, 4))])
+            a = polynomial([_rational(rng) for _ in range(rng.randint(1, 5))])
+            b = polynomial([_rational(rng) for _ in range(rng.randint(0, 4))])
             if a.is_zero:
-                a = a + 1
+                a = P("1")
         else:
             c, d = _planted_side(rng), _planted_side(rng)
             a, b = -(c * d), c + d.shift(1)
             if i % 3 == 2:
-                b = b + rng.choice([0, 1, Fraction(-1, 2)]) * N ** rng.randint(0, 2)
+                scale, degree = rng.choice([0, 1, Fraction(-1, 2)]), rng.randint(0, 2)
+                b = b + polynomial([0] * degree + [scale])
         yield a, b
 
 

@@ -1,4 +1,3 @@
-import math
 import operator
 from fractions import Fraction
 from itertools import accumulate
@@ -20,15 +19,13 @@ from gcf_forge import (
     partial_sums,
     ratio_certificate,
     structural_walk,
-    sum_to_precision,
     verify_conjecture,
 )
+from gcf_forge import parse_polynomial as P
 from gcf_forge import series
 from gcf_forge.gcf import check_coupling
 
-from oracles import agreement_digits_loop, reference_convergents
-
-N = Polynomial.variable()
+from oracles import agreement_digits_loop, certified_sum, polynomial, reference_convergents
 
 
 def cross_products(rows: list[ConvergentTriple]) -> list[Fraction]:
@@ -129,7 +126,7 @@ class TestConvergents:
     def test_zero_denominator_is_reported_not_fatal(self):
         # b0=1, a=-1, b=1 cycles with period 6 and hits B_n = 0
         problem = GcfProblem(
-            b0=Fraction(1), a=Polynomial.constant(-1), b=Polynomial.constant(1)
+            b0=Fraction(1), a=P("-1"), b=P("1")
         )
         rows = convergents(problem, 12)
         missing = [t.n for t in rows if t.x is None]
@@ -140,11 +137,11 @@ class TestConvergents:
 class TestProblemValidation:
     def test_zero_numerator_polynomial(self):
         with pytest.raises(InvalidProblem):
-            GcfProblem(b0=Fraction(1), a=Polynomial(), b=Polynomial.constant(1))
+            GcfProblem(b0=Fraction(1), a=Polynomial([]), b=P("1"))
 
     def test_numerator_vanishing_at_positive_integer(self):
         with pytest.raises(InvalidProblem):
-            GcfProblem(b0=Fraction(1), a=N - 3, b=Polynomial.constant(1))
+            GcfProblem(b0=Fraction(1), a=P("n - 3"), b=P("1"))
 
     def test_half_root_is_fine(self, quartic_problem):
         # a = -(2n^4 - n^3) vanishes only at n = 0 and n = 1/2
@@ -188,12 +185,12 @@ rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 def euler_couplings(draw) -> Coupling:
     """c, d of degree <= 2 with rational coefficients and nonzero leads."""
 
-    def polynomial():
+    def side():
         lower = draw(st.lists(rationals, max_size=2))
         lead = draw(rationals.filter(lambda q: q != 0))
-        return Polynomial(lower + [lead])
+        return polynomial(lower + [lead])
 
-    return Coupling(c=polynomial(), d=polynomial())
+    return Coupling(c=side(), d=side())
 
 
 def euler_problem(coupling: Coupling) -> GcfProblem:
@@ -207,7 +204,7 @@ def euler_problem(coupling: Coupling) -> GcfProblem:
 
 @settings(max_examples=40, deadline=None)
 @given(euler_couplings(), st.integers(min_value=0, max_value=40))
-@example(Coupling(c=Polynomial([0, Fraction(1, 2)]), d=Polynomial([Fraction(1, 3), 1])), 40)
+@example(Coupling(c=P("n/2"), d=P("n + 1/3")), 40)
 def test_convergents_match_fraction_reference(coupling, depth):
     # rational coefficients make the frame scale L > 1, so each row is reduced
     # from L^(n+1)-scaled ints
@@ -222,14 +219,14 @@ class TestStructuralWalk:
         st.sampled_from([0, 1, 2, 5, 20]),
         st.sampled_from(["cd", "c", "d", "d-only-f"]),
     )
-    @example(Coupling(c=N * N, d=2 * N * N - N), 1, "c")
-    @example(Coupling(c=N * N, d=2 * N * N - N), 1, "d")
-    @example(Coupling(c=N * N, d=2 * N * N - N), 5, "c")
-    @example(Coupling(c=N * N, d=2 * N * N - N), 2, "d-only-f")
+    @example(Coupling(c=P("n^2"), d=P("2*n^2 - n")), 1, "c")
+    @example(Coupling(c=P("n^2"), d=P("2*n^2 - n")), 1, "d")
+    @example(Coupling(c=P("n^2"), d=P("2*n^2 - n")), 5, "c")
+    @example(Coupling(c=P("n^2"), d=P("2*n^2 - n")), 2, "d-only-f")
     # a(1) > 0 and a(2) > 0, with x_n still decreasing: the sign bit of W_n
     # flips there, with and without the coupling
-    @example(Coupling(c=-N / 2, d=3 - 2 * N), 0, "cd")
-    @example(Coupling(c=Fraction(5, 2) - N, d=3 - 2 * N), 0, "cd")
+    @example(Coupling(c=P("-n/2"), d=P("3 - 2*n")), 0, "cd")
+    @example(Coupling(c=P("5/2 - n"), d=P("3 - 2*n")), 0, "cd")
     def test_matches_fraction_reference(self, coupling, agree, bumped):
         # agree > 0 hands the walk a coupling that matches the problem's only
         # up to index agree. It fails the polynomial identity, so check_coupling
@@ -238,14 +235,14 @@ class TestStructuralWalk:
         # so that c + d(n+1) = b still holds and only c d = -a fails
         problem = euler_problem(coupling)
         if agree:
-            bump = math.prod((N - i for i in range(1, agree + 1)), start=Polynomial.constant(1))
-            c_bump = {"cd": bump, "c": bump, "d": 0, "d-only-f": -bump.shift(1)}[bumped]
-            d_bump = 0 if bumped == "c" else bump
+            bump, zero = P(" * ".join(f"(n - {i})" for i in range(1, agree + 1))), Polynomial([])
+            c_bump = {"cd": bump, "c": bump, "d": zero, "d-only-f": -bump.shift(1)}[bumped]
+            d_bump = zero if bumped == "c" else bump
             coupling = Coupling(c=coupling.c + c_bump, d=coupling.d + d_bump)
         table = reference_convergents(problem, 40)
         certificate = ratio_certificate(coupling)
         if not agree and certificate.classification == "convergent":
-            summed = sum_to_precision(certificate, 10)  # the fixed-point pass, if it decides
+            summed = certified_sum(certificate, 10)  # the fixed-point pass, if it decides
         for depth in range(41):
             rows = table[: depth + 1]
             assert reduced_last(structural_walk(problem, depth, 30)) == reference_walk(rows)
@@ -286,7 +283,7 @@ class TestStructuralWalk:
     def test_period_six_zero_denominators(self):
         # b0 = 1, a = -1, b = 1: B_n = 0 at n = 2, 5, 8, 11
         problem = GcfProblem(
-            b0=Fraction(1), a=Polynomial.constant(-1), b=Polynomial.constant(1)
+            b0=Fraction(1), a=P("-1"), b=P("1")
         )
         rows = reference_convergents(problem, 11)
         walk = reduced_last(structural_walk(problem, 11, 30))
@@ -307,7 +304,7 @@ class TestStructuralWalk:
 
     def test_vanishing_partial_sum_is_a_zero_denominator(self):
         # c = -n, d = 1: S_1 = 1 - 1 = 0, so B_1 = S_1 * d(1) d(2) = 0
-        coupling = Coupling(c=-N, d=Polynomial.constant(1))
+        coupling = Coupling(c=P("-n"), d=P("1"))
         problem = euler_problem(coupling)
         with pytest.raises(ZeroDenominatorConvergent) as err:
             reference_walk(reference_convergents(problem, 5), coupling)
@@ -319,7 +316,7 @@ class TestStructuralWalk:
     def test_non_coupling_is_a_caller_error(self, quartic_problem):
         # b0 = d(1) holds, but c(n) + d(n+1) misses b(n) by n - 1
         with pytest.raises(ValueError, match="does not give"):
-            exact_coupled_walk(quartic_problem, Coupling(c=N * N + N - 1, d=2 * N * N - N), 10)
+            exact_coupled_walk(quartic_problem, Coupling(c=P("n^2 + n - 1"), d=P("2*n^2 - n")), 10)
 
     def test_negative_depth_rejected(self, quartic_problem):
         with pytest.raises(ValueError):
@@ -342,19 +339,19 @@ class TestLeanTail:
     @pytest.mark.parametrize(
         "coupling,digits",
         [
-            (Coupling(c=-N, d=2 * N), 12),  # rho = -1/2: the terms alternate
-            (Coupling(c=-(N**2), d=2 * N**2 - N), 60),  # rho = -1/2
-            (Coupling(c=30 * N, d=N**2 + 1), 12),  # growing: the terms rise before they decay
-            (Coupling(c=30 * N, d=N**2 + 1), 60),
+            (Coupling(c=P("-n"), d=P("2*n")), 12),  # rho = -1/2: the terms alternate
+            (Coupling(c=P("-n^2"), d=P("2*n^2 - n")), 60),  # rho = -1/2
+            (Coupling(c=P("30*n"), d=P("n^2 + 1")), 12),  # growing: the terms rise before they decay
+            (Coupling(c=P("30*n"), d=P("n^2 + 1")), 60),
             # wide: onset 32 far past the poles; rho = 0 stops there below ~100 digits
-            (Coupling(c=Polynomial.constant(3), d=N * (N + 10)), 300),
+            (Coupling(c=P("3"), d=P("n*(n + 10)")), 300),
         ],
         ids=["alternating", "negative-rho", "growing-12", "growing-60", "wide"],
     )
     def test_matches_exact_pass_around_the_onset_and_stop(self, coupling, digits):
         certificate = ratio_certificate(coupling)
         onset = series._stop_rule(certificate, digits)[0]
-        stop = sum_to_precision(certificate, digits)[1] - 1
+        stop = certified_sum(certificate, digits)[1] - 1
         assert onset + 1 < stop
         problem = euler_problem(coupling)
         for depth in (0, onset, onset + 1, onset + 2, stop - 1, stop, stop + 7):

@@ -15,15 +15,15 @@ from gcf_forge import (
     partial_sums,
     ratio_certificate,
     rational_to_real,
-    sum_to_precision,
 )
-
+from gcf_forge import parse_polynomial as P
 from gcf_forge import series
 from gcf_forge.numerics import agreement_digits
 from gcf_forge.poly import common_denominator, factor_rational
 
 from oracles import (
     central_binomial_sum,
+    certified_sum,
     close_to,
     exact_value,
     fraction_decimal,
@@ -32,11 +32,12 @@ from oracles import (
     ln2_fraction,
     pi_squared_over_8,
     pi_squared_over_18,
+    poly_add,
+    polynomial,
     terms,
 )
 
-N = Polynomial.variable()
-GEOMETRIC = Coupling(c=N, d=2 * N)  # terms 1/(2^(k+1) (k+1)), summing to ln 2
+GEOMETRIC = Coupling(c=P("n"), d=P("2*n"))  # terms 1/(2^(k+1) (k+1)), summing to ln 2
 
 
 def closed_form_term(k: int) -> Fraction:
@@ -76,14 +77,14 @@ class TestTerms:
 
     def test_vanishing_denominator_factor(self):
         # t_2 is the last term that does not divide by d(3) = 0
-        coupling = Coupling(c=N, d=N - 3)
+        coupling = Coupling(c=P("n"), d=P("n - 3"))
         with pytest.raises(ZeroDenominatorFactor) as err:
             partial_sums(coupling, 3)
         assert err.value.index == 3
         assert partial_sums(coupling, 2) == [Fraction(-1, 2), Fraction(0)]
 
     def test_stream_state_tracks_products(self):
-        c, d = Fraction(1, 2) * N**2, 2 * N**2 - Fraction(1, 3) * N
+        c, d = P("1/2*n^2"), P("2*n^2 - 1/3*n")
         L = common_denominator(c, d)
         assert L == 6
         C, D, _ = next(islice(series.cascade(Coupling(c=c, d=d)), 5, None))
@@ -98,10 +99,10 @@ rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 def signed_couplings(draw) -> Coupling:
     """c, d of degree <= 2 with rational coefficients; d has no root in 1, 2, ..."""
 
-    def polynomial():
-        return Polynomial(draw(st.lists(rationals, max_size=2)) + [draw(rationals.filter(bool))])
+    def side():
+        return polynomial(draw(st.lists(rationals, max_size=2)) + [draw(rationals.filter(bool))])
 
-    coupling = Coupling(c=polynomial(), d=polynomial())
+    coupling = Coupling(c=side(), d=side())
     assume(not integer_roots(factor_rational(coupling.d), start=1))
     return coupling
 
@@ -127,8 +128,8 @@ class TestCascade:
 class TestRatioCertificate:
     def test_quartic_certificate(self, quartic_coupling):
         cert = ratio_certificate(quartic_coupling)
-        assert cert.numerator == N**2 + 2 * N + 1  # (k+1)^2
-        assert cert.denominator == 2 * N**2 + 7 * N + 6  # (k+2)(2k+3)
+        assert cert.numerator == P("n^2 + 2*n + 1")  # (k+1)^2
+        assert cert.denominator == P("2*n^2 + 7*n + 6")  # (k+2)(2k+3)
         assert cert.rho == Fraction(1, 2)
         assert cert.classification == "convergent"
 
@@ -139,34 +140,34 @@ class TestRatioCertificate:
             assert ts[k + 1] / ts[k] == cert.numerator(k) / cert.denominator(k)
 
     def test_equal_degrees_inconclusive(self):
-        cert = ratio_certificate(Coupling(c=N, d=N))
-        assert cert.numerator == N + 1
-        assert cert.denominator == N + 2
+        cert = ratio_certificate(Coupling(c=P("n"), d=P("n")))
+        assert cert.numerator == P("n + 1")
+        assert cert.denominator == P("n + 2")
         assert cert.rho == 1
         assert cert.classification == "inconclusive"
 
     def test_degree_dominance_divergent(self):
-        cert = ratio_certificate(Coupling(c=N**2, d=N))
+        cert = ratio_certificate(Coupling(c=P("n^2"), d=P("n")))
         assert cert.rho is None
         assert cert.classification == "divergent"
 
     def test_negative_rho_uses_magnitude(self):
-        shrinking = ratio_certificate(Coupling(c=-N, d=2 * N))
+        shrinking = ratio_certificate(Coupling(c=P("-n"), d=P("2*n")))
         assert shrinking.rho == Fraction(-1, 2)
         assert shrinking.classification == "convergent"
-        growing = ratio_certificate(Coupling(c=-3 * N, d=N))
+        growing = ratio_certificate(Coupling(c=P("-3*n"), d=P("n")))
         assert growing.rho == -3
         assert growing.classification == "divergent"
 
     def test_pole_pushes_validity_start(self):
         # d(k+2) = 2k - 6 vanishes at k = 3, so the onset must lie past it
-        cert = ratio_certificate(Coupling(c=N, d=2 * N - 10))
+        cert = ratio_certificate(Coupling(c=P("n"), d=P("2*n - 10")))
         assert cert.denominator(3) == 0
         assert series._geometric_onset(cert, (abs(cert.rho) + 1) / 2) > 3
 
 
 def fraction_reference(certificate, digits: int):
-    """sum_to_precision's (value, terms used) by the reduced-fraction loop."""
+    """certified_sum's (value, terms used) by the reduced-fraction loop."""
     rho_bar = (abs(certificate.rho) + 1) / 2
     onset = series._geometric_onset(certificate, rho_bar)
     coupling = certificate.coupling
@@ -178,7 +179,7 @@ def fraction_reference(certificate, digits: int):
 
 
 def exact_sum_runs(monkeypatch) -> list:
-    """Record each run of sum_to_precision's exact pass, its one reader of cascade."""
+    """Record each run of the sum's exact pass, its one reader of cascade."""
     runs = []
     cascade = series.cascade
 
@@ -192,8 +193,8 @@ def exact_sum_runs(monkeypatch) -> list:
 
 # the arcsin^2 family c = (z/2) n^2, d = 2n^2 - n and the arcsin family
 # c = z n, d = 2n - 1, at the z that give closed forms
-CLOSED_FORMS = [Coupling(c=Fraction(z, 2) * N**2, d=2 * N**2 - N) for z in (1, 2, 3)] + [
-    Coupling(c=z * N, d=2 * N - 1) for z in (Fraction(1, 2), 1, Fraction(3, 2))
+CLOSED_FORMS = [Coupling(c=P(f"{z}/2*n^2"), d=P("2*n^2 - n")) for z in (1, 2, 3)] + [
+    Coupling(c=P(f"{z}*n"), d=P("2*n - 1")) for z in ("1/2", "1", "3/2")
 ]
 CLOSED_FORM_IDS = ["asin2-z1", "asin2-z2", "asin2-z3", "asin-z1_2", "asin-z1", "asin-z3_2"]
 
@@ -204,86 +205,87 @@ def convergent_couplings(draw) -> Coupling:
     nonzero = rationals.filter(bool)
     shape = draw(st.sampled_from(["signed", "terminating", "wide", "negative", "growing"]))
     if shape == "signed":  # rational coefficients; rho < 0 alternates the terms
-        d = Polynomial(draw(st.lists(rationals, max_size=2)) + [draw(nonzero)])
+        d = polynomial(draw(st.lists(rationals, max_size=2)) + [draw(nonzero)])
         rho = draw(st.sampled_from([0, 1, -1, 2, -2])) / Fraction(4)
-        lower = Polynomial(draw(st.lists(rationals, max_size=d.degree)))
-        c = lower + rho * d.leading_coefficient * N**d.degree
+        lower = draw(st.lists(rationals, max_size=d.degree))
+        c = polynomial(poly_add(lower, [0] * d.degree + [rho * d.leading_coefficient]))
         assume(not c.is_zero and not integer_roots(factor_rational(d), start=1))
     elif shape == "terminating":  # c(m) = 0, so every term from t_m on is 0
-        c = draw(nonzero) * (N - draw(st.integers(1, 8)))
-        d = draw(st.integers(1, 6)) * N**2 + draw(st.integers(1, 9))
+        scale, root = draw(nonzero), draw(st.integers(1, 8))
+        c = polynomial([-scale * root, scale])
+        d = P(f"{draw(st.integers(1, 6))}*n^2 + {draw(st.integers(1, 9))}")
     elif shape == "wide":  # the Cauchy bound puts the onset past 2q
-        c = Polynomial.constant(draw(nonzero))
-        d = N * (N + draw(st.integers(10, 300)))
+        c = polynomial([draw(nonzero)])
+        d = P(f"n*(n + {draw(st.integers(10, 300))})")
     elif shape == "negative":  # d(j) < 0 for every j <= m
-        c = draw(st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 2)])) * N**2
-        d = N * (2 * N - 2 * draw(st.integers(1, 12)) - 1)
+        c = polynomial([0, 0, draw(st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 2)]))])
+        d = P(f"n*(2*n - {2 * draw(st.integers(1, 12)) + 1})")
     else:  # the terms rise for a while before they decay
-        c = draw(st.integers(10, 60)) * N
-        d = N**2 + 1
+        c = Polynomial([0, draw(st.integers(10, 60))])
+        d = P("n^2 + 1")
     return Coupling(c=c, d=d)
 
 
 class TestSumToPrecision:
     def test_quartic_sum_50_digits(self, quartic_coupling):
-        value, used = sum_to_precision(ratio_certificate(quartic_coupling), 50)
+        value, used = certified_sum(ratio_certificate(quartic_coupling), 50)
         assert close_to(exact_value(value), pi_squared_over_8(60), 50)
         assert used <= 400
 
     def test_quartic_sum_10_digit_preview(self, quartic_coupling):
-        value, _ = sum_to_precision(ratio_certificate(quartic_coupling), 10)
+        value, _ = certified_sum(ratio_certificate(quartic_coupling), 10)
         assert value.to_decimal(11).startswith("1.2337005501")
 
     def test_geometric_family_sums_to_ln2(self):
-        value, _ = sum_to_precision(ratio_certificate(GEOMETRIC), 30)
+        value, _ = certified_sum(ratio_certificate(GEOMETRIC), 30)
         assert close_to(exact_value(value), ln2_fraction(35), 30)
 
     def test_matches_brute_force_partial_sums(self):
-        value, _ = sum_to_precision(ratio_certificate(GEOMETRIC), 30)
+        value, _ = certified_sum(ratio_certificate(GEOMETRIC), 30)
         brute = sum(terms(GEOMETRIC, 150), Fraction(0))
         assert abs(exact_value(value) - brute) <= 2 * Fraction(1, 10**30)
 
     def test_alternating_terms(self):
         # c = -n keeps |ratio| = 1/2 but alternates term signs
-        alternating = Coupling(c=-N, d=2 * N)
-        value, _ = sum_to_precision(ratio_certificate(alternating), 25)
+        alternating = Coupling(c=P("-n"), d=P("2*n"))
+        value, _ = certified_sum(ratio_certificate(alternating), 25)
         brute = sum(terms(alternating, 120), Fraction(0))
         assert abs(exact_value(value) - brute) <= 2 * Fraction(1, 10**25)
 
     def test_not_convergent_rejected(self):
-        with pytest.raises(NotConvergent):
-            sum_to_precision(ratio_certificate(Coupling(c=N, d=N)), 10)
+        # rho = 1: no certified tail, so no sum and no term count
+        assert certified_sum(ratio_certificate(Coupling(c=P("n"), d=P("n"))), 10) == (None, None)
 
     def test_uncertified_onset_raises(self, monkeypatch):
         # a root bound that is too small must not slip past an onset check
         # that `python -O` would strip
         monkeypatch.setattr(series, "root_bound_floor", lambda ints: 0)
         with pytest.raises(NotConvergent):
-            sum_to_precision(ratio_certificate(Coupling(c=N**2 + 100, d=2 * N**2 - N)), 10)
+            certified_sum(ratio_certificate(Coupling(c=P("n^2 + 100"), d=P("2*n^2 - n"))), 10)
 
     @pytest.mark.parametrize("digits", [5, 20, 60, 160])
     @pytest.mark.parametrize(
         "coupling",
         [
-            Coupling(c=N**2, d=2 * N**2 - N),
+            Coupling(c=P("n^2"), d=P("2*n^2 - n")),
             GEOMETRIC,
-            Coupling(c=-N, d=2 * N),
-            Coupling(c=Fraction(1, 3) * N + Fraction(1, 2), d=Fraction(3, 2) * N**2 + 1),
-            Coupling(c=Polynomial.constant(3), d=N * (N + 40)),
-            Coupling(c=N - 3, d=2 * N),
+            Coupling(c=P("-n"), d=P("2*n")),
+            Coupling(c=P("1/3*n + 1/2"), d=P("3/2*n^2 + 1")),
+            Coupling(c=P("3"), d=P("n*(n + 40)")),
+            Coupling(c=P("n - 3"), d=P("2*n")),
         ],
         ids=["quartic", "geometric", "alternating", "rational", "wide-onset", "terminating"],
     )
     def test_matches_fraction_reference(self, coupling, digits):
         certificate = ratio_certificate(coupling)
-        assert sum_to_precision(certificate, digits) == fraction_reference(certificate, digits)
+        assert certified_sum(certificate, digits) == fraction_reference(certificate, digits)
 
     @settings(max_examples=40, deadline=None)
     @given(coupling=convergent_couplings(), digits=st.integers(1, 300))
     def test_matches_fraction_reference_on_random_couplings(self, coupling, digits):
         certificate = ratio_certificate(coupling)
         assert certificate.classification == "convergent"
-        assert sum_to_precision(certificate, digits) == fraction_reference(certificate, digits)
+        assert certified_sum(certificate, digits) == fraction_reference(certificate, digits)
 
     def test_rounding_midpoint_falls_back_to_exact_sum(self, monkeypatch):
         # the terms 1, 1/256, 0, ... sum to 257/256, halfway between two 8-bit
@@ -291,8 +293,8 @@ class TestSumToPrecision:
         # sum rounds it (half to even, down to 1)
         monkeypatch.setattr(series, "working_precision", lambda digits: 8)
         runs = exact_sum_runs(monkeypatch)
-        certificate = ratio_certificate(Coupling(c=2 - N, d=255 * N - 254))
-        value, used = sum_to_precision(certificate, 1)
+        certificate = ratio_certificate(Coupling(c=P("2 - n"), d=P("255*n - 254")))
+        value, used = certified_sum(certificate, 1)
         assert runs
         assert (value, used) == fraction_reference(certificate, 1)
         assert (exact_value(value), used) == (1, 4)
@@ -302,13 +304,13 @@ class TestSumToPrecision:
         monkeypatch.setattr(series, "working_precision", lambda digits: 8)
         runs = exact_sum_runs(monkeypatch)
         certificate = ratio_certificate(quartic_coupling)
-        assert sum_to_precision(certificate, 30) == fraction_reference(certificate, 30)
+        assert certified_sum(certificate, 30) == fraction_reference(certificate, 30)
         assert runs
 
     @pytest.mark.parametrize("coupling", CLOSED_FORMS, ids=CLOSED_FORM_IDS)
     def test_closed_forms_stay_in_fixed_point(self, coupling, monkeypatch):
         runs = exact_sum_runs(monkeypatch)
-        sum_to_precision(ratio_certificate(coupling), 160)
+        certified_sum(ratio_certificate(coupling), 160)
         assert runs == []
 
     @pytest.mark.parametrize("digits,depth", [(160, 16), (40, 250)])
@@ -323,18 +325,18 @@ class TestSumToPrecision:
     @given(coupling=convergent_couplings(), digits=st.integers(1, 200), guard=st.integers(4, 10))
     @example(coupling=CLOSED_FORMS[2], digits=8, guard=8)
     @example(coupling=GEOMETRIC, digits=11, guard=6)
-    @example(coupling=Coupling(c=-N, d=2 * N), digits=22, guard=6)
+    @example(coupling=Coupling(c=P("-n"), d=P("2*n")), digits=22, guard=6)
     def test_matches_fraction_reference_with_few_guard_bits(self, coupling, digits, guard):
         # with F a few bits past the working precision, the floor errors of a long tail
         # reach the rounding, so an enclosure that undercounts them rounds some sums wrongly
         certificate = ratio_certificate(coupling)
         with patch.object(series, "FIXED_POINT_GUARD_BITS", guard):
-            summed = sum_to_precision(certificate, digits)
+            summed = certified_sum(certificate, digits)
         assert summed == fraction_reference(certificate, digits)
 
     def test_error_budget_is_met(self, quartic_coupling):
         # against a much finer run of the same series, exact to 10^-40
-        coarse, _ = sum_to_precision(ratio_certificate(quartic_coupling), 12)
+        coarse, _ = certified_sum(ratio_certificate(quartic_coupling), 12)
         fine = sum(terms(quartic_coupling, 250), Fraction(0))
         assert abs(exact_value(coarse) - fine) <= Fraction(1, 10**12)
 
@@ -342,7 +344,7 @@ class TestSumToPrecision:
 @settings(max_examples=60, deadline=None)
 @given(coupling=convergent_couplings(), depth=st.integers(0, 300))
 # the ratio climbs from about 1/4 at the onset towards 9/10, so e_k climbs past e_k0
-@example(coupling=Coupling(c=Fraction(9, 10) * N, d=N + 100), depth=0)
+@example(coupling=Coupling(c=P("9/10*n"), d=P("n + 100")), depth=0)
 def test_error_bound_past_the_onset_stays_below_the_lean_constant(coupling, depth):
     # the fixed-point pass's e_k, replayed from k = 0 in Fractions: past
     # k0 = max(depth, onset + 1) every e_k is at most B = max(e_k0, slack), the
@@ -369,7 +371,7 @@ def test_lean_constant_covers_the_worst_error_the_ratio_bound_allows(rho):
     # past the onset the certificate allows any ratio up to rho_bar, so the worst
     # error sequence is e_k = ceil(rho_bar e_{k-1}) + 1; it settles at
     # ceil(1 / (1 - rho_bar)), which the lean tail's slack must cover
-    coupling = Coupling(c=2 * rho * N if rho else Polynomial.constant(1), d=2 * N - 1)
+    coupling = Coupling(c=polynomial([0, 2 * rho] if rho else [1]), d=P("2*n - 1"))
     certificate = ratio_certificate(coupling)
     assert certificate.rho == rho
     _, _, _, slack = series._stop_rule(certificate, 10)
@@ -414,7 +416,7 @@ class TestCentralBinomialSum:
             central_binomial_sum(z, 10)
 
     def test_two_code_paths_one_constant(self, quartic_coupling):
-        via_coupling, _ = sum_to_precision(ratio_certificate(quartic_coupling), 40)
+        via_coupling, _ = certified_sum(ratio_certificate(quartic_coupling), 40)
         via_binomials = central_binomial_sum(2, 40)
         assert abs(exact_value(via_coupling) - via_binomials) <= 2 * Fraction(1, 10**40)
 

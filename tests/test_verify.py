@@ -13,7 +13,6 @@ from gcf_forge import (
     GcfForgeError,
     GcfProblem,
     InvalidProblem,
-    Polynomial,
     VerificationReport,
     ZeroDenominatorConvergent,
     check_boundary_selection,
@@ -22,6 +21,7 @@ from gcf_forge import (
     verify_conjecture,
 )
 from gcf_forge import factorize, gcf, poly, series, verify
+from gcf_forge import parse_polynomial as P
 from gcf_forge.verify import INCONCLUSIVE, REFUTED_AT_DEPTH, VERIFIED
 
 from oracles import (
@@ -34,8 +34,6 @@ from oracles import (
 )
 from test_gcf import exact_coupled_walk
 from test_series import convergent_couplings
-
-N = Polynomial.variable()
 
 
 def perturbed(problem: GcfProblem, b0) -> GcfProblem:
@@ -118,8 +116,8 @@ class TestBoundaryAndCollapse:
         )
 
     def test_boundary_rule_symmetric_case(self):
-        problem = GcfProblem(b0=Fraction(1), a=-(N**2), b=2 * N + 1)
-        assert check_boundary_selection(problem, Coupling(c=N, d=N))
+        problem = GcfProblem(b0=Fraction(1), a=P("-n^2"), b=P("2*n + 1"))
+        assert check_boundary_selection(problem, Coupling(c=P("n"), d=P("n")))
 
     def test_numerator_product_full_depth(self, quartic_problem, quartic_coupling):
         products = accumulate((quartic_coupling.d(j) for j in range(1, 52)), operator.mul)
@@ -178,10 +176,10 @@ class TestPincherleEvidence:
     def test_requires_convergent_certificate(self):
         # c = d = n gives rho = 1: no certified series, so no verdict either way
         problem = GcfProblem(
-            b0=Fraction(1), a=-(N**2), b=2 * N + 1, target=parse_const_expr("1")
+            b0=Fraction(1), a=P("-n^2"), b=P("2*n + 1"), target=parse_const_expr("1")
         )
         report = verify_conjecture(problem, digits=10, depth=16)
-        assert report.coupling == Coupling(c=N, d=N)
+        assert report.coupling == Coupling(c=P("n"), d=P("n"))
         assert report.classification == "inconclusive"
         assert report.series_value is None
         assert report.verdict == INCONCLUSIVE
@@ -222,7 +220,7 @@ class TestVerifyConjecture:
 
     def test_no_coupling_inconclusive(self):
         problem = GcfProblem(
-            b0=Fraction(1), a=Polynomial.constant(-1), b=Polynomial.constant(1)
+            b0=Fraction(1), a=P("-1"), b=P("1")
         )
         report = verify_conjecture(problem, digits=10, depth=12)
         assert report.verdict == INCONCLUSIVE
@@ -257,8 +255,8 @@ class TestVerifyConjecture:
         # the exact cascade, and a pass that gives up (8 working bits) in one
         # pass and then one cascade
         calls = walk_calls(monkeypatch)
-        uncoupled = GcfProblem(b0=Fraction(1), a=Polynomial.constant(-1), b=Polynomial.constant(1))
-        rho_one = GcfProblem(b0=Fraction(1), a=-(N**2), b=2 * N + 1)
+        uncoupled = GcfProblem(b0=Fraction(1), a=P("-1"), b=P("1"))
+        rho_one = GcfProblem(b0=Fraction(1), a=P("-n^2"), b=P("2*n + 1"))
         for problem, expected in [
             (quartic_problem, (0, 0, 1)),
             (uncoupled, (1, 0, 0)),
@@ -288,8 +286,8 @@ class TestVerifyConjecture:
             )
             return new(cls, numerator, denominator, **kwargs)
 
-        uncoupled = GcfProblem(b0=Fraction(2), a=-(N**2 + 2), b=3 * N + 1)
-        rho_one = GcfProblem(b0=Fraction(1), a=-2 * N**2 * (2 * N**2 - N), b=4 * N**2 + 3 * N + 1)
+        uncoupled = GcfProblem(b0=Fraction(2), a=P("-(n^2 + 2)"), b=P("3*n + 1"))
+        rho_one = GcfProblem(b0=Fraction(1), a=P("-2*n^2*(2*n^2 - n)"), b=P("4*n^2 + 3*n + 1"))
         monkeypatch.setattr(Fraction, "__new__", staticmethod(spy))
         for problem in (uncoupled, rho_one):
             report = verify_conjecture(problem, digits=30, depth=4000)
@@ -367,7 +365,7 @@ class TestVerifyConjecture:
     def test_vanishing_partial_sum_through_verify(self):
         # c = -8, d = 2n^2 converges with S_1 = 1/2 - 8/(2 * 8) = 0, so B_1 = 0;
         # the pass cannot sign S_1 and the exact pass raises
-        c, d = Polynomial.constant(-8), 2 * N**2
+        c, d = P("-8"), P("2*n^2")
         problem = GcfProblem(b0=d(1), a=-(c * d), b=c + d.shift(1))
         with pytest.raises(ZeroDenominatorConvergent) as err:
             verify_conjecture(problem, digits=10, depth=16)
@@ -382,8 +380,8 @@ class TestVerifyConjecture:
 
 @settings(max_examples=60, deadline=None)
 @given(coupling=convergent_couplings(), depth=st.integers(4, 300), digits=st.integers(1, 100))
-@example(Coupling(c=Polynomial.constant(-8), d=2 * N**2), 16, 10)  # B_1 = 0
-@example(Coupling(c=-N, d=2 * N), 40, 30)  # alternating terms: not monotone
+@example(Coupling(c=P("-8"), d=P("2*n^2")), 16, 10)  # B_1 = 0
+@example(Coupling(c=P("-n"), d=P("2*n")), 40, 30)  # alternating terms: not monotone
 def test_pass_matches_exact_walk(coupling, depth, digits):
     # the Euler problem of a convergent coupling; verify may pick another coupling
     c, d = coupling.c, coupling.d
