@@ -34,10 +34,10 @@ from .expr import (
     parse_rational,
 )
 from .factorize import Coupling, find_couplings, verify_coupling
-from .gcf import ConvergentTriple, GcfProblem, convergents, structural_walk
+from .gcf import GcfProblem, structural_walk
 from .numerics import PrecisionReal, rational_to_real, working_precision
 from .poly import FactoredPolynomial, Polynomial, factor_rational
-from .series import RatioCertificate, partial_sums, ratio_certificate
+from .series import RatioCertificate, ratio_certificate
 from .verify import VerificationReport, check_boundary_selection, verify_conjecture
 
 __version__ = "0.1.0"
@@ -45,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryRuleViolation",
     "ConstExpr",
-    "ConvergentTriple",
     "Coupling",
     "DivisionByZero",
     "ExprSyntaxError",
@@ -69,14 +68,12 @@ __all__ = [
     "ZeroPolynomial",
     "check_boundary_selection",
     "const_expr_to_text",
-    "convergents",
     "eval_const_expr",
     "factor_rational",
     "find_couplings",
     "parse_const_expr",
     "parse_polynomial",
     "parse_rational",
-    "partial_sums",
     "ratio_certificate",
     "rational_to_real",
     "structural_walk",

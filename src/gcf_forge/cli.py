@@ -24,9 +24,9 @@ from .errors import (
 )
 from .expr import parse_const_expr, parse_polynomial, parse_rational
 from .factorize import Coupling, find_couplings, verify_coupling
-from .gcf import GcfProblem, convergents
+from .gcf import GcfProblem, _frames, _scale
 from .numerics import PrecisionReal, rational_to_real
-from .series import partial_sums, ratio_certificate
+from .series import cascade, ratio_certificate
 from .verify import REFUTED_AT_DEPTH, VERIFIED, VerificationReport, verify_conjecture
 
 EXIT_OK = 0
@@ -120,24 +120,35 @@ def report_to_dict(report: VerificationReport) -> dict:
 # --- commands -----------------------------------------------------------------
 
 
-def _preview(q: Fraction) -> str:
-    """A table entry: q rounded to 64 bits, shown to 12 digits."""
-    return rational_to_real((q.numerator, q.denominator), 64).to_decimal(12)
+def _preview(p: int, q: int) -> str:
+    """A table entry: p/q, from an unreduced int pair, rounded to 64 bits and shown to 12 digits."""
+    return rational_to_real((p, q), 64).to_decimal(12)
+
+
+def _print_table(lines: list[str], rows, widths: tuple[int, ...]) -> None:
+    """Print lines, then a line per row (index, entry, ...), all rendered first; None shows "-"."""
+    for i, *entries in rows:
+        try:
+            cells = ["-" if x is None else str(x) for x in entries]
+        except ValueError as exc:  # str() of an int past the interpreter's int-to-text limit
+            hint = "the preview table (without --exact) rounds it"
+            raise GcfForgeError(f"row {i} is too long to print exactly; {hint}") from exc
+        lines.append("  ".join([f"{i:>5}", *(f"{c:>{w}}" for c, w in zip(cells, widths))]))
+    print(*lines, sep="\n")
 
 
 def cmd_eval(args) -> int:
     pf = load_problem_file(args.file)
-    table = convergents(pf.problem, args.depth)
-    print(f"# {pf.name or args.file}: convergents to depth {args.depth}")
-    header = f"{'n':>5}  {'A_n':>20}  {'B_n':>20}  x_n"
-    print(header)
-    for row in table:
-        if args.exact:
-            x = str(row.x) if row.x is not None else "-"
-            print(f"{row.n:>5}  {row.A!s:>20}  {row.B!s:>20}  {x}")
-        else:
-            x = _preview(row.x) if row.x is not None else "-"
-            print(f"{row.n:>5}  {_preview(row.A):>20}  {_preview(row.B):>20}  {x}")
+    if args.depth < 0:  # refused before any output
+        raise ValueError("depth must be nonnegative")
+    L, entry = _scale(pf.problem), Fraction if args.exact else _preview
+    # A_n = A'_n / L^(n+1), B_n = B'_n / L^(n+1) and x_n = A'_n / B'_n
+    rows = (
+        (n, entry(A, L ** (n + 1)), entry(B, L ** (n + 1)), entry(A, B) if B else None)
+        for n, (A, B) in zip(range(args.depth + 1), _frames(pf.problem, L))
+    )
+    name = f"# {pf.name or args.file}: convergents to depth {args.depth}"
+    _print_table([name, f"{'n':>5}  {'A_n':>20}  {'B_n':>20}  x_n"], rows, (20, 20, 0))
     return EXIT_OK
 
 
@@ -162,20 +173,20 @@ def cmd_series(args) -> int:
         print("no coupling within linear-split search space; no series to show")
         return EXIT_INCONCLUSIVE
     coupling = couplings[0]
-    sums = partial_sums(coupling, args.count)  # refuses a negative count before any output
-    certificate = ratio_certificate(coupling)
-    print(f"coupling: {coupling}")
-    print(
-        f"ratio: ({certificate.numerator.to_text()}) / ({certificate.denominator.to_text()})"
-        f"   rho = {_rho_text(certificate.rho)}   [{certificate.classification}]"
-    )
-    print(f"{'k':>5}  {'t_k':>24}  S_k")
-    for k, s in enumerate(sums):
-        t = s - sums[k - 1] if k else s  # t_k = S_k - S_{k-1}, exactly
-        if args.exact:
-            print(f"{k:>5}  {t!s:>24}  {s}")
-        else:
-            print(f"{k:>5}  {_preview(t):>24}  {_preview(s)}")
+    if args.count < 0:  # refused before any output
+        raise ValueError("count must be nonnegative")
+    # t_k = C_k/D_k and S_k = T_k/D_k; a d(j) = 0 raises here, before any output
+    frames = zip(range(args.count), cascade(coupling))
+    if args.exact:  # t_k = S_k - S_{k-1} reduces smaller ints than C_k/D_k does
+        sums = [Fraction(T, D) for _, (_, D, T) in frames]
+        rows = [(k, s - sums[k - 1] if k else s, s) for k, s in enumerate(sums)]
+    else:
+        rows = [(k, _preview(C, D), _preview(T, D)) for k, (C, D, T) in frames]
+    cert = ratio_certificate(coupling)
+    ratio = f"({cert.numerator.to_text()}) / ({cert.denominator.to_text()})"
+    ratio += f"   rho = {_rho_text(cert.rho)}   [{cert.classification}]"
+    head = [f"coupling: {coupling}", f"ratio: {ratio}", f"{'k':>5}  {'t_k':>24}  S_k"]
+    _print_table(head, rows, (24, 0))
     return EXIT_OK
 
 

@@ -3,10 +3,9 @@
 Both the numerator sequence A_n and the denominator sequence B_n obey the
 same three-term recurrence y_n = b(n) y_{n-1} + a(n) y_{n-2}; they differ
 only in their initial frames (A_{-1}, A_0) = (1, b0) and (B_{-1}, B_0) =
-(0, 1). :func:`_frames` steps both in plain ints; :func:`convergents`
-tabulates them as reduced fractions, and :func:`structural_walk` reads them
-for what the report needs when a problem has no coupling. A coupled problem
-is walked by :mod:`~gcf_forge.series` after :func:`check_coupling`.
+(0, 1). :func:`_frames` steps both in plain ints, scaled by L^(n+1), for the
+`eval` table and for :func:`structural_walk`, the walk of a problem without a
+coupling; :mod:`~gcf_forge.series` walks the rest after :func:`check_coupling`.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from .factorize import Coupling, verify_coupling
 from .numerics import agreement_digits
 from .poly import FactoredPolynomial, Polynomial, common_denominator, factor_rational
 from .poly import integer_values
-
-DEFAULT_DEPTH = 512
 
 
 @dataclass(frozen=True)
@@ -53,16 +50,6 @@ class GcfProblem:
             )
 
 
-@dataclass(frozen=True)
-class ConvergentTriple:
-    """Exact state of the recurrence at one index; x is A/B when B != 0."""
-
-    n: int
-    A: Fraction
-    B: Fraction
-    x: Fraction | None = field(default=None)
-
-
 def _scale(problem: GcfProblem) -> int:
     """The lcm L of every coefficient denominator of b0, a and b."""
     return math.lcm(problem.b0.denominator, common_denominator(problem.a, problem.b))
@@ -82,24 +69,6 @@ def _frames(problem: GcfProblem, L: int) -> Iterator[tuple[int, int]]:
         A_prev, A = A, bn * A + an * A_prev
         B_prev, B = B, bn * B + an * B_prev
         yield A, B
-
-
-def convergents(problem: GcfProblem, depth: int = DEFAULT_DEPTH) -> list[ConvergentTriple]:
-    """Exact triples (n, A_n, B_n, x_n) for n = 0..depth.
-
-    A vanishing B_n is not fatal: the triple is recorded with x = None and
-    iteration continues.
-    """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    L = _scale(problem)
-    out = []
-    power = 1
-    for n, (A, B) in zip(range(depth + 1), _frames(problem, L)):
-        power *= L
-        x = Fraction(A, B) if B else None
-        out.append(ConvergentTriple(n, Fraction(A, power), Fraction(B, power), x))
-    return out
 
 
 def check_boundary_selection(problem: GcfProblem, coupling: Coupling) -> bool:

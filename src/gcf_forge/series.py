@@ -59,13 +59,6 @@ def cascade(coupling: Coupling) -> Iterator[tuple[int, int, int]]:
         C *= cj
 
 
-def partial_sums(coupling: Coupling, count: int) -> list[Fraction]:
-    """Exact prefix sums S_n = t_0 + ... + t_n for n = 0..count-1."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return [Fraction(T, D) for _, D, T in itertools.islice(cascade(coupling), count)]
-
-
 @dataclass(frozen=True)
 class RatioCertificate:
     """Exact consecutive-term ratio t_{k+1}/t_k of a coupling's series, and its limit.

@@ -8,13 +8,15 @@ package or mpmath, so those references cannot share a failure mode with the
 code under test. The next-to-last section keeps the package's previous
 parser, coupling search and Fraction convergent loop as references for
 parity tests; the parser and the search compute on Fraction coefficient
-tuples and build a Polynomial only from their result. The last one reads the
+tuples and build a Polynomial only from their result. It also reads the
+program's int streams, the convergent frames and the series cascade, for the
+tests that check them against these references. The last one reads the
 exact value of a binary float and decodes a JSON report back into a
 VerificationReport for the round-trip tests.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, islice, product
 from math import comb
 
 
@@ -126,6 +128,11 @@ def terms(coupling, count: int) -> list[Fraction]:
     for k in range(1, count):
         out.append(out[-1] * coupling.c(k) / coupling.d(k + 1))
     return out
+
+
+def reference_partial_sums(coupling, count: int) -> list[Fraction]:
+    """Exact S_0 .. S_{count-1}, S_k = t_0 + ... + t_k, summed from :func:`terms`."""
+    return list(accumulate(terms(coupling, count)))
 
 
 def reconstruct(factored) -> tuple:
@@ -373,9 +380,9 @@ from gcf_forge.expr import (
     _fold_rational,
 )
 from gcf_forge.factorize import Coupling
-from gcf_forge.gcf import DEFAULT_DEPTH, ConvergentTriple, GcfProblem
+from gcf_forge.gcf import GcfProblem, _frames, _scale
 from gcf_forge.poly import Polynomial, factor_rational
-from gcf_forge.series import sum_and_walk
+from gcf_forge.series import cascade, sum_and_walk
 
 
 def polynomial(coefficients) -> Polynomial:
@@ -383,6 +390,16 @@ def polynomial(coefficients) -> Polynomial:
     coefficients = [Fraction(c) for c in coefficients]
     den = math.lcm(*(c.denominator for c in coefficients))
     return Polynomial([c.numerator * (den // c.denominator) for c in coefficients], den)
+
+
+def convergent_frames(problem: GcfProblem, depth: int) -> list[tuple[int, int]]:
+    """The program's (A'_n, B'_n) = L^(n+1) (A_n, B_n) for n = 0..depth, L = its scale."""
+    return list(islice(_frames(problem, _scale(problem)), depth + 1))
+
+
+def cascade_frames(coupling, count: int) -> list[tuple[int, int, int]]:
+    """The program's (C_k, D_k, T_k) for k = 0..count-1: t_k = C_k/D_k, S_k = T_k/D_k."""
+    return list(islice(cascade(coupling), count))
 
 
 def certified_sum(certificate, digits: int):
@@ -675,10 +692,18 @@ def reference_find_couplings(a: Polynomial, b: Polynomial) -> list[Coupling]:
     return [Coupling(c=polynomial(c), d=polynomial(d)) for _, c, d in sorted(found)]
 
 
-def reference_convergents(
-    problem: GcfProblem, depth: int = DEFAULT_DEPTH
-) -> list[ConvergentTriple]:
-    """Exact triples (n, A_n, B_n, x_n) for n = 0..depth.
+@dataclass(frozen=True)
+class ConvergentTriple:
+    """Exact state of the recurrence at one index; x is A/B when B != 0."""
+
+    n: int
+    A: Fraction
+    B: Fraction
+    x: Fraction | None = None
+
+
+def reference_convergents(problem: GcfProblem, depth: int) -> list[ConvergentTriple]:
+    """Exact triples (n, A_n, B_n, x_n) for n = 0..depth, stepped in Fractions.
 
     A vanishing B_n is not fatal: the triple is recorded with x = None and
     iteration continues.

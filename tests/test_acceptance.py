@@ -12,10 +12,8 @@ from fractions import Fraction
 
 from gcf_forge import (
     Coupling,
-    convergents,
     find_couplings,
     parse_polynomial,
-    partial_sums,
     ratio_certificate,
     verify_conjecture,
     verify_coupling,
@@ -23,8 +21,10 @@ from gcf_forge import (
 from gcf_forge.cli import main
 
 from oracles import (
+    cascade_frames,
     central_binomial_sum,
     close_to,
+    convergent_frames,
     eight_over_pi_squared,
     pi_squared_over_8,
     pi_squared_over_18,
@@ -36,17 +36,21 @@ def report(criterion: int, text: str) -> None:
 
 
 def series_terms(coupling, count: int) -> list[Fraction]:
-    """t_0 .. t_{count-1} as differences of the exact partial sums."""
-    sums = partial_sums(coupling, count)
-    return [s - p for s, p in zip(sums, [0] + sums[:-1])]
+    """t_0 .. t_{count-1} = C_k / D_k from the program's cascade."""
+    return [Fraction(C, D) for C, D, _ in cascade_frames(coupling, count)]
+
+
+# The quartic's frame scale is 1, so its frames (A'_n, B'_n) are (A_n, B_n) themselves.
 
 
 def test_criterion_1_exact_reciprocal_identity(quartic_problem, quartic_coupling):
     started = time.perf_counter()
-    rows = convergents(quartic_problem, 200)
-    sums = partial_sums(quartic_coupling, 201)
-    for n in range(201):
-        assert rows[n].x * sums[n] == 1, f"identity broke at n = {n}"
+    rows = convergent_frames(quartic_problem, 200)
+    sums = cascade_frames(quartic_coupling, 201)
+    assert len(rows) == len(sums) == 201
+    for n, ((A, B), (_, D, T)) in enumerate(zip(rows, sums)):
+        # x_n S_n = 1 with x_n = A'_n / B'_n and S_n = T_n / D_n
+        assert A * T == B * D, f"identity broke at n = {n}"
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"took {elapsed:.2f}s, budget is 5s"
     report(1, f"x_n * S_n = 1 exactly for n <= 200 ({elapsed:.2f}s)")
@@ -116,8 +120,7 @@ def test_criterion_6_central_binomial_cross_check():
 
 
 def test_criterion_7_casoratian_law(quartic_problem):
-    rows = convergents(quartic_problem, 100)
-    frames = [(Fraction(1), Fraction(0))] + [(t.A, t.B) for t in rows]
+    frames = [(1, 0)] + convergent_frames(quartic_problem, 100)
     w = [A * Bp - Ap * B for (Ap, Bp), (A, B) in zip(frames, frames[1:])]
     assert w[0] == -1
     for n in range(1, 101):
@@ -127,17 +130,17 @@ def test_criterion_7_casoratian_law(quartic_problem):
 
 
 def test_criterion_8_minimal_solution_collapse(quartic_problem, quartic_coupling):
-    rows = convergents(quartic_problem, 100)
+    rows = convergent_frames(quartic_problem, 100)
     d, c = quartic_coupling.d, quartic_coupling.c
-    numerator = [Fraction(1)] + [t.A for t in rows]
+    numerator = [1] + [A for A, _ in rows]
     assert all(numerator[k + 1] == d(k + 1) * numerator[k] for k in range(101))
 
     product = Fraction(1)
     for n in range(101):
         product *= d(n + 1)
-        assert rows[n].A == product, f"product law broke at n = {n}"
+        assert numerator[n + 1] == product, f"product law broke at n = {n}"
 
-    denominator = [Fraction(0)] + [t.B for t in rows]
+    denominator = [0] + [B for _, B in rows]
     trace = [denominator[k + 1] - d(k + 1) * denominator[k] for k in range(101)]
     assert trace[0] == 1
     for k in range(1, 101):
@@ -149,8 +152,7 @@ def test_criterion_8_minimal_solution_collapse(quartic_problem, quartic_coupling
 
 
 def test_criterion_9_convergence_behavior(quartic_problem):
-    rows = convergents(quartic_problem, 65)
-    xs = [t.x for t in rows]
+    xs = [Fraction(A, B) for A, B in convergent_frames(quartic_problem, 65)]
     assert all(earlier > later for earlier, later in zip(xs[:65], xs[1:66]))
 
     limit = eight_over_pi_squared(80)  # error < 10^-80, far below the gaps here

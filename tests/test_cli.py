@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,13 @@ class TestEval:
         assert len(rows) == 2  # header + the n = 0 row
         assert rows[1].split()[-1] == "5"
 
+    def test_negative_depth_refused_before_output(self, quartic_file, capsys):
+        code = main(["eval", quartic_file, "--depth", "-1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_PRECONDITION
+        assert captured.out == ""
+        assert captured.err == "error: depth must be nonnegative\n"
+
     def test_malformed_polynomial_exits_2(self, tmp_path, capsys):
         path = write_problem(tmp_path, "p.json", b0="1", a="-(2*n^4", b="1")
         code = main(["eval", path])
@@ -128,7 +136,7 @@ class TestSeries:
             walks.append(args)
             return original(*args)
 
-        monkeypatch.setattr(series, "cascade", counting)
+        monkeypatch.setattr(cli, "cascade", counting)
         assert main(["series", quartic_file, "--count", "5"]) == EXIT_OK
         assert len(walks) == 1
 
@@ -334,6 +342,31 @@ class TestVerify:
         assert report_from_dict(doc) == report
 
 
+# asin-z1_2 of the benchmark: with --exact, its A_n pass 640 digits at n = 276 and its
+# S_k at k = 744; at the default limit of 4300 digits, `eval --depth 3000` fails at n = 1422
+@pytest.mark.parametrize(
+    "argv,row",
+    [(["eval", "--depth", "300"], 276), (["series", "--count", "800"], 744)],
+    ids=["eval", "series"],
+)
+def test_exact_entry_past_int_text_limit_refused_before_output(tmp_path, capsys, argv, row):
+    path = write_problem(tmp_path, "p.json", b0="1", a="-n^2 + 1/2*n", b="5/2*n + 1")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the least the interpreter allows
+    try:
+        code = main([argv[0], path, *argv[1:], "--exact"])
+        captured = capsys.readouterr()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == EXIT_PRECONDITION
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: row {row} is too long to print exactly; "
+        "the preview table (without --exact) rounds it\n"
+    )
+    assert main([argv[0], path, *argv[1:]]) == EXIT_OK  # the preview rounds the same entries
+
+
 def test_parser_built_once(quartic_file, monkeypatch):
     assert build_parser() is build_parser()
     # the cached parser holds no command functions; main looks them up per call
@@ -352,19 +385,43 @@ def test_report_object_round_trip(quartic_file):
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BUNDLED = ("eight_over_pi_squared", "no_rational_coupling", "reciprocal_log2")
-TABLES = (["factorize"], ["series", "--count", "6", "--exact"], ["eval", "--depth", "4", "--exact"])
+# (golden suffix, argv): --exact prints reduced fractions, a preview rounds each entry to 64 bits
+TABLES = (
+    ("factorize", ["factorize"]),
+    ("series", ["series", "--count", "6", "--exact"]),
+    ("eval", ["eval", "--depth", "4", "--exact"]),
+    ("series.preview", ["series", "--count", "6"]),
+    ("eval.preview", ["eval", "--depth", "4"]),
+)
+TABLE_IDS = [golden for golden, _ in TABLES]
 
 
-@pytest.mark.parametrize("argv", TABLES, ids=[argv[0] for argv in TABLES])
+@pytest.mark.parametrize("golden,argv", TABLES, ids=TABLE_IDS)
 @pytest.mark.parametrize("stem", BUNDLED)
-def test_golden_stdout(problems_dir, capsys, stem, argv):
+def test_golden_stdout(problems_dir, capsys, stem, golden, argv):
     # byte for byte, so that how a polynomial is stored cannot change what is printed
     code = main([argv[0], str(problems_dir / f"{stem}.json"), *argv[1:]])
     out, err = capsys.readouterr()
-    assert out == (GOLDEN / f"{stem}.{argv[0]}.txt").read_text()
+    assert out == (GOLDEN / f"{stem}.{golden}.txt").read_text()
     assert err == ""
     no_series = (stem, argv[0]) == ("no_rational_coupling", "series")
     assert code == (EXIT_INCONCLUSIVE if no_series else EXIT_OK)
+
+
+# c = -2, d = n^2/2: every bundled problem has L = 1, and here L = 2, so each A_n and B_n
+# is a frame divided by 2^(n+1); S_1 = t_0 + t_1 = 2 - 2 = 0, so B_1 = 0 and x_1 is "-"
+SCALED = {"name": "scaled_vanishing", "b0": "1/2", "a": "n^2", "b": "(n+1)^2/2 - 2"}
+
+
+@pytest.mark.parametrize("golden,argv", TABLES, ids=TABLE_IDS)
+def test_golden_stdout_scaled(tmp_path, capsys, golden, argv):
+    path = tmp_path / f"{SCALED['name']}.json"
+    path.write_text(json.dumps(SCALED))
+    code = main([argv[0], str(path), *argv[1:]])
+    out, err = capsys.readouterr()
+    assert out == (GOLDEN / f"{SCALED['name']}.{golden}.txt").read_text()
+    assert err == ""
+    assert code == EXIT_OK
 
 
 VERIFY_RUNS = [(stem, stem, []) for stem in BUNDLED] + [

@@ -465,10 +465,39 @@ def test_offsets_only_for_an_error(monkeypatch):
     assert (calls, info.value.position) == ([3], 4)
 
 
+def polynomial_texts():
+    """Texts that parse as polynomials, so the arithmetic itself is compared: leaves n and
+    integers, + - * / ^ and unary minus, and often a division by a signed constant."""
+    leaves = st.one_of(st.just("n"), st.integers(min_value=0, max_value=12).map(str))
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from(["+", "-", "*", "/", " - ", " / "]), inner).map(
+                "".join
+            ),
+            inner.map(lambda t: f"-{t}"),
+            inner.map(lambda t: f"({t})"),
+            st.tuples(inner, st.integers(min_value=0, max_value=3)).map(
+                lambda pair: f"({pair[0]})^{pair[1]}"
+            ),
+            st.tuples(inner, st.integers(min_value=-6, max_value=6).filter(bool)).map(
+                lambda pair: f"({pair[0]})/({pair[1]})"
+            ),
+        ),
+        max_leaves=10,
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(source=st.one_of(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join),
                         well_formed_texts()))
 def test_parsers_match_reference(source):
+    assert_same_as_reference(source)
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=polynomial_texts())
+def test_polynomial_parsers_match_reference(source):
     assert_same_as_reference(source)
 
 

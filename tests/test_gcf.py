@@ -9,29 +9,39 @@ from hypothesis import strategies as st
 
 from gcf_forge import (
     BoundaryRuleViolation,
-    ConvergentTriple,
     Coupling,
     GcfProblem,
     InvalidProblem,
     Polynomial,
     ZeroDenominatorConvergent,
-    convergents,
-    partial_sums,
     ratio_certificate,
     structural_walk,
     verify_conjecture,
 )
 from gcf_forge import parse_polynomial as P
 from gcf_forge import series
-from gcf_forge.gcf import check_coupling
+from gcf_forge.gcf import _scale, check_coupling
 
-from oracles import agreement_digits_loop, certified_sum, polynomial, reference_convergents
+from oracles import (
+    ConvergentTriple,
+    agreement_digits_loop,
+    certified_sum,
+    convergent_frames,
+    polynomial,
+    reference_convergents,
+    reference_partial_sums,
+)
 
 
-def cross_products(rows: list[ConvergentTriple]) -> list[Fraction]:
-    """W_n = A_n B_{n-1} - A_{n-1} B_n for n = 0..len(rows)-1, by definition."""
-    frames = [(Fraction(1), Fraction(0))] + [(t.A, t.B) for t in rows]
+def cross_products(frames: list[tuple]) -> list:
+    """W_n = A_n B_{n-1} - A_{n-1} B_n for n = 0..len(frames)-1 from (A_n, B_n), by definition."""
+    frames = [(1, 0), *frames]
     return [A * B_prev - A_prev * B for (A_prev, B_prev), (A, B) in zip(frames, frames[1:])]
+
+
+def reference_frames(problem, depth: int) -> list[tuple]:
+    """(A_n, B_n) for n = 0..depth from the Fraction reference."""
+    return [(t.A, t.B) for t in reference_convergents(problem, depth)]
 
 
 def reference_walk(rows: list[ConvergentTriple], coupling=None, cap: int = 30):
@@ -46,7 +56,7 @@ def reference_walk(rows: list[ConvergentTriple], coupling=None, cap: int = 30):
     xs = [t.x for t in rows]
     if coupling is not None:
         products = accumulate((coupling.d(j) for j in range(1, depth + 2)), operator.mul)
-        for t, p, s in zip(rows, products, partial_sums(coupling, depth + 1)):
+        for t, p, s in zip(rows, products, reference_partial_sums(coupling, depth + 1)):
             if t.x is None:
                 raise ZeroDenominatorConvergent(t.n)
             if t.A != p or t.x * s != 1:
@@ -85,53 +95,38 @@ def brute_force_frames(b0, a_of, b_of, depth):
 
 
 class TestConvergents:
+    """The program's frames (A'_n, B'_n) = L^(n+1) (A_n, B_n); the quartic has L = 1."""
+
     def test_first_three_rows(self, quartic_problem):
-        rows = convergents(quartic_problem, 2)
-        assert rows[0] == ConvergentTriple(0, Fraction(1), Fraction(1), Fraction(1))
-        assert rows[1] == ConvergentTriple(1, Fraction(6), Fraction(7), Fraction(6, 7))
-        assert rows[2] == ConvergentTriple(
-            2, Fraction(90), Fraction(109), Fraction(90, 109)
-        )
+        assert convergent_frames(quartic_problem, 2) == [(1, 1), (6, 7), (90, 109)]
 
     def test_matches_hand_iteration_to_depth_50(self, quartic_problem):
-        rows = convergents(quartic_problem, 50)
         oracle = brute_force_frames(
             1, lambda n: -(2 * n**4 - n**3), lambda n: 3 * n**2 + 3 * n + 1, 50
         )
-        for triple, (A, B) in zip(rows, oracle):
-            assert (triple.A, triple.B) == (A, B)
-            assert triple.x == A / B
+        assert convergent_frames(quartic_problem, 50) == oracle
 
     def test_both_frames_satisfy_shared_recurrence(self, quartic_problem):
         a, b = quartic_problem.a, quartic_problem.b
-        rows = convergents(quartic_problem, 40)
-        frames = {
-            "A": (Fraction(1), [t.A for t in rows]),
-            "B": (Fraction(0), [t.B for t in rows]),
-        }
-        for minus_one, ys in frames.values():
+        rows = convergent_frames(quartic_problem, 40)
+        for minus_one, ys in ((1, [A for A, _ in rows]), (0, [B for _, B in rows])):
             window = [minus_one] + ys
             for n in range(1, len(ys)):
                 assert window[n + 1] == b(n) * window[n] + a(n) * window[n - 1]
 
     def test_depth_zero(self, quartic_problem):
-        rows = convergents(quartic_problem, 0)
-        assert len(rows) == 1
-        assert rows[0].x == quartic_problem.b0
-
-    def test_negative_depth_rejected(self, quartic_problem):
-        with pytest.raises(ValueError):
-            convergents(quartic_problem, -1)
+        [(A, B)] = convergent_frames(quartic_problem, 0)
+        assert Fraction(A, B) == quartic_problem.b0
 
     def test_zero_denominator_is_reported_not_fatal(self):
         # b0=1, a=-1, b=1 cycles with period 6 and hits B_n = 0
         problem = GcfProblem(
             b0=Fraction(1), a=P("-1"), b=P("1")
         )
-        rows = convergents(problem, 12)
-        missing = [t.n for t in rows if t.x is None]
+        rows = convergent_frames(problem, 12)
+        missing = [n for n, (_, B) in enumerate(rows) if B == 0]
         assert missing, "expected at least one vanishing denominator"
-        assert rows[-1].n == 12  # iteration continued past the zero
+        assert len(rows) == 13  # the stream went on past the zero
 
 
 class TestProblemValidation:
@@ -152,29 +147,30 @@ class TestCasoratian:
     """W_n from the definition on convergents, the law the walk's sign bit reads."""
 
     def test_initial_value(self, quartic_problem):
-        assert cross_products(convergents(quartic_problem, 0)) == [Fraction(-1)]
-        assert cross_products(reference_convergents(quartic_problem, 0)) == [Fraction(-1)]
+        assert cross_products(convergent_frames(quartic_problem, 0)) == [-1]
+        assert cross_products(reference_frames(quartic_problem, 0)) == [-1]
 
     def test_first_values(self, quartic_problem):
-        w = cross_products(convergents(quartic_problem, 2))
-        assert w == [Fraction(-1), Fraction(-1), Fraction(-24)]
+        w = cross_products(convergent_frames(quartic_problem, 2))
+        assert w == [-1, -1, -24]
 
     def test_determinant_recursion_to_100(self, quartic_problem):
-        w = cross_products(convergents(quartic_problem, 100))
+        w = cross_products(convergent_frames(quartic_problem, 100))
         a = quartic_problem.a
         for n in range(1, 101):
             assert w[n] == -a(n) * w[n - 1]
         assert verify_conjecture(quartic_problem, digits=10, depth=100).casoratian_depth == 100
 
     def test_never_vanishes(self, quartic_problem):
-        assert all(value != 0 for value in cross_products(convergents(quartic_problem, 100)))
+        assert all(value != 0 for value in cross_products(convergent_frames(quartic_problem, 100)))
 
     def test_matches_definition_from_convergents(self, quartic_problem):
         # x_{n-1} - x_n = -W_n / (B_{n-1} B_n): the sign the walk reads
-        rows = convergents(quartic_problem, 30)
+        rows = convergent_frames(quartic_problem, 30)
         w = cross_products(rows)
+        xs = [Fraction(A, B) for A, B in rows]
         for n in range(1, 31):
-            assert rows[n - 1].x - rows[n].x == -w[n] / (rows[n - 1].B * rows[n].B) > 0
+            assert xs[n - 1] - xs[n] == Fraction(-w[n], rows[n - 1][1] * rows[n][1]) > 0
         assert structural_walk(quartic_problem, 30, 30)[0]  # monotone
 
 
@@ -206,10 +202,14 @@ def euler_problem(coupling: Coupling) -> GcfProblem:
 @given(euler_couplings(), st.integers(min_value=0, max_value=40))
 @example(Coupling(c=P("n/2"), d=P("n + 1/3")), 40)
 def test_convergents_match_fraction_reference(coupling, depth):
-    # rational coefficients make the frame scale L > 1, so each row is reduced
-    # from L^(n+1)-scaled ints
+    # rational coefficients make the frame scale L > 1, so each int frame is
+    # L^(n+1) times the reference's (A_n, B_n)
     problem = euler_problem(coupling)
-    assert convergents(problem, depth) == reference_convergents(problem, depth)
+    L = _scale(problem)
+    frames, reference = convergent_frames(problem, depth), reference_frames(problem, depth)
+    assert len(frames) == len(reference) == depth + 1
+    for n, ((A, B), (A_n, B_n)) in enumerate(zip(frames, reference)):
+        assert (A, B) == (A_n * L ** (n + 1), B_n * L ** (n + 1))
 
 
 class TestStructuralWalk:
@@ -268,7 +268,7 @@ class TestStructuralWalk:
                 assert (value, terms, *walk) == (None, None, monotone, cauchy, last)
 
     def test_flagship_deep_pin(self, quartic_problem, quartic_coupling):
-        sums = partial_sums(quartic_coupling, 1501)
+        sums = reference_partial_sums(quartic_coupling, 1501)
         _, _, monotone, cauchy, _ = exact_coupled_walk(quartic_problem, quartic_coupling, 1500)
         assert monotone
         assert cauchy == agreement_digits_loop(1 / sums[750], 1 / sums[1500], 30)

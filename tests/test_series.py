@@ -12,7 +12,6 @@ from gcf_forge import (
     NotConvergent,
     Polynomial,
     ZeroDenominatorFactor,
-    partial_sums,
     ratio_certificate,
     rational_to_real,
 )
@@ -22,6 +21,7 @@ from gcf_forge.numerics import agreement_digits
 from gcf_forge.poly import common_denominator, factor_rational
 
 from oracles import (
+    cascade_frames,
     central_binomial_sum,
     certified_sum,
     close_to,
@@ -54,34 +54,34 @@ class TestTerms:
         ]
 
     def test_closed_form_to_100(self, quartic_coupling):
-        sums = partial_sums(quartic_coupling, 101)
+        frames = cascade_frames(quartic_coupling, 101)
+        sums = [Fraction(T, D) for _, D, T in frames]
         for k, t in enumerate(terms(quartic_coupling, 101)):
             assert t == closed_form_term(k)
-            assert sums[k] - (sums[k - 1] if k else 0) == t
+            assert Fraction(*frames[k][:2]) == sums[k] - (sums[k - 1] if k else 0) == t
 
     def test_partial_sums(self, quartic_coupling):
-        assert partial_sums(quartic_coupling, 3) == [
+        assert [Fraction(T, D) for _, D, T in cascade_frames(quartic_coupling, 3)] == [
             Fraction(1),
             Fraction(7, 6),
             Fraction(109, 90),
         ]
 
-    def test_negative_count_rejected(self, quartic_coupling):
-        with pytest.raises(ValueError, match="count must be nonnegative"):
-            partial_sums(quartic_coupling, -1)
-
     def test_positive_terms_increasing_sums(self, quartic_coupling):
-        sums = partial_sums(quartic_coupling, 200)
+        frames = cascade_frames(quartic_coupling, 200)
         assert all(t > 0 for t in terms(quartic_coupling, 200))
-        assert all(s < t for s, t in zip(sums, sums[1:]))
+        assert all(C > 0 and D > 0 for C, D, _ in frames)
+        # S_k = T_k/D_k < S_(k+1), and both D are positive
+        steps = zip(frames, frames[1:])
+        assert all(T * D_next < T_next * D for (_, D, T), (_, D_next, T_next) in steps)
 
     def test_vanishing_denominator_factor(self):
         # t_2 is the last term that does not divide by d(3) = 0
         coupling = Coupling(c=P("n"), d=P("n - 3"))
         with pytest.raises(ZeroDenominatorFactor) as err:
-            partial_sums(coupling, 3)
+            cascade_frames(coupling, 3)
         assert err.value.index == 3
-        assert partial_sums(coupling, 2) == [Fraction(-1, 2), Fraction(0)]
+        assert [Fraction(T, D) for _, D, T in cascade_frames(coupling, 2)] == [Fraction(-1, 2), 0]
 
     def test_stream_state_tracks_products(self):
         c, d = P("1/2*n^2"), P("2*n^2 - 1/3*n")

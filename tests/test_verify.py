@@ -16,7 +16,6 @@ from gcf_forge import (
     VerificationReport,
     ZeroDenominatorConvergent,
     check_boundary_selection,
-    convergents,
     parse_const_expr,
     verify_conjecture,
 )
@@ -27,6 +26,7 @@ from gcf_forge.verify import INCONCLUSIVE, REFUTED_AT_DEPTH, VERIFIED
 from oracles import (
     agreement_digits_loop,
     close_to,
+    convergent_frames,
     eight_over_pi_squared,
     exact_value,
     reference_convergents,
@@ -127,15 +127,16 @@ class TestBoundaryAndCollapse:
 
     def test_numerator_product_small_values(self, quartic_problem, quartic_coupling):
         d = quartic_coupling.d
-        rows = convergents(quartic_problem, 1)
-        assert rows[1].A == d(1) * d(2) == 6
+        _, (A, _) = convergent_frames(quartic_problem, 1)  # L = 1, so A'_1 = A_1
+        assert A == d(1) * d(2) == 6
 
     def test_numerator_product_perturbed_sentinel(
         self, quartic_problem, quartic_coupling
     ):
         # the product law fails already at n = 0, and the walk refuses the frame
         shifted = perturbed(quartic_problem, 2)
-        assert convergents(shifted, 0)[0].A != quartic_coupling.d(1)
+        [(A, _)] = convergent_frames(shifted, 0)  # L = 1, so A'_0 = A_0
+        assert A != quartic_coupling.d(1)
         with pytest.raises(BoundaryRuleViolation):
             exact_coupled_walk(shifted, quartic_coupling, 10)
 
@@ -170,8 +171,8 @@ class TestPincherleEvidence:
         assert cauchy >= 5
 
     def test_first_step_decreases(self, quartic_problem):
-        rows = convergents(quartic_problem, 1)
-        assert rows[0].x == 1 > rows[1].x == Fraction(6, 7)
+        (A_0, B_0), (A_1, B_1) = convergent_frames(quartic_problem, 1)
+        assert Fraction(A_0, B_0) == 1 > Fraction(A_1, B_1) == Fraction(6, 7)
 
     def test_requires_convergent_certificate(self):
         # c = d = n gives rho = 1: no certified series, so no verdict either way
