@@ -18,6 +18,7 @@ from .errors import (
     NegativeSqrt,
     NonPolynomial,
     NotConvergent,
+    OnsetPastBudget,
     ProblemFileError,
     UnknownSymbol,
     ZeroDenominatorConvergent,
@@ -56,6 +57,7 @@ __all__ = [
     "NegativeSqrt",
     "NonPolynomial",
     "NotConvergent",
+    "OnsetPastBudget",
     "Polynomial",
     "PrecisionReal",
     "ProblemFileError",

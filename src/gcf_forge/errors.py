@@ -69,6 +69,14 @@ class NotConvergent(GcfForgeError):
     """The ratio certificate does not classify the series as convergent."""
 
 
+class OnsetPastBudget(GcfForgeError):
+    """The certified geometric onset lies past the budget of terms a sum may take."""
+
+    def __init__(self, onset: int, budget: int):
+        super().__init__(f"the geometric onset k = {onset} exceeds the budget of {budget} terms")
+        self.onset = onset
+
+
 class BoundaryRuleViolation(GcfForgeError):
     """b0 != d(1); the selection rule required by the pipeline fails."""
 

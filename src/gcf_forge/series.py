@@ -8,7 +8,10 @@ certified geometric tail bound in fixed point, where ints of about F bits
 enclose the exact prefix sum in [s - E, s + E] 2^-F; the exact cascade runs
 only when that enclosure cannot decide the stop or the rounding. The same
 pass reads a coupled problem's convergents x_n = 1/S_n to the walk's depth,
-so each coupled job steps its cascade once, at a cost linear in the depth.
+so each coupled job steps its cascade once. Past the stop, and past the index
+where the partial sums settle their sign, the tail bound that certifies the
+sum pins every later convergent, so a convergent walk ends there: its cost
+follows the term count, not the depth.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import NotConvergent, ZeroDenominatorConvergent, ZeroDenominatorFactor
+from .errors import NotConvergent, OnsetPastBudget, ZeroDenominatorConvergent, ZeroDenominatorFactor
 from .factorize import Coupling
 from .numerics import (
     agreement_digits,
@@ -36,6 +39,9 @@ INCONCLUSIVE = "inconclusive"
 
 #: fraction bits the fixed-point sum carries past the working precision
 FIXED_POINT_GUARD_BITS = 64
+
+#: the largest geometric onset either pass sums to; a farther one is refused unsummed
+ONSET_BUDGET = 10**6
 
 
 def cascade(coupling: Coupling) -> Iterator[tuple[int, int, int]]:
@@ -126,18 +132,21 @@ def _geometric_onset(certificate: RatioCertificate, rho_bar: Fraction) -> int:
     return K
 
 
-def _stop_rule(certificate: RatioCertificate, digits: int) -> tuple[int, int, int, int]:
-    """(onset, budget, q, slack): stop at the first k >= onset with budget |t_k| <= q.
+def _stop_rule(certificate: RatioCertificate, digits: int) -> tuple[int, int, int, int, int]:
+    """(onset, budget, q, slack, p): stop at the first k >= onset with budget |t_k| <= q.
 
     rho_bar = (|rho|+1)/2 bounds the ratio from :func:`_geometric_onset` on, so the tail
     after k is at most |t_k| p/q with p/q = rho_bar / (1 - rho_bar), and budget = 2 10^digits p.
-    slack = ceil(2 / (1 - rho_bar)) is at least rho_bar slack + 2.
+    slack = ceil(2 / (1 - rho_bar)) is at least rho_bar slack + 2. Raises OnsetPastBudget when
+    the onset exceeds ONSET_BUDGET, before either pass forms a term.
     """
     rho_bar = (abs(certificate.rho) + 1) / 2
     onset = _geometric_onset(certificate, rho_bar)
-    tail_factor = rho_bar / (1 - rho_bar)
+    if onset > ONSET_BUDGET:
+        raise OnsetPastBudget(onset, ONSET_BUDGET)
+    p, q = (rho_bar / (1 - rho_bar)).as_integer_ratio()
     slack = math.ceil(2 / (1 - rho_bar))
-    return onset, 2 * 10**digits * tail_factor.numerator, tail_factor.denominator, slack
+    return onset, 2 * 10**digits * p, q, slack, p
 
 
 def sum_and_walk(certificate: RatioCertificate, digits: int, depth: int, cap: int):
@@ -151,7 +160,8 @@ def sum_and_walk(certificate: RatioCertificate, digits: int, depth: int, cap: in
     (D_depth, T_depth). The coupling passed :func:`~gcf_forge.gcf.check_coupling` for a
     problem, so x_n = 1/S_n and c(n) != 0 for n >= 1 (a(n) = -c(n) d(n) != 0).
     :func:`_exact_pass` walks whenever :func:`_fixed_point_pass` cannot decide, so the
-    result is the same either way.
+    result is the same either way. A geometric onset past ONSET_BUDGET raises
+    OnsetPastBudget before either pass forms a term.
     """
     coupling, stop = certificate.coupling, None
     if certificate.classification == CONVERGENT:
@@ -159,7 +169,7 @@ def sum_and_walk(certificate: RatioCertificate, digits: int, depth: int, cap: in
         bits = working_precision(digits)
         if found := _fixed_point_pass(coupling, *stop, bits, depth, cap):
             return (*found, None)
-    summed, monotone, at_half, at_depth = _exact_pass(coupling, depth, stop)
+    summed, monotone, at_half, at_depth = _exact_pass(coupling, depth, stop and stop[:4])
     cauchy = agreement_digits(at_half, at_depth, cap)
     if summed is None:
         return None, None, monotone, cauchy, at_depth
@@ -167,26 +177,26 @@ def sum_and_walk(certificate: RatioCertificate, digits: int, depth: int, cap: in
     return rational_to_real(total, bits), terms, monotone, cauchy, None
 
 
-def _cauchy_digits(at_half, at_depth, F: int, cap: int) -> int | None:
+def _cauchy_digits(at_half, at_depth, spread: int, F: int, cap: int) -> int | None:
     """agreement_digits(1/S_h, 1/S_N, cap) from enclosures, or None if they leave it open.
 
     That is :func:`~gcf_forge.numerics.ratio_digits` of max(|S_N|, 1) |S_h| / |S_N - S_h|,
     taken at both ends of its bracket. at_half = (s_h, E_h) and at_depth = (s_N, E_N)
-    enclose S_h and S_N as in :func:`_fixed_point_pass`, with |s| > E, and
-    S_N - S_h = t_(h+1) + ... + t_N lies within (E_N - E_h) 2^-F of (s_N - s_h) 2^-F.
+    enclose S_h and S_N as in :func:`_fixed_point_pass`, and S_N - S_h lies within
+    spread 2^-F of (s_N - s_h) 2^-F. None also when the enclosure of S_h holds 0.
     """
     (s_h, E_h), (s_N, E_N) = at_half, at_depth
     low_h, high_h = abs(s_h) - E_h, abs(s_h) + E_h
     low_N, high_N = max(abs(s_N) - E_N, 1 << F), max(abs(s_N) + E_N, 1 << F)
-    gap, spread = abs(s_N - s_h), E_N - E_h
-    least = ratio_digits(low_N * low_h, (gap + spread) << F, cap)
+    gap = abs(s_N - s_h)
+    least = ratio_digits(low_N * low_h, (gap + spread) << F, cap) if low_h > 0 else None
     most = ratio_digits(high_N * high_h, max(gap - spread, 0) << F, cap)
     return least if least == most else None
 
 
 def _fixed_point_pass(
-    coupling: Coupling, onset: int, budget: int, q: int, slack: int, bits: int, depth: int,
-    cap: int,
+    coupling: Coupling, onset: int, budget: int, q: int, slack: int, p: int, bits: int,
+    depth: int, cap: int,
 ):
     """:func:`sum_and_walk`'s (value, terms, monotone, cauchy digits) in fixed point, or None.
 
@@ -195,23 +205,32 @@ def _fixed_point_pass(
     if |u_k| + e_k <= thr = floor(q 2^F / budget) and fails if |u_k| - e_k > thr. None when
     neither is certain, or when [s - E, s + E] 2^-F (s, E: sums of u, e) rounds two ways.
 
-    The pass runs to max(depth, stop). For k <= depth the sign of S_k must be certain,
-    |s_k| > E_k, and so must :func:`_cauchy_digits` at h = (depth + 1) // 2 and depth, or
-    the result is None. x_{k-1} - x_k is t_k / (S_{k-1} S_k), and t_k < 0 iff an odd
-    number of c(1..k), d(1..k+1) are.
+    For k <= depth the sign of S_k must be certain, |s_k| > E_k, and so must
+    :func:`_cauchy_digits` at h = (depth + 1) // 2 and depth, or the result is None.
+    x_{k-1} - x_k is t_k / (S_{k-1} S_k), and t_k < 0 iff an odd number of c(1..k),
+    d(1..k+1) are.
 
-    Past k0 = max(depth, onset + 1), |c'(k) / d'(k+1)| <= rho_bar and d'(k+1) != 0, so
-    e_k < rho_bar e_{k-1} + 2 <= B = max(e_k0, slack) (:func:`_stop_rule`): a lean loop
-    tests u against thr +- B alone and takes E_k0 + (k - k0) B for E.
+    From k = onset + 1 on, |c'(k) / d'(k+1)| <= rho_bar and d'(k+1) != 0, so
+    e_j < rho_bar e_{j-1} + 2 <= B = max(e_k, slack) for j > k (:func:`_stop_rule`): lean
+    loops test u against thr +- B alone and take E_k + (j - k) B for E_j. They start at the
+    switch, the first k < depth from settle = max(onset, root bounds of c and d) + 1 on with
+    q (|s_k| - E_k) > p (|u_k| + e_k), p/q = rho_bar / (1 - rho_bar), or else at
+    max(depth, onset + 1). Past the switch |S_j - S_k| <= |t_k| p/q < |S_k|, so every S_j
+    keeps the sign of S_k, and c'(j) / d'(j+1) keeps one sign: the walk stays monotone iff
+    it was and the terms do not alternate. The walk ends at m, the later of the switch and
+    the stop, where S_h and S_depth past m lie within T = ceil((|u_m| + B) p/q) + 1 of s_m.
+    So it steps O(max(stop, settle)) terms, whatever the depth. Past the depth a lean loop
+    only sums.
     """
     scale = common_denominator(coupling.c, coupling.d)
-    c, d = (integer_values(p, scale) for p in (coupling.c, coupling.d))
+    c, d = (integer_values(f, scale) for f in (coupling.c, coupling.d))
     d1 = int(scale * coupling.d(1))  # d'(1); scale clears its denominator
     F = bits + FIXED_POINT_GUARD_BITS + max(0, abs(d1).bit_length() - scale.bit_length())
     thr = (q << F) // budget
     u, e, s, E = scale << F, 0, 0, 0  # u_{-1} = L 2^F exactly
     found, monotone, negative, half = None, True, False, (depth + 1) // 2
     k0 = max(depth, onset + 1)
+    settle = max(onset, *(root_bound_floor(f.numerators) for f in (coupling.c, coupling.d))) + 1
     # c'(0) = 1 pairs with d'(1), then c'(k) with d'(k+1)
     steps = zip(itertools.count(), itertools.chain((1,), c), d)
     for k, ck, dk in steps:
@@ -228,7 +247,9 @@ def _fixed_point_pass(
                 return None  # the sign of S_k, hence of B_k, is uncertain
             if k == half:
                 at_half = s, E
-            if k == depth and (cauchy := _cauchy_digits(at_half, (s, E), F, cap)) is None:
+            if k == depth and (
+                cauchy := _cauchy_digits(at_half, (s, E), E - at_half[1], F, cap)
+            ) is None:
                 return None
         if found is None and k >= onset and abs(u) - e <= thr:
             value = enclosure_to_real(s - E, s + E, F, bits) if abs(u) + e <= thr else None
@@ -237,11 +258,36 @@ def _fixed_point_pass(
             found = value, k + 1
         if found is not None and k >= depth:
             return (*found, monotone, cauchy)
-        if k == k0:
+        if k == k0 or k >= settle and q * (abs(s) - E) > p * (abs(u) + e):
             break
     B = max(e, slack)
     # |u| <= thr - B stops for certain, |u| > thr + B goes on, and between is undecided
     low, high, neg_low, neg_high = thr - B, thr + B, B - thr, -thr - B
+    if k < depth:  # the switch: |S_k| > |t_k|, so a monotone walk so far has t_k > 0
+        monotone = monotone and (ck ^ dk) >= 0  # alternating terms make t_(k+1) < 0
+        k0 = k
+        for k, ck, dk in () if found else steps:  # on to the stop or the depth
+            u = u * ck // dk
+            s += u
+            if k == half:
+                at_half = s, E + (k - k0) * B
+            if neg_high <= u <= high or k == depth:
+                break
+        E, k0 = E + (k - k0) * B, k
+        if not found and neg_high <= u <= high:
+            value = enclosure_to_real(s - E, s + E, F, bits) if neg_low <= u <= low else None
+            if value is None:
+                return None
+            found = value, k + 1
+        # a walk that ends before the depth reads every later S_j as s within (E + T) 2^-F
+        T = -(-(abs(u) + B) * p // q) + 1 if found and k < depth else 0
+        if half > k:
+            at_half = s, E + T
+        cauchy = _cauchy_digits(at_half, (s, E + T), max(E + T - at_half[1], T), F, cap)
+        if cauchy is None:
+            return None
+        if found:
+            return (*found, monotone, cauchy)
     for k, ck, dk in steps:
         u = u * ck // dk
         s += u

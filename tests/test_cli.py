@@ -251,6 +251,17 @@ class TestVerify:
         assert runs[0][0] == EXIT_OK
         assert runs[1] == runs[0]
 
+    def test_far_onset_exits_three(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path, "far.json", b0="2", a="-2*n*(n + 1000000000)", b="3*n + 1000000002"
+        )
+        assert main(["verify", path, "--digits", "20"]) == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the geometric onset k = 1999999998 exceeds the budget of 1000000 terms\n"
+        )
+
     def test_unwritable_report_exits_three(self, quartic_file, tmp_path, capsys):
         # a traceback would exit 1, which reads as refuted-at-depth
         path = tmp_path / "no-such-dir" / "r.json"

@@ -21,6 +21,7 @@ from gcf_forge import (
 from gcf_forge import parse_polynomial as P
 from gcf_forge import series
 from gcf_forge.gcf import _scale, check_coupling
+from gcf_forge.poly import root_bound_floor
 
 from oracles import (
     ConvergentTriple,
@@ -357,3 +358,75 @@ class TestLeanTail:
         for depth in (0, onset, onset + 1, onset + 2, stop - 1, stop, stop + 7):
             walked = fixed_point_walk(certificate, digits, depth)
             assert walked == exact_coupled_walk(problem, coupling, depth, digits)
+
+
+def settle_index(certificate, digits):
+    """The fixed-point pass's settle: past the onset and the Cauchy root bounds of c and d."""
+    onset = series._stop_rule(certificate, digits)[0]
+    c, d = certificate.coupling.c, certificate.coupling.d
+    return max(onset, *(root_bound_floor(f.numerators) for f in (c, d))) + 1
+
+
+def terms_drawn(monkeypatch) -> list[int]:
+    """Count the values the series module draws from integer_values, in a one-item list."""
+    drawn = [0]
+    integer_values = series.integer_values
+
+    def counted(p, scale):
+        for value in integer_values(p, scale):
+            drawn[0] += 1
+            yield value
+
+    monkeypatch.setattr(series, "integer_values", counted)
+    return drawn
+
+
+class TestEarlyEnd:
+    """Past the switch and the stop, a convergent walk ends: the tail bound pins the rest."""
+
+    @pytest.mark.parametrize(
+        "coupling",
+        [
+            Coupling(c=P("n^2"), d=P("2*n^2 - n")),  # the flagship
+            Coupling(c=P("-n"), d=P("2*n")),  # rho = -1/2: the terms alternate
+            Coupling(c=P("-n^2"), d=P("2*n^2 - n")),  # rho = -1/2
+            # c < 0 at n = 3 alone, below its Cauchy bound 9
+            Coupling(c=P("n^2 - 6*n + 35/4"), d=P("2*n^2 + 1")),
+            # d < 0 for n <= 4, below its Cauchy bound 5
+            Coupling(c=P("n^2"), d=P("2*n^2 - 9*n + 1")),
+            Coupling(c=P("30*n"), d=P("n^2 + 1")),  # the terms rise before they decay
+            Coupling(c=P("-2"), d=P("n + 1")),  # rho = 0, alternating
+            Coupling(c=P("3"), d=P("n*(n + 10)")),  # rho = 0, onset 32
+        ],
+        ids=[
+            "flagship", "alternating", "negative-rho", "c-sign-change", "d-sign-change",
+            "growing", "rho-0-alternating", "rho-0-wide",
+        ],
+    )
+    def test_matches_exact_pass_around_settle_and_stop(self, coupling, monkeypatch):
+        # digits and cap as verify takes them: the sum carries ten digits past the cap
+        certificate = ratio_certificate(coupling)
+        settle = settle_index(certificate, 40)
+        stop = certified_sum(certificate, 40)[1] - 1
+        problem = euler_problem(coupling)
+        # h = (depth + 1) // 2 reaches the stop at depth 2 stop - 1 and passes it at 2 stop + 1
+        depths = {0, settle - 1, settle, settle + 1, settle + 2, stop - 1, stop, stop + 1}
+        depths |= {2 * stop - 2, 2 * stop - 1, 2 * stop, 2 * stop + 1, 10 * stop}
+        for depth in sorted(depths):
+            walked = fixed_point_walk(certificate, 40, depth, 30)
+            assert walked == exact_coupled_walk(problem, coupling, depth, 40, 30), depth
+        # so deep a walk ends where the shallower one did
+        drawn = terms_drawn(monkeypatch)
+        fixed_point_walk(certificate, 40, 10 * stop, 30)
+        ended, drawn[0] = drawn[0], 0
+        fixed_point_walk(certificate, 40, 10**6, 30)
+        assert drawn[0] == ended
+
+    def test_flagship_draws_the_same_terms_at_any_depth(self, quartic_problem, monkeypatch):
+        drawn = terms_drawn(monkeypatch)
+        shallow = verify_conjecture(quartic_problem, digits=30, depth=250)
+        at_250, drawn[0] = drawn[0], 0
+        deep = verify_conjecture(quartic_problem, digits=30, depth=10**6)
+        assert drawn[0] == at_250
+        assert (deep.terms_used, deep.series_value) == (shallow.terms_used, shallow.series_value)
+        assert deep.monotone_convergents and deep.cauchy_digits == 30

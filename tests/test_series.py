@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gcf_forge import (
     Coupling,
     NotConvergent,
+    OnsetPastBudget,
     Polynomial,
     ZeroDenominatorFactor,
     ratio_certificate,
@@ -36,6 +37,7 @@ from oracles import (
     polynomial,
     terms,
 )
+from test_gcf import settle_index
 
 GEOMETRIC = Coupling(c=P("n"), d=P("2*n"))  # terms 1/(2^(k+1) (k+1)), summing to ln 2
 
@@ -263,6 +265,17 @@ class TestSumToPrecision:
         with pytest.raises(NotConvergent):
             certified_sum(ratio_certificate(Coupling(c=P("n^2 + 100"), d=P("2*n^2 - n"))), 10)
 
+    def test_onset_budget_is_inclusive(self, monkeypatch):
+        # c = 3, d = n (n + 40): the Cauchy bounds put the onset at 92
+        certificate = ratio_certificate(Coupling(c=P("3"), d=P("n*(n + 40)")))
+        onset = series._stop_rule(certificate, 10)[0]
+        monkeypatch.setattr(series, "ONSET_BUDGET", onset)
+        assert certified_sum(certificate, 10) == fraction_reference(certificate, 10)
+        monkeypatch.setattr(series, "ONSET_BUDGET", onset - 1)
+        with pytest.raises(OnsetPastBudget) as err:
+            certified_sum(certificate, 10)
+        assert err.value.onset == onset
+
     @pytest.mark.parametrize("digits", [5, 20, 60, 160])
     @pytest.mark.parametrize(
         "coupling",
@@ -349,7 +362,7 @@ def test_error_bound_past_the_onset_stays_below_the_lean_constant(coupling, dept
     # the fixed-point pass's e_k, replayed from k = 0 in Fractions: past
     # k0 = max(depth, onset + 1) every e_k is at most B = max(e_k0, slack), the
     # constant the lean tail loop adds to E for each term
-    onset, _, _, slack = series._stop_rule(ratio_certificate(coupling), 10)
+    onset, _, _, slack, _ = series._stop_rule(ratio_certificate(coupling), 10)
     k0 = max(depth, onset + 1)
     c, d = coupling.c, coupling.d
     e = 1  # e_0: u_0 = floor(L 2^F / d'(1)) and u_{-1} is exact
@@ -374,7 +387,7 @@ def test_lean_constant_covers_the_worst_error_the_ratio_bound_allows(rho):
     coupling = Coupling(c=polynomial([0, 2 * rho] if rho else [1]), d=P("2*n - 1"))
     certificate = ratio_certificate(coupling)
     assert certificate.rho == rho
-    _, _, _, slack = series._stop_rule(certificate, 10)
+    _, _, _, slack, _ = series._stop_rule(certificate, 10)
     rho_bar = (abs(certificate.rho) + 1) / 2
     e = 1
     for k in range(500):
@@ -382,20 +395,89 @@ def test_lean_constant_covers_the_worst_error_the_ratio_bound_allows(rho):
         assert e <= slack, k
 
 
+def handed_radii(coupling, digits: int, depth: int):
+    """Run the fixed-point pass as verify does (cap ten digits below the sum) and record
+    every enclosure it hands to enclosure_to_real and _cauchy_digits. (result, calls)."""
+    calls = []
+
+    def spy(name, fn):
+        def recorded(*args):
+            calls.append((name, args))
+            return fn(*args)
+
+        return recorded
+
+    stop = series._stop_rule(ratio_certificate(coupling), digits)
+    bits = series.working_precision(digits)
+    with patch.object(series, "enclosure_to_real", spy("sum", series.enclosure_to_real)):
+        with patch.object(series, "_cauchy_digits", spy("walk", series._cauchy_digits)):
+            result = series._fixed_point_pass(coupling, *stop, bits, depth, digits - 10)
+    return result, calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(coupling=convergent_couplings(), digits=st.integers(11, 80), depth=st.integers(0, 300))
+@example(coupling=Coupling(c=P("n^2"), d=P("2*n^2 - n")), digits=40, depth=250)  # ends early
+@example(coupling=Coupling(c=P("n^2"), d=P("2*n^2 - n")), digits=40, depth=100)
+@example(coupling=Coupling(c=P("-n"), d=P("2*n")), digits=30, depth=12)  # a lean walk
+def test_radii_cover_the_error_bound_replayed_in_fractions(coupling, digits, depth):
+    # every radius the pass hands on covers the bound replayed here in Fractions: e_k per
+    # term up to the lean loops, then B = max(e_k, slack) per term, and past the end m of a
+    # switched walk the tail bound (|u_m| + B) p/q on |S_j - S_m| 2^F on top
+    certificate = ratio_certificate(coupling)
+    onset, _, q, slack, p = series._stop_rule(certificate, digits)
+    try:
+        result, calls = handed_radii(coupling, digits, depth)
+    except ZeroDenominatorFactor:
+        assume(False)
+    assume(result is not None)
+    stop = result[1] - 1
+    c, d = coupling.c, coupling.d
+    F = next(args[2] if name == "sum" else args[3] for name, args in calls)
+    settle = settle_index(certificate, digits)
+    u, e, s, E, lean, line = Fraction(1 << F), 0, 0, 0, None, []  # u_{-1} = 2^F over d(1)
+    for k in range(max(stop, depth, onset + 1) + 1):
+        ratio = (c(k) if k else 1) / d(k + 1)
+        u = math.floor(u * ratio)
+        if lean is None:
+            e = math.ceil(e * abs(ratio)) + 1
+        s, E = s + u, E + (e if lean is None else B)
+        line.append((s, u, E))
+        switched = settle <= k < depth and q * (abs(s) - E) > p * (abs(u) + e)
+        if lean is None and (k == max(depth, onset + 1) or switched):
+            lean, B = k, max(e, slack)
+    end = max(stop, lean) if lean < depth else math.inf
+    tail = 0 if end >= depth else (abs(line[end][1]) + B) * Fraction(p, q)
+
+    def replayed(j):  # (center, radius) of S_j
+        return line[j][::2] if j <= end else (line[end][0], line[end][2] + tail)
+
+    for name, args in calls:
+        if name == "sum":
+            low, high = args[:2]
+            assert (low + high) // 2 == line[stop][0] and (high - low) // 2 >= line[stop][2]
+        else:
+            half, last, spread = args[:3]
+            h = (depth + 1) // 2
+            for (center, radius), j in ((half, h), (last, depth)):
+                assert center == replayed(j)[0] and radius >= replayed(j)[1], j
+            assert spread >= (replayed(depth)[1] - replayed(h)[1] if h <= end else tail)
+
+
 class TestCauchyDigits:
     def test_bracket_carries_the_tail_error(self):
         # S_h = 1 within 2^-64, and S_N - S_h = 10 2^-64 within 10 2^-64: the ratio
         # lies between (2^64 - 1) / 20 ~ 9.2e17 and infinity
         half, last = (1 << 64, 1), ((1 << 64) + 10, 11)
-        assert series._cauchy_digits(half, last, 64, 17) == 17
-        assert series._cauchy_digits(half, last, 64, 18) is None
+        assert series._cauchy_digits(half, last, 10, 64, 17) == 17
+        assert series._cauchy_digits(half, last, 10, 64, 18) is None
 
     def test_matches_agreement_digits_when_decided(self):
         # x = 1/S: S_h = 3/2 and S_N = 3/2 + 2^-40 to within 2^-100
         F, s_h = 100, 3 << 99
         s_N = s_h + (1 << 60)
         x_h, x_N = (1 << F, s_h), (1 << F, s_N)
-        assert series._cauchy_digits((s_h, 1), (s_N, 2), F, 30) == agreement_digits(x_h, x_N, 30)
+        assert series._cauchy_digits((s_h, 1), (s_N, 2), 1, F, 30) == agreement_digits(x_h, x_N, 30)
 
 
 class TestCentralBinomialSum:

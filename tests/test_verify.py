@@ -13,6 +13,7 @@ from gcf_forge import (
     GcfForgeError,
     GcfProblem,
     InvalidProblem,
+    OnsetPastBudget,
     VerificationReport,
     ZeroDenominatorConvergent,
     check_boundary_selection,
@@ -371,6 +372,23 @@ class TestVerifyConjecture:
         with pytest.raises(ZeroDenominatorConvergent) as err:
             verify_conjecture(problem, digits=10, depth=16)
         assert err.value.index == 1
+
+    def test_far_onset_refused_before_any_term(self, monkeypatch):
+        # c = n + 10^9, d = 2n: rho = 1/2, but the terms grow for about 10^9 indices and
+        # the certified onset is about 2 10^9, so the job is refused before either pass
+        # forms a term
+        problem = GcfProblem(
+            b0=Fraction(2), a=P("-2*n*(n + 1000000000)"), b=P("3*n + 1000000002")
+        )
+
+        def barred(*args):
+            raise AssertionError("a term was formed")
+
+        monkeypatch.setattr(series, "integer_values", barred)
+        monkeypatch.setattr(series, "cascade", barred)
+        with pytest.raises(OnsetPastBudget) as err:
+            verify_conjecture(problem, digits=20, depth=256)
+        assert err.value.onset == 1999999998 > series.ONSET_BUDGET
 
     def test_parameter_preconditions(self, quartic_problem):
         with pytest.raises(ValueError):
