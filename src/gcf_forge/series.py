@@ -169,7 +169,7 @@ def sum_and_walk(certificate: RatioCertificate, digits: int, depth: int, cap: in
         bits = working_precision(digits)
         if found := _fixed_point_pass(coupling, *stop, bits, depth, cap):
             return (*found, None)
-    summed, monotone, at_half, at_depth = _exact_pass(coupling, depth, stop and stop[:4])
+    summed, monotone, at_half, at_depth = _exact_pass(coupling, depth, stop)
     cauchy = agreement_digits(at_half, at_depth, cap)
     if summed is None:
         return None, None, monotone, cauchy, at_depth
@@ -177,18 +177,19 @@ def sum_and_walk(certificate: RatioCertificate, digits: int, depth: int, cap: in
     return rational_to_real(total, bits), terms, monotone, cauchy, None
 
 
-def _cauchy_digits(at_half, at_depth, spread: int, F: int, cap: int) -> int | None:
+def _cauchy_digits(at_half, at_depth, F: int, cap: int, tail: int = 0) -> int | None:
     """agreement_digits(1/S_h, 1/S_N, cap) from enclosures, or None if they leave it open.
 
     That is :func:`~gcf_forge.numerics.ratio_digits` of max(|S_N|, 1) |S_h| / |S_N - S_h|,
     taken at both ends of its bracket. at_half = (s_h, E_h) and at_depth = (s_N, E_N)
     enclose S_h and S_N as in :func:`_fixed_point_pass`, and S_N - S_h lies within
-    spread 2^-F of (s_N - s_h) 2^-F. None also when the enclosure of S_h holds 0.
+    max(E_N - E_h, tail) 2^-F of (s_N - s_h) 2^-F, tail when both are read off one tail
+    bound. None also when the enclosure of S_h holds 0.
     """
     (s_h, E_h), (s_N, E_N) = at_half, at_depth
     low_h, high_h = abs(s_h) - E_h, abs(s_h) + E_h
     low_N, high_N = max(abs(s_N) - E_N, 1 << F), max(abs(s_N) + E_N, 1 << F)
-    gap = abs(s_N - s_h)
+    gap, spread = abs(s_N - s_h), max(E_N - E_h, tail)
     least = ratio_digits(low_N * low_h, (gap + spread) << F, cap) if low_h > 0 else None
     most = ratio_digits(high_N * high_h, max(gap - spread, 0) << F, cap)
     return least if least == most else None
@@ -211,16 +212,15 @@ def _fixed_point_pass(
     d(1..k+1) are.
 
     From k = onset + 1 on, |c'(k) / d'(k+1)| <= rho_bar and d'(k+1) != 0, so
-    e_j < rho_bar e_{j-1} + 2 <= B = max(e_k, slack) for j > k (:func:`_stop_rule`): lean
-    loops test u against thr +- B alone and take E_k + (j - k) B for E_j. They start at the
-    switch, the first k < depth from settle = max(onset, root bounds of c and d) + 1 on with
-    q (|s_k| - E_k) > p (|u_k| + e_k), p/q = rho_bar / (1 - rho_bar), or else at
-    max(depth, onset + 1). Past the switch |S_j - S_k| <= |t_k| p/q < |S_k|, so every S_j
-    keeps the sign of S_k, and c'(j) / d'(j+1) keeps one sign: the walk stays monotone iff
-    it was and the terms do not alternate. The walk ends at m, the later of the switch and
-    the stop, where S_h and S_depth past m lie within T = ceil((|u_m| + B) p/q) + 1 of s_m.
-    So it steps O(max(stop, settle)) terms, whatever the depth. Past the depth a lean loop
-    only sums.
+    e_j < rho_bar e_{j-1} + 2 <= B = max(e_k, slack) for j > k (:func:`_stop_rule`): a lean
+    loop runs to the stop, tests u against thr +- B alone, takes E_k + (j - k) B for E_j and
+    records S_h and S_depth on its way. It starts at the switch, the first k < depth from
+    settle = max(onset, root bounds of c and d) + 1 on with q (|s_k| - E_k) > p (|u_k| + e_k),
+    p/q = rho_bar / (1 - rho_bar), or else at max(depth, onset + 1). Past the switch
+    |S_j - S_k| <= |t_k| p/q < |S_k|, so every S_j keeps the sign of S_k, and c'(j) / d'(j+1)
+    keeps one sign: the walk stays monotone iff it was and the terms do not alternate. A
+    switched walk ends at m, the later of the switch and the stop, and reads S_h and S_depth
+    past m as s_m within T = ceil((|u_m| + B) p/q) + 1: O(max(stop, settle)) terms at any depth.
     """
     scale = common_denominator(coupling.c, coupling.d)
     c, d = (integer_values(f, scale) for f in (coupling.c, coupling.d))
@@ -247,9 +247,7 @@ def _fixed_point_pass(
                 return None  # the sign of S_k, hence of B_k, is uncertain
             if k == half:
                 at_half = s, E
-            if k == depth and (
-                cauchy := _cauchy_digits(at_half, (s, E), E - at_half[1], F, cap)
-            ) is None:
+            if k == depth and (cauchy := _cauchy_digits(at_half, (s, E), F, cap)) is None:
                 return None
         if found is None and k >= onset and abs(u) - e <= thr:
             value = enclosure_to_real(s - E, s + E, F, bits) if abs(u) + e <= thr else None
@@ -263,51 +261,54 @@ def _fixed_point_pass(
     B = max(e, slack)
     # |u| <= thr - B stops for certain, |u| > thr + B goes on, and between is undecided
     low, high, neg_low, neg_high = thr - B, thr + B, B - thr, -thr - B
-    if k < depth:  # the switch: |S_k| > |t_k|, so a monotone walk so far has t_k > 0
-        monotone = monotone and (ck ^ dk) >= 0  # alternating terms make t_(k+1) < 0
-        k0 = k
-        for k, ck, dk in () if found else steps:  # on to the stop or the depth
+    switched, k0 = k < depth, k
+    if switched:  # |S_k| > |t_k|, so a monotone walk so far has t_k > 0
+        # alternating terms make t_(k+1) < 0. A guard: t_(k-1) < 0 would need a sign change
+        # of S at k - 1, which |t_(k-1)| <= rho_bar |t_(k-2)| and monotone steps rule out
+        monotone = monotone and (ck ^ dk) >= 0
+    # on to the stop, in runs that end at h and the depth (no per-term index test)
+    for end in () if found else [*(j for j in (half, depth) if j > k0), None]:
+        for k, ck, dk in itertools.islice(steps, end and end - k):
             u = u * ck // dk
             s += u
-            if k == half:
-                at_half = s, E + (k - k0) * B
-            if neg_high <= u <= high or k == depth:
+            if neg_high <= u <= high:
                 break
-        E, k0 = E + (k - k0) * B, k
-        if not found and neg_high <= u <= high:
-            value = enclosure_to_real(s - E, s + E, F, bits) if neg_low <= u <= low else None
-            if value is None:
-                return None
-            found = value, k + 1
+        if k == half:
+            at_half = s, E + (k - k0) * B
+        if k == depth:
+            at_depth = s, E + (k - k0) * B
+        if neg_high <= u <= high:
+            break
+    E += (k - k0) * B
+    if not found:
+        value = enclosure_to_real(s - E, s + E, F, bits) if neg_low <= u <= low else None
+        if value is None:
+            return None
+        found = value, k + 1
+    if switched:
         # a walk that ends before the depth reads every later S_j as s within (E + T) 2^-F
-        T = -(-(abs(u) + B) * p // q) + 1 if found and k < depth else 0
+        T = -(-(abs(u) + B) * p // q) + 1 if k < depth else 0
         if half > k:
             at_half = s, E + T
-        cauchy = _cauchy_digits(at_half, (s, E + T), max(E + T - at_half[1], T), F, cap)
+        if depth > k:
+            at_depth = s, E + T
+        cauchy = _cauchy_digits(at_half, at_depth, F, cap, T)
         if cauchy is None:
             return None
-        if found:
-            return (*found, monotone, cauchy)
-    for k, ck, dk in steps:
-        u = u * ck // dk
-        s += u
-        if neg_high <= u <= high:
-            E += (k - k0) * B
-            value = enclosure_to_real(s - E, s + E, F, bits) if neg_low <= u <= low else None
-            return None if value is None else (value, k + 1, monotone, cauchy)
+    return (*found, monotone, cauchy)
 
 
-def _exact_pass(coupling: Coupling, depth: int, stop: tuple[int, int, int, int] | None = None):
+def _exact_pass(coupling: Coupling, depth: int, stop: tuple[int, ...] | None = None):
     """Step :func:`cascade` once, to max(depth, the stop), for the walk and the exact sum.
 
-    stop = (onset, budget, q, _) from :func:`_stop_rule` ends the sum at the first k >= onset with
+    stop = (onset, budget, q, ...) from :func:`_stop_rule` ends the sum at the first k >= onset with
     budget |C_k| <= q |D_k|. Returns ((k + 1, (T_k, D_k)) at the stop or None without one,
     monotone, (D_h, T_h), (D_N, T_N)) with h = (depth + 1) // 2 and N = depth, all unreduced.
     x_n = D_n/T_n, so T_n = 0 raises ZeroDenominatorConvergent(n) for n <= depth, and
     x_{n-1} > x_n iff t_n = C_n/D_n and S_{n-1} S_n share a sign:
     x_{n-1} - x_n = t_n / (S_{n-1} S_n), S_n = T_n/D_n.
     """
-    onset, budget, q, _ = stop or (math.inf, 0, 0, 0)
+    onset, budget, q, *_ = stop or (math.inf, 0, 0)
     summed, monotone, negative, half = None, True, False, (depth + 1) // 2
     for k, (C, D, T) in enumerate(cascade(coupling)):
         if k <= depth:

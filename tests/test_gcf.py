@@ -21,7 +21,6 @@ from gcf_forge import (
 from gcf_forge import parse_polynomial as P
 from gcf_forge import series
 from gcf_forge.gcf import _scale, check_coupling
-from gcf_forge.poly import root_bound_floor
 
 from oracles import (
     ConvergentTriple,
@@ -31,6 +30,7 @@ from oracles import (
     polynomial,
     reference_convergents,
     reference_partial_sums,
+    settle_index,
 )
 
 
@@ -358,13 +358,6 @@ class TestLeanTail:
         for depth in (0, onset, onset + 1, onset + 2, stop - 1, stop, stop + 7):
             walked = fixed_point_walk(certificate, digits, depth)
             assert walked == exact_coupled_walk(problem, coupling, depth, digits)
-
-
-def settle_index(certificate, digits):
-    """The fixed-point pass's settle: past the onset and the Cauchy root bounds of c and d."""
-    onset = series._stop_rule(certificate, digits)[0]
-    c, d = certificate.coupling.c, certificate.coupling.d
-    return max(onset, *(root_bound_floor(f.numerators) for f in (c, d))) + 1
 
 
 def terms_drawn(monkeypatch) -> list[int]:

@@ -35,9 +35,9 @@ from oracles import (
     pi_squared_over_18,
     poly_add,
     polynomial,
+    settle_index,
     terms,
 )
-from test_gcf import settle_index
 
 GEOMETRIC = Coupling(c=P("n"), d=P("2*n"))  # terms 1/(2^(k+1) (k+1)), summing to ln 2
 
@@ -361,7 +361,7 @@ class TestSumToPrecision:
 def test_error_bound_past_the_onset_stays_below_the_lean_constant(coupling, depth):
     # the fixed-point pass's e_k, replayed from k = 0 in Fractions: past
     # k0 = max(depth, onset + 1) every e_k is at most B = max(e_k0, slack), the
-    # constant the lean tail loop adds to E for each term
+    # constant the lean loop adds to E for each term
     onset, _, _, slack, _ = series._stop_rule(ratio_certificate(coupling), 10)
     k0 = max(depth, onset + 1)
     c, d = coupling.c, coupling.d
@@ -422,7 +422,7 @@ def handed_radii(coupling, digits: int, depth: int):
 @example(coupling=Coupling(c=P("-n"), d=P("2*n")), digits=30, depth=12)  # a lean walk
 def test_radii_cover_the_error_bound_replayed_in_fractions(coupling, digits, depth):
     # every radius the pass hands on covers the bound replayed here in Fractions: e_k per
-    # term up to the lean loops, then B = max(e_k, slack) per term, and past the end m of a
+    # term up to the lean loop, then B = max(e_k, slack) per term, and past the end m of a
     # switched walk the tail bound (|u_m| + B) p/q on |S_j - S_m| 2^F on top
     certificate = ratio_certificate(coupling)
     onset, _, q, slack, p = series._stop_rule(certificate, digits)
@@ -433,7 +433,7 @@ def test_radii_cover_the_error_bound_replayed_in_fractions(coupling, digits, dep
     assume(result is not None)
     stop = result[1] - 1
     c, d = coupling.c, coupling.d
-    F = next(args[2] if name == "sum" else args[3] for name, args in calls)
+    F = next(args[2] for _, args in calls)  # enclosure_to_real and _cauchy_digits alike
     settle = settle_index(certificate, digits)
     u, e, s, E, lean, line = Fraction(1 << F), 0, 0, 0, None, []  # u_{-1} = 2^F over d(1)
     for k in range(max(stop, depth, onset + 1) + 1):
@@ -457,10 +457,11 @@ def test_radii_cover_the_error_bound_replayed_in_fractions(coupling, digits, dep
             low, high = args[:2]
             assert (low + high) // 2 == line[stop][0] and (high - low) // 2 >= line[stop][2]
         else:
-            half, last, spread = args[:3]
-            h = (depth + 1) // 2
+            (half, last, *_), h = args, (depth + 1) // 2
             for (center, radius), j in ((half, h), (last, depth)):
                 assert center == replayed(j)[0] and radius >= replayed(j)[1], j
+            # the radius _cauchy_digits gives S_N - S_h: max(E_N - E_h, tail)
+            spread = max([last[1] - half[1], *args[4:]])
             assert spread >= (replayed(depth)[1] - replayed(h)[1] if h <= end else tail)
 
 
@@ -469,15 +470,27 @@ class TestCauchyDigits:
         # S_h = 1 within 2^-64, and S_N - S_h = 10 2^-64 within 10 2^-64: the ratio
         # lies between (2^64 - 1) / 20 ~ 9.2e17 and infinity
         half, last = (1 << 64, 1), ((1 << 64) + 10, 11)
-        assert series._cauchy_digits(half, last, 10, 64, 17) == 17
-        assert series._cauchy_digits(half, last, 10, 64, 18) is None
+        assert series._cauchy_digits(half, last, 64, 17) == 17
+        assert series._cauchy_digits(half, last, 64, 18) is None
+        # a tail below E_N - E_h leaves the bracket as it is
+        assert series._cauchy_digits(half, last, 64, 17, 3) == 17
+        assert series._cauchy_digits(half, last, 64, 18, 3) is None
+
+    def test_tail_is_the_spread_of_one_tail_reading(self):
+        # S_h and S_N both read as 1 within 2^-64 off one tail bound, with
+        # |S_N - S_h| <= 10 2^-64: the ratio lies between (2^64 - 1) / 10 ~ 1.8e18
+        # and infinity, where a zero spread would call it infinite
+        at = (1 << 64, 1)
+        assert series._cauchy_digits(at, at, 64, 18, 10) == 18
+        assert series._cauchy_digits(at, at, 64, 19, 10) is None
+        assert series._cauchy_digits(at, at, 64, 19) == 19
 
     def test_matches_agreement_digits_when_decided(self):
         # x = 1/S: S_h = 3/2 and S_N = 3/2 + 2^-40 to within 2^-100
         F, s_h = 100, 3 << 99
         s_N = s_h + (1 << 60)
         x_h, x_N = (1 << F, s_h), (1 << F, s_N)
-        assert series._cauchy_digits((s_h, 1), (s_N, 2), 1, F, 30) == agreement_digits(x_h, x_N, 30)
+        assert series._cauchy_digits((s_h, 1), (s_N, 2), F, 30) == agreement_digits(x_h, x_N, 30)
 
 
 class TestCentralBinomialSum:
