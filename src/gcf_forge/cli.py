@@ -24,7 +24,7 @@ from .errors import (
 )
 from .expr import parse_const_expr, parse_polynomial, parse_rational
 from .factorize import Coupling, find_couplings, verify_coupling
-from .gcf import GcfProblem, _frames, _scale
+from .gcf import GcfProblem, _frames, _scale, check_boundary_selection
 from .numerics import PrecisionReal, rational_to_real
 from .series import cascade, ratio_certificate
 from .verify import REFUTED_AT_DEPTH, VERIFIED, VerificationReport, verify_conjecture
@@ -172,7 +172,12 @@ def cmd_series(args) -> int:
     if not couplings:
         print("no coupling within linear-split search space; no series to show")
         return EXIT_INCONCLUSIVE
-    coupling = couplings[0]
+    # the coupling verify sums: the first that meets b0 = d(1)
+    eligible = [cp for cp in couplings if check_boundary_selection(pf.problem, cp)]
+    if not eligible:
+        _print_failed_boundary(couplings)
+        return EXIT_INCONCLUSIVE
+    coupling = eligible[0]
     if args.count < 0:  # refused before any output
         raise ValueError("count must be nonnegative")
     # t_k = C_k/D_k and S_k = T_k/D_k; a d(j) = 0 raises here, before any output
@@ -209,6 +214,12 @@ def cmd_verify(args) -> int:
     return EXIT_INCONCLUSIVE
 
 
+def _print_failed_boundary(couplings) -> None:
+    """Every coupling found, when none of them meets b0 = d(1)."""
+    print("\n".join(f"coupling: {coupling}" for coupling in couplings))
+    print("boundary rule b0 = d(1): fails")
+
+
 def _print_report(report: VerificationReport) -> None:
     name = report.problem.get("name")
     if name:
@@ -216,9 +227,8 @@ def _print_report(report: VerificationReport) -> None:
     print(f"  b0 = {report.problem['b0']}; a = {report.problem['a']}; b = {report.problem['b']}")
     if report.coupling is None and not report.other_couplings:
         print("coupling: none within linear-split search space")
-    elif report.coupling is None:  # every coupling found fails b0 = d(1)
-        print("\n".join(f"coupling: {coupling}" for coupling in report.other_couplings))
-        print("boundary rule b0 = d(1): fails")
+    elif report.coupling is None:
+        _print_failed_boundary(report.other_couplings)
     else:
         extra = f" (+{len(report.other_couplings)} more)" if report.other_couplings else ""
         print(f"coupling: {report.coupling}{extra}")

@@ -177,7 +177,7 @@ def sum_and_walk(certificate: RatioCertificate, digits: int, depth: int, cap: in
     return rational_to_real(total, bits), terms, monotone, cauchy, None
 
 
-def _cauchy_digits(at_half, at_depth, F: int, cap: int, tail: int = 0) -> int | None:
+def _cauchy_digits(at_half, at_depth, F: int, cap: int, tail: int) -> int | None:
     """agreement_digits(1/S_h, 1/S_N, cap) from enclosures, or None if they leave it open.
 
     That is :func:`~gcf_forge.numerics.ratio_digits` of max(|S_N|, 1) |S_h| / |S_N - S_h|,
@@ -211,16 +211,17 @@ def _fixed_point_pass(
     x_{k-1} - x_k is t_k / (S_{k-1} S_k), and t_k < 0 iff an odd number of c(1..k),
     d(1..k+1) are.
 
-    From k = onset + 1 on, |c'(k) / d'(k+1)| <= rho_bar and d'(k+1) != 0, so
-    e_j < rho_bar e_{j-1} + 2 <= B = max(e_k, slack) for j > k (:func:`_stop_rule`): a lean
-    loop runs to the stop, tests u against thr +- B alone, takes E_k + (j - k) B for E_j and
-    records S_h and S_depth on its way. It starts at the switch, the first k < depth from
-    settle = max(onset, root bounds of c and d) + 1 on with q (|s_k| - E_k) > p (|u_k| + e_k),
-    p/q = rho_bar / (1 - rho_bar), or else at max(depth, onset + 1). Past the switch
-    |S_j - S_k| <= |t_k| p/q < |S_k|, so every S_j keeps the sign of S_k, and c'(j) / d'(j+1)
-    keeps one sign: the walk stays monotone iff it was and the terms do not alternate. A
-    switched walk ends at m, the later of the switch and the stop, and reads S_h and S_depth
-    past m as s_m within T = ceil((|u_m| + B) p/q) + 1: O(max(stop, settle)) terms at any depth.
+    The per-term loop records (s, E) at h and the depth, and (k, s, E) at the stop once it
+    is certain. It ends at the depth once it has the stop, or else at the switch: the first
+    k > onset at the depth or, from settle = max(onset, root bounds of c and d) + 1 on, with
+    q (|s_k| - E_k) > p (|u_k| + e_k), p/q = rho_bar / (1 - rho_bar). Past the onset
+    |c'(k) / d'(k+1)| <= rho_bar and d'(k+1) != 0, so e_j < rho_bar e_{j-1} + 2 <= B =
+    max(e_k, slack) for j > k (:func:`_stop_rule`): a lean loop runs on to the stop, tests u
+    against thr +- B alone and takes E_k + (j - k) B for E_j. Past a switch below the depth,
+    |S_j - S_k| <= |t_k| p/q < |S_k|: every S_j keeps the sign of S_k, c'(j) / d'(j+1) keeps
+    one sign, and the walk stays monotone iff it was and the terms do not alternate. It ends
+    at m, the later of the switch and the stop, and reads S_h and S_depth past m as s_m within
+    T = ceil((|u_m| + B) p/q) + 1: O(max(stop, settle)) terms at any depth.
     """
     scale = common_denominator(coupling.c, coupling.d)
     c, d = (integer_values(f, scale) for f in (coupling.c, coupling.d))
@@ -228,8 +229,7 @@ def _fixed_point_pass(
     F = bits + FIXED_POINT_GUARD_BITS + max(0, abs(d1).bit_length() - scale.bit_length())
     thr = (q << F) // budget
     u, e, s, E = scale << F, 0, 0, 0  # u_{-1} = L 2^F exactly
-    found, monotone, negative, half = None, True, False, (depth + 1) // 2
-    k0 = max(depth, onset + 1)
+    stop, monotone, negative, half = None, True, False, (depth + 1) // 2
     settle = max(onset, *(root_bound_floor(f.numerators) for f in (coupling.c, coupling.d))) + 1
     # c'(0) = 1 pairs with d'(1), then c'(k) with d'(k+1)
     steps = zip(itertools.count(), itertools.chain((1,), c), d)
@@ -247,63 +247,61 @@ def _fixed_point_pass(
                 return None  # the sign of S_k, hence of B_k, is uncertain
             if k == half:
                 at_half = s, E
-            if k == depth and (cauchy := _cauchy_digits(at_half, (s, E), F, cap)) is None:
-                return None
-        if found is None and k >= onset and abs(u) - e <= thr:
-            value = enclosure_to_real(s - E, s + E, F, bits) if abs(u) + e <= thr else None
-            if value is None:
-                return None
-            found = value, k + 1
-        if found is not None and k >= depth:
-            return (*found, monotone, cauchy)
-        if k == k0 or k >= settle and q * (abs(s) - E) > p * (abs(u) + e):
+            if k == depth:
+                at_depth = s, E
+        if stop is None and k >= onset and abs(u) - e <= thr:
+            if abs(u) + e > thr:
+                return None  # the stop is uncertain
+            stop = k, s, E
+        settled = k >= settle and q * (abs(s) - E) > p * (abs(u) + e)
+        if settled or k >= depth and (stop or k > onset):  # the lean loop needs k > onset
             break
     B = max(e, slack)
-    # |u| <= thr - B stops for certain, |u| > thr + B goes on, and between is undecided
-    low, high, neg_low, neg_high = thr - B, thr + B, B - thr, -thr - B
-    switched, k0 = k < depth, k
-    if switched:  # |S_k| > |t_k|, so a monotone walk so far has t_k > 0
+    if k < depth:  # switched: |S_k| > |t_k|, so a monotone walk so far has t_k > 0, and
         # alternating terms make t_(k+1) < 0. A guard: t_(k-1) < 0 would need a sign change
         # of S at k - 1, which |t_(k-1)| <= rho_bar |t_(k-2)| and monotone steps rule out
         monotone = monotone and (ck ^ dk) >= 0
-    # on to the stop, in runs that end at h and the depth (no per-term index test)
-    for end in () if found else [*(j for j in (half, depth) if j > k0), None]:
-        for k, ck, dk in itertools.islice(steps, end and end - k):
-            u = u * ck // dk
-            s += u
+    if stop is None:
+        # |u| <= thr - B stops for certain, |u| > thr + B goes on, and between is undecided
+        switch, high, neg_high = k, thr + B, -thr - B
+        # on to the stop, in runs that end at h and the depth (no per-term index test)
+        for end in [*(j for j in (half, depth) if j > switch), None]:
+            for k, ck, dk in itertools.islice(steps, end and end - k):
+                u = u * ck // dk
+                s += u
+                if neg_high <= u <= high:
+                    break
+            if k == half:
+                at_half = s, E + (k - switch) * B
+            if k == depth:
+                at_depth = s, E + (k - switch) * B
             if neg_high <= u <= high:
                 break
-        if k == half:
-            at_half = s, E + (k - k0) * B
-        if k == depth:
-            at_depth = s, E + (k - k0) * B
-        if neg_high <= u <= high:
-            break
-    E += (k - k0) * B
-    if not found:
-        value = enclosure_to_real(s - E, s + E, F, bits) if neg_low <= u <= low else None
-        if value is None:
-            return None
-        found = value, k + 1
-    if switched:
-        # a walk that ends before the depth reads every later S_j as s within (E + T) 2^-F
-        T = -(-(abs(u) + B) * p // q) + 1 if k < depth else 0
-        if half > k:
-            at_half = s, E + T
-        if depth > k:
-            at_depth = s, E + T
-        cauchy = _cauchy_digits(at_half, at_depth, F, cap, T)
-        if cauchy is None:
-            return None
-    return (*found, monotone, cauchy)
+        E += (k - switch) * B
+        if abs(u) > thr - B:
+            return None  # the stop is uncertain
+        stop = k, s, E
+    # a walk that ends before the depth reads every later S_j as s within (E + T) 2^-F
+    T = -(-(abs(u) + B) * p // q) + 1 if k < depth else 0
+    if half > k:
+        at_half = s, E + T
+    if depth > k:
+        at_depth = s, E + T
+    k, s, E = stop
+    value = enclosure_to_real(s - E, s + E, F, bits)
+    cauchy = _cauchy_digits(at_half, at_depth, F, cap, T)
+    if value is None or cauchy is None:
+        return None
+    return value, k + 1, monotone, cauchy
 
 
-def _exact_pass(coupling: Coupling, depth: int, stop: tuple[int, ...] | None = None):
+def _exact_pass(coupling: Coupling, depth: int, stop: tuple[int, ...] | None):
     """Step :func:`cascade` once, to max(depth, the stop), for the walk and the exact sum.
 
     stop = (onset, budget, q, ...) from :func:`_stop_rule` ends the sum at the first k >= onset with
-    budget |C_k| <= q |D_k|. Returns ((k + 1, (T_k, D_k)) at the stop or None without one,
-    monotone, (D_h, T_h), (D_N, T_N)) with h = (depth + 1) // 2 and N = depth, all unreduced.
+    budget |C_k| <= q |D_k|, and None sums nothing. Returns ((k + 1, (T_k, D_k)) at the stop or
+    None without one, monotone, (D_h, T_h), (D_N, T_N)) with h = (depth + 1) // 2 and N = depth,
+    all unreduced.
     x_n = D_n/T_n, so T_n = 0 raises ZeroDenominatorConvergent(n) for n <= depth, and
     x_{n-1} > x_n iff t_n = C_n/D_n and S_{n-1} S_n share a sign:
     x_{n-1} - x_n = t_n / (S_{n-1} S_n), S_n = T_n/D_n.

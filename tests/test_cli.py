@@ -121,6 +121,22 @@ class TestSeries:
         code = main(["series", str(problems_dir / "no_rational_coupling.json")])
         assert code == EXIT_INCONCLUSIVE
 
+    def test_shows_the_coupling_verify_uses(self, tmp_path, capsys):
+        # c = 4n - 2, d = 4n + 10 is found first, but d(1) = 14 misses b0 = 2
+        path = write_problem(tmp_path, "p.json", b0="2", a="-16*n^2 - 32*n + 20", b="8*n + 12")
+        assert main(["series", path, "--count", "3"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("coupling: c = 4*n + 10; d = 4*n - 2\n")
+        report = verify_conjecture(load_problem_file(path).problem, digits=10, depth=16)
+        assert out.startswith(f"coupling: {report.coupling}\n")
+
+    def test_boundary_rule_failing_for_every_coupling_shows_no_table(self, tmp_path, capsys):
+        # the flagship's one coupling has d(1) = 1, and b0 = 2
+        path = write_problem(tmp_path, "p.json", b0="2", a="-(2*n^4 - n^3)", b="3*n^2 + 3*n + 1")
+        assert main(["series", path]) == EXIT_INCONCLUSIVE
+        out = capsys.readouterr().out
+        assert out == "coupling: c = n^2; d = 2*n^2 - n\nboundary rule b0 = d(1): fails\n"
+
     def test_negative_count_refused_before_output(self, quartic_file, capsys):
         code = main(["series", quartic_file, "--count", "-1"])
         captured = capsys.readouterr()

@@ -32,6 +32,7 @@ from oracles import (
     reference_partial_sums,
     settle_index,
 )
+from test_series import convergent_couplings
 
 
 def cross_products(frames: list[tuple]) -> list:
@@ -258,7 +259,7 @@ class TestStructuralWalk:
                     exact_coupled_walk(problem, coupling, depth)
                 assert got.value.index == err.index
                 continue
-            _, exact_monotone, half, at_depth = series._exact_pass(coupling, depth)
+            _, exact_monotone, half, at_depth = series._exact_pass(coupling, depth, None)
             assert (exact_monotone, Fraction(*half), Fraction(*at_depth)) == (
                 monotone, rows[(depth + 1) // 2].x, last
             )
@@ -273,7 +274,7 @@ class TestStructuralWalk:
         _, _, monotone, cauchy, _ = exact_coupled_walk(quartic_problem, quartic_coupling, 1500)
         assert monotone
         assert cauchy == agreement_digits_loop(1 / sums[750], 1 / sums[1500], 30)
-        _, _, _, (D, T) = series._exact_pass(quartic_coupling, 1500)
+        _, _, _, (D, T) = series._exact_pass(quartic_coupling, 1500, None)
         assert Fraction(D, T) == 1 / sums[1500]
         report = verify_conjecture(quartic_problem, digits=10, depth=1500)
         assert report.exact_identity_depth == 1500
@@ -324,18 +325,22 @@ class TestStructuralWalk:
             structural_walk(quartic_problem, -1, 30)
 
 
+class Deferred(Exception):
+    """The fixed-point pass left a decision to the exact pass."""
+
+
 def fixed_point_walk(certificate, digits, depth, cap=30):
     """sum_and_walk with the exact pass barred, so the fixed-point pass must decide alone."""
 
     def barred(coupling):
-        raise AssertionError("the fixed-point pass left a decision to the exact pass")
+        raise Deferred
 
     with patch.object(series, "cascade", barred):
         return series.sum_and_walk(certificate, digits, depth, cap)
 
 
 class TestLeanTail:
-    """Past k0 = max(depth, onset + 1) the fixed-point pass sums under a constant error bound."""
+    """Past the switch the fixed-point pass sums under a constant error bound."""
 
     @pytest.mark.parametrize(
         "coupling,digits",
@@ -358,6 +363,18 @@ class TestLeanTail:
         for depth in (0, onset, onset + 1, onset + 2, stop - 1, stop, stop + 7):
             walked = fixed_point_walk(certificate, digits, depth)
             assert walked == exact_coupled_walk(problem, coupling, depth, digits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coupling=convergent_couplings(), digits=st.integers(11, 60), depth=st.integers(0, 400))
+def test_fixed_point_pass_matches_exact_pass(coupling, digits, depth):
+    # digits and cap as verify takes them: the sum carries ten digits past the cap
+    certificate, problem = ratio_certificate(coupling), euler_problem(coupling)
+    try:
+        walked = fixed_point_walk(certificate, digits, depth, digits - 10)
+    except Deferred:
+        assume(False)
+    assert walked == exact_coupled_walk(problem, coupling, depth, digits, digits - 10)
 
 
 def terms_drawn(monkeypatch) -> list[int]:

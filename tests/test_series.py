@@ -359,9 +359,10 @@ class TestSumToPrecision:
 # the ratio climbs from about 1/4 at the onset towards 9/10, so e_k climbs past e_k0
 @example(coupling=Coupling(c=P("9/10*n"), d=P("n + 100")), depth=0)
 def test_error_bound_past_the_onset_stays_below_the_lean_constant(coupling, depth):
-    # the fixed-point pass's e_k, replayed from k = 0 in Fractions: past
-    # k0 = max(depth, onset + 1) every e_k is at most B = max(e_k0, slack), the
-    # constant the lean loop adds to E for each term
+    # the fixed-point pass's e_k, replayed from k = 0 in Fractions: past a switch k0 > onset
+    # every e_k is at most B = max(e_k0, slack), the constant the lean loop adds to E for
+    # each term. k0 = max(depth, onset + 1) is the switch of a walk whose enclosure has not
+    # certified the settle test below the depth
     onset, _, _, slack, _ = series._stop_rule(ratio_certificate(coupling), 10)
     k0 = max(depth, onset + 1)
     c, d = coupling.c, coupling.d
@@ -470,8 +471,8 @@ class TestCauchyDigits:
         # S_h = 1 within 2^-64, and S_N - S_h = 10 2^-64 within 10 2^-64: the ratio
         # lies between (2^64 - 1) / 20 ~ 9.2e17 and infinity
         half, last = (1 << 64, 1), ((1 << 64) + 10, 11)
-        assert series._cauchy_digits(half, last, 64, 17) == 17
-        assert series._cauchy_digits(half, last, 64, 18) is None
+        assert series._cauchy_digits(half, last, 64, 17, 0) == 17
+        assert series._cauchy_digits(half, last, 64, 18, 0) is None
         # a tail below E_N - E_h leaves the bracket as it is
         assert series._cauchy_digits(half, last, 64, 17, 3) == 17
         assert series._cauchy_digits(half, last, 64, 18, 3) is None
@@ -483,14 +484,14 @@ class TestCauchyDigits:
         at = (1 << 64, 1)
         assert series._cauchy_digits(at, at, 64, 18, 10) == 18
         assert series._cauchy_digits(at, at, 64, 19, 10) is None
-        assert series._cauchy_digits(at, at, 64, 19) == 19
+        assert series._cauchy_digits(at, at, 64, 19, 0) == 19
 
     def test_matches_agreement_digits_when_decided(self):
         # x = 1/S: S_h = 3/2 and S_N = 3/2 + 2^-40 to within 2^-100
         F, s_h = 100, 3 << 99
         s_N = s_h + (1 << 60)
         x_h, x_N = (1 << F, s_h), (1 << F, s_N)
-        assert series._cauchy_digits((s_h, 1), (s_N, 2), F, 30) == agreement_digits(x_h, x_N, 30)
+        assert series._cauchy_digits((s_h, 1), (s_N, 2), F, 30, 0) == agreement_digits(x_h, x_N, 30)
 
 
 class TestCentralBinomialSum:
