@@ -12,7 +12,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -67,7 +67,7 @@ def load_problem_file(path: str | Path) -> ProblemFile:
 
     try:
         doc = json.loads(raw, object_pairs_hook=unique_fields)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a number past the int-to-text limit
         raise ProblemFileError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ProblemFileError(f"{path}: expected a JSON object")
@@ -111,7 +111,7 @@ def _rho_text(rho: Fraction | None) -> str:
 
 
 def report_to_dict(report: VerificationReport) -> dict:
-    doc = {f.name: _to_json(getattr(report, f.name)) for f in fields(report)}
+    doc = {name: _to_json(value) for name, value in vars(report).items()}  # in field order
     if report.classification is not None:  # else no series, and rho is None
         doc["rho"] = _rho_text(report.rho)
     return doc
@@ -175,7 +175,7 @@ def cmd_series(args) -> int:
     # the coupling verify sums: the first that meets b0 = d(1)
     eligible = [cp for cp in couplings if check_boundary_selection(pf.problem, cp)]
     if not eligible:
-        _print_failed_boundary(couplings)
+        print("\n".join(_failed_boundary(couplings)))
         return EXIT_INCONCLUSIVE
     coupling = eligible[0]
     if args.count < 0:  # refused before any output
@@ -197,9 +197,7 @@ def cmd_series(args) -> int:
 
 def cmd_verify(args) -> int:
     pf = load_problem_file(args.file)
-    report = verify_conjecture(
-        pf.problem, digits=args.digits, depth=args.depth, name=pf.name
-    )
+    report = verify_conjecture(pf.problem, digits=args.digits, depth=args.depth, name=pf.name)
     _print_report(report)
     if args.json:
         try:
@@ -214,46 +212,47 @@ def cmd_verify(args) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def _print_failed_boundary(couplings) -> None:
+def _failed_boundary(couplings) -> list[str]:
     """Every coupling found, when none of them meets b0 = d(1)."""
-    print("\n".join(f"coupling: {coupling}" for coupling in couplings))
-    print("boundary rule b0 = d(1): fails")
+    return [*(f"coupling: {coupling}" for coupling in couplings), "boundary rule b0 = d(1): fails"]
 
 
 def _print_report(report: VerificationReport) -> None:
-    name = report.problem.get("name")
-    if name:
-        print(f"problem: {name}")
-    print(f"  b0 = {report.problem['b0']}; a = {report.problem['a']}; b = {report.problem['b']}")
+    """The human summary: every line rendered first, then printed in one call."""
+    lines = [f"problem: {name}"] if (name := report.problem.get("name")) else []
+    lines.append("  b0 = {b0}; a = {a}; b = {b}".format_map(report.problem))
     if report.coupling is None and not report.other_couplings:
-        print("coupling: none within linear-split search space")
+        lines.append("coupling: none within linear-split search space")
     elif report.coupling is None:
-        _print_failed_boundary(report.other_couplings)
+        lines += _failed_boundary(report.other_couplings)
     else:
         extra = f" (+{len(report.other_couplings)} more)" if report.other_couplings else ""
-        print(f"coupling: {report.coupling}{extra}")
-        print("boundary rule b0 = d(1): holds")
-        print(
+        lines += [
+            f"coupling: {report.coupling}{extra}",
+            "boundary rule b0 = d(1): holds",
             "structural depths: "
             f"reciprocal identity {report.exact_identity_depth}/{report.depth}, "
             f"numerator product {report.numerator_product_depth}/{report.depth}, "
-            f"casoratian {report.casoratian_depth}/{report.depth}"
-        )
-        print(f"rho = {_rho_text(report.rho)}   [{report.classification}]")
+            f"casoratian {report.casoratian_depth}/{report.depth}",
+            f"rho = {_rho_text(report.rho)}   [{report.classification}]",
+        ]
     # previews show matched digits plus a small margin, not full precision
     shown = (report.digits_matched or report.digits_requested) + 5
     if report.series_value is not None:
-        print(f"series value: {report.series_value.to_decimal(shown)}   ({report.terms_used} terms)")
+        lines.append(
+            f"series value: {report.series_value.to_decimal(shown)}   ({report.terms_used} terms)"
+        )
     if report.gcf_value is not None:
-        print(f"gcf value:    {report.gcf_value.to_decimal(shown)}")
+        lines.append(f"gcf value:    {report.gcf_value.to_decimal(shown)}")
     if report.target_value is not None:
-        print(f"target:       {report.target_value.to_decimal(shown)}")
-        print(f"digits matched: {report.digits_matched} (requested {report.digits_requested})")
-    print(
-        f"convergents: {'strictly decreasing' if report.monotone_convergents else 'not monotone'}; "
-        f"cauchy digits {report.cauchy_digits}"
-    )
-    print(f"verdict: {report.verdict}")
+        lines += [
+            f"target:       {report.target_value.to_decimal(shown)}",
+            f"digits matched: {report.digits_matched} (requested {report.digits_requested})",
+        ]
+    monotone = "strictly decreasing" if report.monotone_convergents else "not monotone"
+    lines.append(f"convergents: {monotone}; cauchy digits {report.cauchy_digits}")
+    lines.append(f"verdict: {report.verdict}")
+    print("\n".join(lines))
 
 
 @functools.cache  # main runs once per job when called in-process

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Callable
 
-import mpmath
+from mpmath import libmp, mp
 
 from .errors import (
     DivisionByZero,
@@ -129,7 +129,10 @@ class _Parser:
             value = self.unary()
         else:
             if text.isdigit():
-                value = self.literal(int(text))
+                try:
+                    value = self.literal(int(text))
+                except ValueError:  # more digits than the interpreter converts to an int
+                    raise ExprSyntaxError("literal too long", self.offset(self.index - 1)) from None
             elif text.isidentifier():
                 value = self.name(self.index - 1)
             elif text == "(":
@@ -256,8 +259,11 @@ class Sqrt(ConstExpr):
     operand: ConstExpr
 
 
-# what a Binary node's op does, to Fractions when folding and to mpfs when evaluating
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+# what a Binary node's op does: to Fractions when folding, to raw mpfs when evaluating
+_ARITHMETIC = {
+    "+": (operator.add, libmp.mpf_add), "-": (operator.sub, libmp.mpf_sub),
+    "*": (operator.mul, libmp.mpf_mul), "/": (operator.truediv, libmp.mpf_div),
+}
 
 
 class _ConstParser(_Parser):
@@ -312,7 +318,7 @@ def _fold_rational(expr: ConstExpr, position: Callable[[], int]) -> Fraction | N
             return None
         if expr.op == "/" and right == 0:
             raise DivisionByZero("division by zero in constant expression")
-        return _ARITHMETIC[expr.op](left, right)
+        return _ARITHMETIC[expr.op][0](left, right)
     if isinstance(expr, Pow):
         base = _fold_rational(expr.base, position)
         if base is None:
@@ -333,43 +339,44 @@ def parse_const_expr(source: str) -> ConstExpr:
 def eval_const_expr(expr: ConstExpr, precision_bits: int) -> PrecisionReal:
     """Evaluate to a binary float carrying `precision_bits` bits.
 
-    Work happens at 16 guard bits above the request and is rounded once
-    at the end, keeping the relative error within 2^(4-precision_bits)
-    for expressions of sane size.
+    Every node is rounded to nearest at 16 guard bits above the request, and the
+    value once more to the request, each by a libmp call at that explicit precision,
+    so no global mpmath setting is read. The relative error stays within
+    2^(4-precision_bits) for expressions of sane size.
     """
     if precision_bits < 8:
         raise ValueError("precision_bits must be at least 8")
-    with mpmath.mp.workprec(precision_bits + 16):
-        value = _eval_node(expr)
-    with mpmath.mp.workprec(precision_bits):
-        value = +value
-    return PrecisionReal(value, precision_bits)
+    value = _eval_node(expr, (precision_bits + 16, libmp.round_nearest))
+    value = libmp.mpf_pos(value, precision_bits, libmp.round_nearest)
+    return PrecisionReal(mp.make_mpf(value), precision_bits)
 
 
-def _eval_node(expr: ConstExpr):
+def _eval_node(expr: ConstExpr, at: tuple[int, str]) -> tuple:
+    """The raw mpf of expr; every libmp call takes at = (precision, rounding)."""
     if isinstance(expr, Num):
-        return _round_ratio(expr.value.numerator, expr.value.denominator)
+        return _round_ratio(expr.value.numerator, expr.value.denominator, at[0])
     if isinstance(expr, Pi):
-        return +mpmath.mp.pi
+        return libmp.mpf_pi(*at)
     if isinstance(expr, Neg):
-        return -_eval_node(expr.operand)
+        return libmp.mpf_neg(_eval_node(expr.operand, at), *at)
     if isinstance(expr, Binary):
+        apply = _ARITHMETIC[expr.op][1]
         if expr.op != "/":
-            return _ARITHMETIC[expr.op](_eval_node(expr.left), _eval_node(expr.right))
-        denominator = _eval_node(expr.right)  # before the dividend, so a zero divisor raises first
-        if denominator == 0:
+            return apply(_eval_node(expr.left, at), _eval_node(expr.right, at), *at)
+        right = _eval_node(expr.right, at)  # before the dividend, so a zero divisor raises first
+        if right == libmp.fzero:
             raise DivisionByZero("division by zero in constant expression")
-        return _eval_node(expr.left) / denominator
+        return apply(_eval_node(expr.left, at), right, *at)
     if isinstance(expr, Pow):
-        base = _eval_node(expr.base)
-        if base == 0 and expr.exponent < 0:
+        base = _eval_node(expr.base, at)
+        if base == libmp.fzero and expr.exponent < 0:
             raise DivisionByZero("zero raised to a negative exponent")
-        return base**expr.exponent
+        return libmp.mpf_pow_int(base, expr.exponent, *at)
     if isinstance(expr, Sqrt):
-        operand = _eval_node(expr.operand)
-        if operand < 0:
+        operand = _eval_node(expr.operand, at)
+        if operand[0]:  # the sign bit of a nonzero finite mpf
             raise NegativeSqrt("square root of a negative value")
-        return mpmath.sqrt(operand)
+        return libmp.mpf_sqrt(operand, *at)
     raise TypeError(f"not a constant expression node: {expr!r}")
 
 

@@ -3,9 +3,9 @@
 Integers are plain Python ints (unbounded). An exact rational enters as
 an int pair (p, q) with q != 0, of any signs and not necessarily reduced,
 so no walk reduces its last frame. Approximate reals are mpmath binary
-floats tagged with the mantissa width they were computed at;
-:func:`working_precision` sets that width from the requested digit count
-and nothing else.
+floats tagged with the mantissa width they were rounded to, by mpmath's libmp
+at that explicit width, so no global mpmath setting is read or changed;
+:func:`working_precision` sets that width from the requested digit count.
 """
 
 from __future__ import annotations
@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
-from mpmath.libmp import from_rational, mpf_shift, round_nearest, to_rational
+from mpmath import mp
+from mpmath.libmp import (
+    fone, from_man_exp, from_rational, mpf_div, mpf_shift, round_nearest, to_rational, to_str,
+)
 
 from .errors import DivisionByZero, InsufficientPrecision
 
@@ -41,22 +43,21 @@ class PrecisionReal:
     two of them exactly.
     """
 
-    value: mpmath.mpf
+    value: mp.mpf
     precision_bits: int
 
     def to_decimal(self, digits: int | None = None) -> str:
         """Decimal text; defaults to enough digits to round-trip exactly."""
         if digits is None:
             digits = decimal_digits_for_bits(self.precision_bits)
-        return mpmath.nstr(self.value, digits)
+        return to_str(self.value._mpf_, digits)
 
 
-def _round_ratio(p: int, q: int) -> mpmath.mpf:
-    # p/q (q != 0, any signs, unreduced) correctly rounded at the *current* mpmath precision;
+def _round_ratio(p: int, q: int, precision_bits: int) -> tuple:
+    # the raw mpf of p/q (q != 0, any signs, unreduced) correctly rounded to precision_bits;
     # trailing zero bits move into an exact shift, as mpmath on ints strips them bytewise
     zp, zq = ((n & -n).bit_length() - 1 if n else 0 for n in (p, q))
-    odd = from_rational(p >> zp, q >> zq, mpmath.mp.prec, round_nearest)
-    return mpmath.mpf(mpf_shift(odd, zp - zq))
+    return mpf_shift(from_rational(p >> zp, q >> zq, precision_bits, round_nearest), zp - zq)
 
 
 def rational_to_real(x: tuple[int, int], precision_bits: int) -> PrecisionReal:
@@ -66,9 +67,7 @@ def rational_to_real(x: tuple[int, int], precision_bits: int) -> PrecisionReal:
     """
     if precision_bits < 8:
         raise ValueError("precision_bits must be at least 8")
-    with mpmath.mp.workprec(precision_bits):
-        value = _round_ratio(*x)
-    return PrecisionReal(value, precision_bits)
+    return PrecisionReal(mp.make_mpf(_round_ratio(*x, precision_bits)), precision_bits)
 
 
 def enclosure_to_real(low: int, high: int, shift: int, precision_bits: int) -> PrecisionReal | None:
@@ -76,18 +75,16 @@ def enclosure_to_real(low: int, high: int, shift: int, precision_bits: int) -> P
 
     None when the ends round apart.
     """
-    with mpmath.mp.workprec(precision_bits):
-        low_end, high_end = mpmath.mpf((low, -shift)), mpmath.mpf((high, -shift))
-    return PrecisionReal(low_end, precision_bits) if low_end == high_end else None
+    ends = [from_man_exp(end, -shift, precision_bits, round_nearest) for end in (low, high)]
+    return PrecisionReal(mp.make_mpf(ends[0]), precision_bits) if ends[0] == ends[1] else None
 
 
 def real_reciprocal(x: PrecisionReal) -> PrecisionReal:
     """1/x at the precision x carries."""
-    if x.value == 0:
+    if not x.value:
         raise DivisionByZero("reciprocal of zero")
-    with mpmath.mp.workprec(x.precision_bits):
-        value = mpmath.mpf(1) / x.value
-    return PrecisionReal(value, x.precision_bits)
+    value = mpf_div(fone, x.value._mpf_, x.precision_bits, round_nearest)
+    return PrecisionReal(mp.make_mpf(value), x.precision_bits)
 
 
 def agreement_digits(x: tuple[int, int], y: tuple[int, int], cap: int) -> int:

@@ -81,34 +81,26 @@ class RatioCertificate:
 
 
 def ratio_certificate(coupling: Coupling) -> RatioCertificate:
-    """Classify convergence from the degrees and leading coefficients.
+    """Classify convergence from the degrees and leading coefficients, in ints.
 
     rho = 0 when the numerator degree is lower, the leading-coefficient
     ratio when degrees tie, and infinite otherwise. Classification uses
     |rho|: below 1 convergent, above 1 (or infinite) divergent, exactly 1
     honestly inconclusive.
     """
-    num = coupling.c.shift(1)
-    den = coupling.d.shift(2)
-    if num.degree < den.degree:
-        rho: Fraction | None = Fraction(0)
-    elif num.degree == den.degree:
-        rho = num.leading_coefficient / den.leading_coefficient
-    else:
-        rho = None
-    if rho is None:
-        classification = DIVERGENT
-    elif abs(rho) < 1:
-        classification = CONVERGENT
-    elif abs(rho) > 1:
-        classification = DIVERGENT
-    else:
-        classification = INCONCLUSIVE
-    return RatioCertificate(coupling, num, den, rho, classification)
+    num, den = coupling.c.shift(1), coupling.d.shift(2)
+    if num.degree > den.degree:
+        return RatioCertificate(coupling, num, den, None, DIVERGENT)
+    # rho = top / bottom, the leading numerators over each other's denominator
+    top = num.numerators[-1] * den.denominator if num.degree == den.degree else 0
+    bottom = den.numerators[-1] * num.denominator
+    m, n = abs(top), abs(bottom)
+    classification = CONVERGENT if m < n else DIVERGENT if m > n else INCONCLUSIVE
+    return RatioCertificate(coupling, num, den, Fraction(top, bottom), classification)
 
 
-def _geometric_onset(certificate: RatioCertificate, rho_bar: Fraction) -> int:
-    """Smallest certified K with |ratio(k)| <= rho_bar for every k >= K.
+def _geometric_onset(certificate: RatioCertificate, p: int, r: int) -> int:
+    """Smallest certified K with |ratio(k)| <= rho_bar = p/r (p, r > 0) for every k >= K.
 
     Past the Cauchy root bounds of D, rho_bar*D - N and rho_bar*D + N
     (D = |denominator|, N = numerator) none of them changes sign, so the
@@ -116,7 +108,6 @@ def _geometric_onset(certificate: RatioCertificate, rho_bar: Fraction) -> int:
     guards are int lists, each scaled by a positive constant that moves no root.
     """
     num, den = certificate.numerator, certificate.denominator
-    p, r = rho_bar.numerator, rho_bar.denominator
     n_d, d_d = num.denominator, den.denominator
     # d_d D, then r n_d d_d (rho_bar D -+ N)
     D = den.numerators if den.numerators[-1] > 0 else [-x for x in den.numerators]
@@ -135,17 +126,19 @@ def _geometric_onset(certificate: RatioCertificate, rho_bar: Fraction) -> int:
 def _stop_rule(certificate: RatioCertificate, digits: int) -> tuple[int, int, int, int, int]:
     """(onset, budget, q, slack, p): stop at the first k >= onset with budget |t_k| <= q.
 
-    rho_bar = (|rho|+1)/2 bounds the ratio from :func:`_geometric_onset` on, so the tail
-    after k is at most |t_k| p/q with p/q = rho_bar / (1 - rho_bar), and budget = 2 10^digits p.
-    slack = ceil(2 / (1 - rho_bar)) is at least rho_bar slack + 2. Raises OnsetPastBudget when
-    the onset exceeds ONSET_BUDGET, before either pass forms a term.
+    With |rho| = a/b, rho_bar = (a + b) / 2b bounds the ratio from :func:`_geometric_onset` on,
+    so the tail after k is at most |t_k| p/q with p/q = rho_bar / (1 - rho_bar) = (a + b) / (b - a)
+    in lowest terms, and budget = 2 10^digits p. slack = ceil(2 / (1 - rho_bar)) is at least
+    rho_bar slack + 2. No Fraction is formed. Raises OnsetPastBudget when the onset exceeds
+    ONSET_BUDGET, before either pass forms a term.
     """
-    rho_bar = (abs(certificate.rho) + 1) / 2
-    onset = _geometric_onset(certificate, rho_bar)
+    a, b = abs(certificate.rho.numerator), certificate.rho.denominator
+    onset = _geometric_onset(certificate, a + b, 2 * b)
     if onset > ONSET_BUDGET:
         raise OnsetPastBudget(onset, ONSET_BUDGET)
-    p, q = (rho_bar / (1 - rho_bar)).as_integer_ratio()
-    slack = math.ceil(2 / (1 - rho_bar))
+    g = math.gcd(a + b, b - a)
+    p, q = (a + b) // g, (b - a) // g
+    slack = -(-4 * b // (b - a))  # 2 / (1 - rho_bar) = 4b / (b - a), rounded up
     return onset, 2 * 10**digits * p, q, slack, p
 
 

@@ -734,8 +734,10 @@ def reference_convergents(problem: GcfProblem, depth: int) -> list[ConvergentTri
 # these decode one into a VerificationReport, so tests can check that the
 # document loses nothing.
 
+import operator
+
 import mpmath
-from mpmath.libmp import to_rational
+from mpmath.libmp import from_rational, mpf_shift, round_nearest, to_rational
 
 from gcf_forge.expr import parse_polynomial
 from gcf_forge.numerics import PrecisionReal
@@ -755,6 +757,86 @@ def real_from_decimal(text: str, precision_bits: int) -> PrecisionReal:
     with mpmath.mp.workprec(precision_bits):
         value = +mpmath.mpmathify(text)
     return PrecisionReal(value, precision_bits)
+
+
+# --- references for the rounding: mpmath's context and mpf operators -----------
+#
+# The program rounds through mpmath's libmp at an explicit precision. These
+# round the same values the way it did before, inside a workprec context with
+# mpf operator dispatch, so a test can pin that the two agree bit for bit.
+
+from gcf_forge.errors import NegativeSqrt
+
+
+def _reference_round_ratio(p: int, q: int) -> mpmath.mpf:
+    # p/q correctly rounded at the current mpmath precision, trailing zero bits shifted
+    zp, zq = ((n & -n).bit_length() - 1 if n else 0 for n in (p, q))
+    odd = from_rational(p >> zp, q >> zq, mpmath.mp.prec, round_nearest)
+    return mpmath.mpf(mpf_shift(odd, zp - zq))
+
+
+def reference_rational_to_real(x: tuple[int, int], precision_bits: int) -> PrecisionReal:
+    if precision_bits < 8:
+        raise ValueError("precision_bits must be at least 8")
+    with mpmath.mp.workprec(precision_bits):
+        value = _reference_round_ratio(*x)
+    return PrecisionReal(value, precision_bits)
+
+
+def reference_enclosure_to_real(low: int, high: int, shift: int, precision_bits: int):
+    with mpmath.mp.workprec(precision_bits):
+        low_end, high_end = mpmath.mpf((low, -shift)), mpmath.mpf((high, -shift))
+    return PrecisionReal(low_end, precision_bits) if low_end == high_end else None
+
+
+def reference_real_reciprocal(x: PrecisionReal) -> PrecisionReal:
+    if x.value == 0:
+        raise DivisionByZero("reciprocal of zero")
+    with mpmath.mp.workprec(x.precision_bits):
+        value = mpmath.mpf(1) / x.value
+    return PrecisionReal(value, x.precision_bits)
+
+
+def reference_eval_const_expr(expr: ConstExpr, precision_bits: int) -> PrecisionReal:
+    """Every node at 16 guard bits above the request, then one rounding to it."""
+    if precision_bits < 8:
+        raise ValueError("precision_bits must be at least 8")
+    with mpmath.mp.workprec(precision_bits + 16):
+        value = _reference_eval_node(expr)
+    with mpmath.mp.workprec(precision_bits):
+        value = +value
+    return PrecisionReal(value, precision_bits)
+
+
+_MPF_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _reference_eval_node(expr: ConstExpr):
+    if isinstance(expr, Num):
+        return _reference_round_ratio(expr.value.numerator, expr.value.denominator)
+    if isinstance(expr, Pi):
+        return +mpmath.mp.pi
+    if isinstance(expr, Neg):
+        return -_reference_eval_node(expr.operand)
+    if isinstance(expr, Binary):
+        if expr.op != "/":
+            left, right = _reference_eval_node(expr.left), _reference_eval_node(expr.right)
+            return _MPF_OPERATORS[expr.op](left, right)
+        denominator = _reference_eval_node(expr.right)
+        if denominator == 0:
+            raise DivisionByZero("division by zero in constant expression")
+        return _reference_eval_node(expr.left) / denominator
+    if isinstance(expr, Pow):
+        base = _reference_eval_node(expr.base)
+        if base == 0 and expr.exponent < 0:
+            raise DivisionByZero("zero raised to a negative exponent")
+        return base**expr.exponent
+    if isinstance(expr, Sqrt):
+        operand = _reference_eval_node(expr.operand)
+        if operand < 0:
+            raise NegativeSqrt("square root of a negative value")
+        return mpmath.sqrt(operand)
+    raise TypeError(f"not a constant expression node: {expr!r}")
 
 
 def _real_from_dict(doc: dict | None) -> PrecisionReal | None:

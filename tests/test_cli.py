@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
 import gcf_forge
 from gcf_forge import cli, factorize, gcf, poly, series, verify_conjecture
@@ -26,6 +27,15 @@ def write_problem(tmp_path: Path, name: str, **fields) -> str:
     path = tmp_path / name
     path.write_text(json.dumps(fields))
     return str(path)
+
+
+@pytest.fixture
+def default_int_text_limit():
+    """The interpreter's default int-to-text limit, 4300 digits, whatever the run set."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 @pytest.fixture
@@ -324,6 +334,31 @@ class TestVerify:
         assert "offset" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"b0": "1" * 5000}, "literal too long (at offset 0)"),
+            ({"target": "8/pi^2 + 1/" + "9" * 5000}, "literal too long (at offset 11)"),
+        ],
+        ids=["b0", "target"],
+    )
+    @pytest.mark.usefixtures("default_int_text_limit")
+    def test_literal_past_int_text_limit_is_parse_error(self, tmp_path, capsys, fields, message):
+        # 5000 digits pass the int-to-text limit of 4300
+        fields = {"b0": "1", "a": "-n", "b": "n + 1", **fields}
+        path = write_problem(tmp_path, "p.json", **fields)
+        assert main(["verify", path, "--digits", "15", "--depth", "8"]) == EXIT_PARSE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.usefixtures("default_int_text_limit")
+    def test_json_number_past_int_text_limit_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text('{"b0": ' + "1" * 5000 + ', "a": "-n", "b": "n + 1"}')
+        assert main(["verify", str(path)]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {path}: not valid JSON (Exceeds the limit (4300 digits)")
+
+    @pytest.mark.parametrize(
         "field,source,offset",
         [("a", "2\u00b2*n", 1), ("b", "\u00b2", 0), ("a", "-\u0663*n", 1), ("b0", "\u0661", 0)],
         ids=["superscript-after-digit", "superscript", "arabic-indic-digit", "arabic-indic-b0"],
@@ -392,6 +427,44 @@ def test_exact_entry_past_int_text_limit_refused_before_output(tmp_path, capsys,
         "the preview table (without --exact) rounds it\n"
     )
     assert main([argv[0], path, *argv[1:]]) == EXIT_OK  # the preview rounds the same entries
+
+
+@pytest.mark.parametrize(
+    "source,digits,depth",
+    [
+        ("eight_over_pi_squared.json", 30, 250),
+        (
+            dict(  # member-off-14 of the benchmark's screening corpus, seed 1
+                b0="5/8", a="(-75/64)*n^4 + (75/128)*n^3", b="(35/16)*n^2 + (15/8)*n + (5/8)",
+                target="(5/8)*(27/(4*pi^2)) + 1/10^15",
+            ),
+            20,
+            16,
+        ),
+    ],
+    ids=["flagship", "screening"],
+)
+@pytest.mark.parametrize("setting,value", [("prec", 20), ("dps", 500)])
+def test_caller_mpmath_precision_changes_nothing(
+    problems_dir, tmp_path, source, digits, depth, setting, value
+):
+    # every rounding names its own precision, so the caller's mpmath context is neither
+    # read nor changed
+    if isinstance(source, dict):
+        path = write_problem(tmp_path, "p.json", **source)
+    else:
+        path = str(problems_dir / source)
+    pf = load_problem_file(path)
+    expected = report_to_dict(verify_conjecture(pf.problem, digits, depth, name=pf.name))
+    saved = mp.prec
+    try:
+        setattr(mp, setting, value)
+        chosen = mp.prec
+        doc = report_to_dict(verify_conjecture(pf.problem, digits, depth, name=pf.name))
+        assert mp.prec == chosen
+    finally:
+        mp.prec = saved
+    assert doc == expected
 
 
 def test_parser_built_once(quartic_file, monkeypatch):

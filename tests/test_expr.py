@@ -1,7 +1,8 @@
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gcf_forge import (
@@ -39,6 +40,7 @@ from oracles import (
     exact_value,
     fraction_decimal,
     polynomial,
+    reference_eval_const_expr,
     reference_parse_const_expr,
     reference_parse_polynomial,
     reference_parse_rational,
@@ -252,6 +254,22 @@ def test_const_expr_print_parse_fixpoint(expr):
     assert parse_const_expr(const_expr_to_text(expr)) == expr
 
 
+@given(expr=const_exprs(), bits=st.integers(min_value=8, max_value=2000))
+@example(expr=Sqrt(Num(Fraction(-3, 4))), bits=8)
+@example(expr=Binary("/", Num(Fraction(7, 12)), Binary("-", Pi(), Pi())), bits=64)
+@example(expr=Pow(Binary("*", Num(Fraction(0)), Pi()), -2), bits=64)
+def test_eval_matches_the_context_reference(expr, bits):
+    # libmp at an explicit precision against mpf operators in a workprec context
+    def outcome(evaluate):
+        try:
+            value = evaluate(expr, bits)
+        except (DivisionByZero, NegativeSqrt) as exc:
+            return type(exc), str(exc)
+        return value.value._mpf_, value.precision_bits
+
+    assert outcome(eval_const_expr) == outcome(reference_eval_const_expr)
+
+
 # --- precedence against Python's own parser ----------------------------------
 
 
@@ -348,6 +366,19 @@ class TestBudgets:
         assert 0 < info.value.position <= len(chain)
         # polynomials build no tree, so long sums stay accepted
         assert parse_rational(" + ".join(["1"] * 5000)) == 5000
+
+    @pytest.mark.parametrize("parse", [parse_polynomial, parse_rational, parse_const_expr])
+    def test_literal_past_int_text_limit_is_syntax_error(self, parse):
+        # int() refuses a digit run longer than the interpreter's limit (4300 by default)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the least the interpreter allows
+        try:
+            assert parse("1" * 640 + " + 1") is not None
+            with pytest.raises(ExprSyntaxError) as info:
+                parse("2 * (" + "1" * 641 + ")")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(info.value) == "literal too long (at offset 5)"
 
     @pytest.mark.parametrize(
         "parse,source",

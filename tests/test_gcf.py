@@ -377,6 +377,24 @@ def test_fixed_point_pass_matches_exact_pass(coupling, digits, depth):
     assert walked == exact_coupled_walk(problem, coupling, depth, digits, digits - 10)
 
 
+def test_stop_on_the_threshold_in_the_per_term_loop_defers():
+    # c = n + m and d = 2 (n + m - 1) make the terms geometric, t_k = 2^-(k+1) / m. With
+    # m = 3 5^10 / 2^20, t_30 is exactly the stop threshold q / budget = 1 / (6 10^10) of a
+    # 10-digit sum, and 30 is the onset, one short of settle: the per-term loop meets that
+    # stop, and the floor errors around u_30 leave it undecided, so the pass defers
+    m = Fraction(3 * 5**10, 2**20)
+    coupling = Coupling(c=polynomial([m, 1]), d=polynomial([2 * (m - 1), 2]))
+    certificate = ratio_certificate(coupling)
+    onset, budget, q, *_ = series._stop_rule(certificate, 10)
+    assert (onset, settle_index(certificate, 10)) == (30, 31)
+    assert budget * (Fraction(1, 2**31) / m) == q
+    with pytest.raises(Deferred):
+        fixed_point_walk(certificate, 10, 40, 10)
+    walked = series.sum_and_walk(certificate, 10, 40, 10)
+    assert walked == exact_coupled_walk(euler_problem(coupling), coupling, 40, 10, 10)
+    assert walked[1] == 31  # the exact pass stops on the threshold: |t_30| <= q / budget
+
+
 def terms_drawn(monkeypatch) -> list[int]:
     """Count the values the series module draws from integer_values, in a one-item list."""
     drawn = [0]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gcf_forge import InsufficientPrecision, rational_to_real, working_precision
+from gcf_forge import DivisionByZero, InsufficientPrecision, rational_to_real, working_precision
 from gcf_forge.numerics import (
     agreement_digits,
     enclosure_to_real,
@@ -18,6 +18,9 @@ from oracles import (
     exact_value,
     fraction_decimal,
     real_from_decimal,
+    reference_enclosure_to_real,
+    reference_rational_to_real,
+    reference_real_reciprocal,
     round_to_bits,
 )
 
@@ -140,6 +143,44 @@ class TestEnclosureToReal:
         if value is not None:
             for end in (middle - radius, middle, middle + radius):
                 assert value == rational_to_real((end, 2**shift), bits)
+
+
+def raw(outcome):
+    """A rounding's raw mpf, None, or the type and text of the error it raised."""
+    try:
+        value = outcome()
+    except DivisionByZero as exc:
+        return type(exc), str(exc)
+    return None if value is None else (value.value._mpf_, value.precision_bits)
+
+
+class TestMatchesContextReference:
+    """libmp at an explicit precision rounds bit for bit as mpf operators in a workprec
+    context did, at 8 to 2000 bits."""
+
+    @given(
+        p=st.integers(-(2**2100), 2**2100),
+        q=st.integers(-(2**300), 2**300).filter(bool),
+        zeros=st.integers(0, 300),
+        bits=st.integers(min_value=8, max_value=2000),
+    )
+    def test_rational_to_real_and_reciprocal(self, p, q, zeros, bits):
+        x = (p << zeros, q)
+        ours = raw(lambda: rational_to_real(x, bits))
+        assert ours == raw(lambda: reference_rational_to_real(x, bits))
+        value = rational_to_real(x, bits)
+        assert raw(lambda: real_reciprocal(value)) == raw(lambda: reference_real_reciprocal(value))
+
+    @given(
+        middle=st.integers(-(2**2100), 2**2100),
+        radius=st.integers(0, 2**40),
+        shift=st.integers(-100, 2200),
+        bits=st.integers(min_value=8, max_value=2000),
+    )
+    def test_enclosure_to_real(self, middle, radius, shift, bits):
+        low, high = middle - radius, middle + radius
+        ours = raw(lambda: enclosure_to_real(low, high, shift, bits))
+        assert ours == raw(lambda: reference_enclosure_to_real(low, high, shift, bits))
 
 
 class TestAgreeToDigits:

@@ -165,13 +165,13 @@ class TestRatioCertificate:
         # d(k+2) = 2k - 6 vanishes at k = 3, so the onset must lie past it
         cert = ratio_certificate(Coupling(c=P("n"), d=P("2*n - 10")))
         assert cert.denominator(3) == 0
-        assert series._geometric_onset(cert, (abs(cert.rho) + 1) / 2) > 3
+        assert series._geometric_onset(cert, *((abs(cert.rho) + 1) / 2).as_integer_ratio()) > 3
 
 
 def fraction_reference(certificate, digits: int):
     """certified_sum's (value, terms used) by the reduced-fraction loop."""
     rho_bar = (abs(certificate.rho) + 1) / 2
-    onset = series._geometric_onset(certificate, rho_bar)
+    onset = series._geometric_onset(certificate, *rho_bar.as_integer_ratio())
     coupling = certificate.coupling
     total, used = fraction_series_sum(
         coupling.c, coupling.d, digits, onset, rho_bar / (1 - rho_bar)
