@@ -2,10 +2,10 @@
 
 The pipeline: parse the coefficient polynomials and the target constant,
 factor the three-term recurrence into a first-order cascade via a coupling
-(c, d), check its polynomial identities once and walk the cascade in exact
-integers, map the continued fraction to the reciprocal of a series,
-certify convergence with the exact term-ratio limit, sum to the requested
-precision, and compare against the target.
+(c, d), check its polynomial identities once, map the continued fraction
+to the reciprocal of the cascade's series, certify convergence with the
+exact term-ratio limit, sum to the requested precision, and compare the
+reciprocal of the sum against the target.
 """
 
 from .errors import (

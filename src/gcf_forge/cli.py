@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -201,7 +202,7 @@ def cmd_verify(args) -> int:
     _print_report(report)
     if args.json:
         try:
-            Path(args.json).write_text(json.dumps(report_to_dict(report), indent=2) + "\n")
+            Path(args.json).write_text(json.dumps(report_to_dict(report)) + "\n")
         except OSError as exc:  # exit 3, which no verdict uses
             raise GcfForgeError(f"cannot write {args.json}: {exc}") from exc
         print(f"report written to {args.json}")
@@ -249,8 +250,9 @@ def _print_report(report: VerificationReport) -> None:
             f"target:       {report.target_value.to_decimal(shown)}",
             f"digits matched: {report.digits_matched} (requested {report.digits_requested})",
         ]
-    monotone = "strictly decreasing" if report.monotone_convergents else "not monotone"
-    lines.append(f"convergents: {monotone}; cauchy digits {report.cauchy_digits}")
+    if report.monotone_convergents is not None:  # a walk to the depth, not a sum
+        monotone = "strictly decreasing" if report.monotone_convergents else "not monotone"
+        lines.append(f"convergents: {monotone}; cauchy digits {report.cauchy_digits}")
     lines.append(f"verdict: {report.verdict}")
     print("\n".join(lines))
 
@@ -288,12 +290,21 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     command = globals()[f"cmd_{args.command}"]  # looked up per call, not cached
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the exit's flush
+        return code
     except (ExprSyntaxError, NonPolynomial, ProblemFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (GcfForgeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except BrokenPipeError as exc:  # the reader closed stdout: exit 3, which no verdict uses
+        # the exit's flush of stdout would raise again, so it goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 
 

@@ -5,7 +5,8 @@ same three-term recurrence y_n = b(n) y_{n-1} + a(n) y_{n-2}; they differ
 only in their initial frames (A_{-1}, A_0) = (1, b0) and (B_{-1}, B_0) =
 (0, 1). :func:`_frames` steps both in plain ints, scaled by L^(n+1), for the
 `eval` table and for :func:`structural_walk`, the walk of a problem without a
-coupling; :mod:`~gcf_forge.series` walks the rest after :func:`check_coupling`.
+coupling. After :func:`check_coupling` a coupled problem's convergents are
+x_n = 1/S_n, and :mod:`~gcf_forge.series` sums or walks its cascade.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class GcfProblem:
         if self.a.is_zero:
             raise InvalidProblem("partial numerator polynomial is identically zero")
         object.__setattr__(self, "minus_a", factor_rational(-self.a))
-        bad = [r for r, _ in self.minus_a.rational_roots() if r.denominator == 1 and r >= 1]
+        bad = [num for num, den, _ in self.minus_a.root_pairs() if den == 1 and num >= 1]
         if bad:
             raise InvalidProblem(
                 f"partial numerator a(n) vanishes at n = {bad[0]}"

@@ -48,10 +48,6 @@ class Polynomial:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
         return Fraction(self.numerators[-1], self.denominator)
 
-    @property
-    def constant_term(self) -> Fraction:
-        return Fraction(self.numerators[0] if self.numerators else 0, self.denominator)
-
     def __call__(self, n: RationalLike) -> Fraction:
         """Exact evaluation at an integer or rational point, in ints."""
         if self.is_zero:
@@ -153,9 +149,14 @@ class FactoredPolynomial:
     factors: tuple[tuple[Polynomial, int], ...]
     residual: Polynomial | None
 
+    def root_pairs(self) -> list[tuple[int, int, int]]:
+        """(num, den, multiplicity) of each rational root num/den in lowest terms (den > 0),
+        ascending by root; a linear factor n - num/den is stored as (-num + den n) / den."""
+        return [(-f.numerators[0], f.denominator, m) for f, m in self.factors if f.degree == 1]
+
     def rational_roots(self) -> list[tuple[Fraction, int]]:
         """(root, multiplicity) pairs, ascending by root."""
-        return [(-f.constant_term, m) for f, m in self.factors if f.degree == 1]
+        return [(Fraction(num, den), m) for num, den, m in self.root_pairs()]
 
 
 def common_denominator(*polys: Polynomial) -> int:
@@ -226,12 +227,12 @@ def factor_rational(p: Polynomial) -> FactoredPolynomial:
     sign = 1 if ints[-1] > 0 else -1
     content = Fraction(abs(ints[-1]), p.denominator)
 
-    factors: list[tuple[Polynomial, int]] = []
+    factors: list[tuple[int, Polynomial, int]] = []  # (sort key of the root, factor, multiplicity)
 
     # strip n^k
     zeros = next(i for i, c in enumerate(ints) if c)
     if zeros:
-        factors.append((Polynomial([0, 1]), zeros))
+        factors.append((0, Polynomial([0, 1]), zeros))
     g = sign * math.gcd(*ints)
     ints = [c // g for c in ints[zeros:]]  # primitive, positive leading coefficient
 
@@ -242,26 +243,26 @@ def factor_rational(p: Polynomial) -> FactoredPolynomial:
         Q = ints[-1]
         P = Q + max(abs(c) for c in ints[:-1])
         numerators = _positive_divisors(ints[0])
+        # every den divides Q, so num (Q // den) orders the roots num/den exactly
         candidates = sorted(
-            Fraction(s * num, den)
+            (s * num * (Q // den), s * num, den)
             for den in _positive_divisors(ints[-1])
             for num in numerators
             if num * Q <= P * den and math.gcd(num, den) == 1
             for s in (1, -1)
             if _integer_form(ints, s * num, den) == 0
         )
-        for r in candidates:
-            num, den = r.numerator, r.denominator
+        for key, num, den in candidates:
             mult = 0
             while len(ints) > 1 and _integer_form(ints, num, den) == 0:
                 ints = _deflate(ints, num, den)
                 mult += 1
             if mult:
-                factors.append((Polynomial([-num, den], den), mult))
+                factors.append((key, Polynomial([-num, den], den), mult))
 
-    factors.sort(key=lambda fm: -fm[0].constant_term)
+    factors.sort(key=lambda kfm: kfm[0])
     residual = None if len(ints) < 2 else Polynomial(ints, ints[-1])
-    return FactoredPolynomial(content, sign, tuple(factors), residual)
+    return FactoredPolynomial(content, sign, tuple((f, m) for _, f, m in factors), residual)
 
 
 def root_bound_floor(ints) -> int:

@@ -3,10 +3,11 @@
 Given a problem, the pipeline finds a coupling and confirms the boundary
 selection rule b0 = d(1). The coupling is checked once as a polynomial
 identity, which proves the structural identities at every depth. The
-coupled recurrence is then the series' cascade, and one pass over it reads
-the convergents x_n = 1/S_n the report needs and sums a convergent series;
-only a problem without a coupling walks its three-term recurrence. The
-pipeline compares the reciprocal of the sum to the target.
+convergents are then x_n = 1/S_n exactly, so for a convergent series a
+certified sum S != 0 proves the limit 1/S: the pipeline sums the series,
+walks no convergent, and compares 1/S to the target. Only a problem whose
+coupling gives no convergent series, or that has no coupling, walks its
+convergents to the depth.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .numerics import (
     real_reciprocal,
     working_precision,
 )
-from .series import CONVERGENT, ratio_certificate, sum_and_walk
+from .series import CONVERGENT, coupled_walk, ratio_certificate, sum_to_precision
 
 VERIFIED = "verified"
 REFUTED_AT_DEPTH = "refuted-at-depth"
@@ -52,8 +53,8 @@ class VerificationReport:
     gcf_value: PrecisionReal | None
     target_value: PrecisionReal | None
     digits_matched: int | None
-    monotone_convergents: bool
-    cauchy_digits: int
+    monotone_convergents: bool | None  # None for a convergent series: 1/S is the limit
+    cauchy_digits: int | None
     terms_used: int | None
     digits_requested: int
     depth: int
@@ -97,19 +98,19 @@ def verify_conjecture(
     certificate = ratio_certificate(coupling) if coupling is not None else None
     convergent = certificate is not None and certificate.classification == CONVERGENT
 
-    if coupling is None:
-        series_value = terms_used = None
-        monotone, cauchy_digits, last = structural_walk(problem, depth, digits)
-    else:
+    if coupling is not None:
         check_coupling(problem, coupling)  # the identities then hold at every depth
-        series_value, terms_used, monotone, cauchy_digits, last = sum_and_walk(
-            certificate, digits + DIGIT_MARGIN, depth, digits
-        )
-
     if convergent:
+        series_value, terms_used = sum_to_precision(certificate, digits + DIGIT_MARGIN, depth)
         gcf_value = real_reciprocal(series_value)
+        monotone = cauchy_digits = None
     else:
         # no usable series: report the deepest defined convergent instead
+        series_value = terms_used = None
+        if coupling is None:
+            monotone, cauchy_digits, last = structural_walk(problem, depth, digits)
+        else:
+            monotone, cauchy_digits, last = coupled_walk(coupling, depth, digits)
         gcf_value = rational_to_real(last, bits)
 
     digits_matched = None

@@ -381,8 +381,8 @@ from gcf_forge.expr import (
 )
 from gcf_forge.factorize import Coupling
 from gcf_forge.gcf import GcfProblem, _frames, _scale
-from gcf_forge.poly import Polynomial, factor_rational, root_bound_floor
-from gcf_forge.series import _stop_rule, cascade, sum_and_walk
+from gcf_forge.poly import Polynomial, factor_rational
+from gcf_forge.series import cascade, sum_to_precision
 
 
 def polynomial(coefficients) -> Polynomial:
@@ -403,16 +403,9 @@ def cascade_frames(coupling, count: int) -> list[tuple[int, int, int]]:
 
 
 def certified_sum(certificate, digits: int):
-    """(value, terms used) of a convergent certificate's sum to 10^(-digits); (None, None)
-    for any other. The depth-0 walk reads only x_0 = 1/t_0, so it can neither fail nor give up."""
-    return sum_and_walk(certificate, digits, 0, 0)[:2]
-
-
-def settle_index(certificate, digits: int) -> int:
-    """The fixed-point pass's settle: past the onset and the Cauchy root bounds of c and d."""
-    onset = _stop_rule(certificate, digits)[0]
-    c, d = certificate.coupling.c, certificate.coupling.d
-    return max(onset, *(root_bound_floor(f.numerators) for f in (c, d))) + 1
+    """(value, terms used) of a convergent certificate's sum to 10^(-digits). At depth 0 the
+    sum reads only x_0 = 1/t_0 among the convergents, so no vanishing S_n refuses it."""
+    return sum_to_precision(certificate, digits, 0)
 
 
 _OPERATOR_CHARS = set("+-*/^()")

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -427,6 +429,26 @@ def test_exact_entry_past_int_text_limit_refused_before_output(tmp_path, capsys,
         "the preview table (without --exact) rounds it\n"
     )
     assert main([argv[0], path, *argv[1:]]) == EXIT_OK  # the preview rounds the same entries
+
+
+@pytest.mark.parametrize(
+    "argv", [["eval", "--depth", "3000"], ["factorize"]], ids=["while-printing", "at-exit"]
+)
+def test_closed_stdout_exits_three(quartic_file, argv):
+    # a reader that stops early closes the pipe, as `| head -1` does: the command exits 3,
+    # since 1 reads as refuted-at-depth, with one error line and no traceback at the write
+    # or at the exit's flush. eval's 3000 rows overrun the pipe's buffer while printing;
+    # factorize's one line fails only when stdout is flushed
+    src = str(Path(gcf_forge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    command = [sys.executable, "-m", "gcf_forge.cli", argv[0], quartic_file, *argv[1:]]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        if argv[0] == "eval":
+            assert proc.stdout.readline().startswith(b"# eight_over_pi_squared")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == EXIT_PRECONDITION
+    assert err.startswith("error: cannot write the output: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

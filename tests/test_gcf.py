@@ -1,4 +1,5 @@
 import operator
+from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
 from unittest.mock import patch
@@ -30,7 +31,6 @@ from oracles import (
     polynomial,
     reference_convergents,
     reference_partial_sums,
-    settle_index,
 )
 from test_series import convergent_couplings
 
@@ -77,11 +77,16 @@ def reduced_last(result: tuple) -> tuple:
     return (*head, None if last is None else Fraction(*last))
 
 
-def exact_coupled_walk(problem, coupling, depth, digits=10, cap=30):
-    """check_coupling, then sum_and_walk with the fixed-point pass off: the exact pass alone."""
+def exact_coupled_walk(problem, coupling, depth, cap=30):
+    """check_coupling, then the cascade's walk of the convergents x_n = 1/S_n to depth."""
     check_coupling(problem, coupling)
+    return series.coupled_walk(coupling, depth, cap)
+
+
+def exact_sum(certificate, digits, depth):
+    """sum_to_precision with the fixed-point pass off: the exact sum alone."""
     with patch.object(series, "_fixed_point_pass", lambda *args: None):
-        return series.sum_and_walk(ratio_certificate(coupling), digits, depth, cap)
+        return series.sum_to_precision(certificate, digits, depth)
 
 
 def brute_force_frames(b0, a_of, b_of, depth):
@@ -259,28 +264,22 @@ class TestStructuralWalk:
                     exact_coupled_walk(problem, coupling, depth)
                 assert got.value.index == err.index
                 continue
-            _, exact_monotone, half, at_depth = series._exact_pass(coupling, depth, None)
-            assert (exact_monotone, Fraction(*half), Fraction(*at_depth)) == (
-                monotone, rows[(depth + 1) // 2].x, last
-            )
-            value, terms, *walk = reduced_last(exact_coupled_walk(problem, coupling, depth))
-            if certificate.classification == "convergent":
-                assert (value, terms, *walk) == (*summed, monotone, cauchy, None)
-            else:
-                assert (value, terms, *walk) == (None, None, monotone, cauchy, last)
+            walked = reduced_last(exact_coupled_walk(problem, coupling, depth))
+            assert walked == (monotone, cauchy, last)
+            if certificate.classification == "convergent":  # no S_n with n <= depth vanishes
+                assert exact_sum(certificate, 10, depth) == summed
 
     def test_flagship_deep_pin(self, quartic_problem, quartic_coupling):
         sums = reference_partial_sums(quartic_coupling, 1501)
-        _, _, monotone, cauchy, _ = exact_coupled_walk(quartic_problem, quartic_coupling, 1500)
+        monotone, cauchy, (D, T) = exact_coupled_walk(quartic_problem, quartic_coupling, 1500)
         assert monotone
         assert cauchy == agreement_digits_loop(1 / sums[750], 1 / sums[1500], 30)
-        _, _, _, (D, T) = series._exact_pass(quartic_coupling, 1500, None)
         assert Fraction(D, T) == 1 / sums[1500]
         report = verify_conjecture(quartic_problem, digits=10, depth=1500)
         assert report.exact_identity_depth == 1500
         assert report.numerator_product_depth == 1500
         assert report.casoratian_depth == 1500
-        assert report.monotone_convergents
+        assert report.monotone_convergents is None  # a convergent series is summed, not walked
 
     def test_period_six_zero_denominators(self):
         # b0 = 1, a = -1, b = 1: B_n = 0 at n = 2, 5, 8, 11
@@ -329,14 +328,14 @@ class Deferred(Exception):
     """The fixed-point pass left a decision to the exact pass."""
 
 
-def fixed_point_walk(certificate, digits, depth, cap=30):
-    """sum_and_walk with the exact pass barred, so the fixed-point pass must decide alone."""
+def fixed_point_sum(certificate, digits, depth):
+    """sum_to_precision with the exact pass barred, so the fixed-point pass must decide alone."""
 
     def barred(coupling):
         raise Deferred
 
     with patch.object(series, "cascade", barred):
-        return series.sum_and_walk(certificate, digits, depth, cap)
+        return series.sum_to_precision(certificate, digits, depth)
 
 
 class TestLeanTail:
@@ -359,40 +358,40 @@ class TestLeanTail:
         onset = series._stop_rule(certificate, digits)[0]
         stop = certified_sum(certificate, digits)[1] - 1
         assert onset + 1 < stop
-        problem = euler_problem(coupling)
+        # the depth moves the switch: at the onset + 1, at the depth, or where S_k settles
         for depth in (0, onset, onset + 1, onset + 2, stop - 1, stop, stop + 7):
-            walked = fixed_point_walk(certificate, digits, depth)
-            assert walked == exact_coupled_walk(problem, coupling, depth, digits)
+            summed = fixed_point_sum(certificate, digits, depth)
+            assert summed == exact_sum(certificate, digits, depth)
 
 
 @settings(max_examples=200, deadline=None)
-@given(coupling=convergent_couplings(), digits=st.integers(11, 60), depth=st.integers(0, 400))
+@given(coupling=convergent_couplings(), digits=st.integers(1, 60), depth=st.integers(0, 400))
 def test_fixed_point_pass_matches_exact_pass(coupling, digits, depth):
-    # digits and cap as verify takes them: the sum carries ten digits past the cap
-    certificate, problem = ratio_certificate(coupling), euler_problem(coupling)
+    certificate = ratio_certificate(coupling)
     try:
-        walked = fixed_point_walk(certificate, digits, depth, digits - 10)
+        summed = fixed_point_sum(certificate, digits, depth)
     except Deferred:
         assume(False)
-    assert walked == exact_coupled_walk(problem, coupling, depth, digits, digits - 10)
+    assert summed == exact_sum(certificate, digits, depth)
 
 
 def test_stop_on_the_threshold_in_the_per_term_loop_defers():
     # c = n + m and d = 2 (n + m - 1) make the terms geometric, t_k = 2^-(k+1) / m. With
     # m = 3 5^10 / 2^20, t_30 is exactly the stop threshold q / budget = 1 / (6 10^10) of a
-    # 10-digit sum, and 30 is the onset, one short of settle: the per-term loop meets that
-    # stop, and the floor errors around u_30 leave it undecided, so the pass defers
+    # 10-digit sum, and 30 is the onset: the per-term loop, which runs through the onset,
+    # meets that stop, and the floor errors around u_30 leave it undecided, so the pass defers
     m = Fraction(3 * 5**10, 2**20)
     coupling = Coupling(c=polynomial([m, 1]), d=polynomial([2 * (m - 1), 2]))
     certificate = ratio_certificate(coupling)
     onset, budget, q, *_ = series._stop_rule(certificate, 10)
-    assert (onset, settle_index(certificate, 10)) == (30, 31)
+    assert onset == 30
     assert budget * (Fraction(1, 2**31) / m) == q
-    with pytest.raises(Deferred):
-        fixed_point_walk(certificate, 10, 40, 10)
-    walked = series.sum_and_walk(certificate, 10, 40, 10)
-    assert walked == exact_coupled_walk(euler_problem(coupling), coupling, 40, 10, 10)
-    assert walked[1] == 31  # the exact pass stops on the threshold: |t_30| <= q / budget
+    for depth in (0, 40):
+        with pytest.raises(Deferred):
+            fixed_point_sum(certificate, 10, depth)
+        summed = series.sum_to_precision(certificate, 10, depth)
+        assert summed == exact_sum(certificate, 10, depth)
+        assert summed[1] == 31  # the exact pass stops on the threshold: |t_30| <= q / budget
 
 
 def terms_drawn(monkeypatch) -> list[int]:
@@ -409,52 +408,17 @@ def terms_drawn(monkeypatch) -> list[int]:
     return drawn
 
 
-class TestEarlyEnd:
-    """Past the switch and the stop, a convergent walk ends: the tail bound pins the rest."""
-
-    @pytest.mark.parametrize(
-        "coupling",
-        [
-            Coupling(c=P("n^2"), d=P("2*n^2 - n")),  # the flagship
-            Coupling(c=P("-n"), d=P("2*n")),  # rho = -1/2: the terms alternate
-            Coupling(c=P("-n^2"), d=P("2*n^2 - n")),  # rho = -1/2
-            # c < 0 at n = 3 alone, below its Cauchy bound 9
-            Coupling(c=P("n^2 - 6*n + 35/4"), d=P("2*n^2 + 1")),
-            # d < 0 for n <= 4, below its Cauchy bound 5
-            Coupling(c=P("n^2"), d=P("2*n^2 - 9*n + 1")),
-            Coupling(c=P("30*n"), d=P("n^2 + 1")),  # the terms rise before they decay
-            Coupling(c=P("-2"), d=P("n + 1")),  # rho = 0, alternating
-            Coupling(c=P("3"), d=P("n*(n + 10)")),  # rho = 0, onset 32
-        ],
-        ids=[
-            "flagship", "alternating", "negative-rho", "c-sign-change", "d-sign-change",
-            "growing", "rho-0-alternating", "rho-0-wide",
-        ],
-    )
-    def test_matches_exact_pass_around_settle_and_stop(self, coupling, monkeypatch):
-        # digits and cap as verify takes them: the sum carries ten digits past the cap
-        certificate = ratio_certificate(coupling)
-        settle = settle_index(certificate, 40)
-        stop = certified_sum(certificate, 40)[1] - 1
-        problem = euler_problem(coupling)
-        # h = (depth + 1) // 2 reaches the stop at depth 2 stop - 1 and passes it at 2 stop + 1
-        depths = {0, settle - 1, settle, settle + 1, settle + 2, stop - 1, stop, stop + 1}
-        depths |= {2 * stop - 2, 2 * stop - 1, 2 * stop, 2 * stop + 1, 10 * stop}
-        for depth in sorted(depths):
-            walked = fixed_point_walk(certificate, 40, depth, 30)
-            assert walked == exact_coupled_walk(problem, coupling, depth, 40, 30), depth
-        # so deep a walk ends where the shallower one did
-        drawn = terms_drawn(monkeypatch)
-        fixed_point_walk(certificate, 40, 10 * stop, 30)
-        ended, drawn[0] = drawn[0], 0
-        fixed_point_walk(certificate, 40, 10**6, 30)
-        assert drawn[0] == ended
-
-    def test_flagship_draws_the_same_terms_at_any_depth(self, quartic_problem, monkeypatch):
-        drawn = terms_drawn(monkeypatch)
-        shallow = verify_conjecture(quartic_problem, digits=30, depth=250)
-        at_250, drawn[0] = drawn[0], 0
-        deep = verify_conjecture(quartic_problem, digits=30, depth=10**6)
-        assert drawn[0] == at_250
-        assert (deep.terms_used, deep.series_value) == (shallow.terms_used, shallow.series_value)
-        assert deep.monotone_convergents and deep.cauchy_digits == 30
+def test_convergent_report_does_not_depend_on_the_depth(quartic_problem, monkeypatch):
+    # a convergent job sums to its stop and walks no convergent: past the depths the report
+    # echoes, it is the same at any depth, and it draws the same coefficient values
+    drawn = terms_drawn(monkeypatch)
+    echoed = dict(depth=0, exact_identity_depth=0, numerator_product_depth=0, casoratian_depth=0)
+    seen = []
+    for depth in (4, 250, 10**7):
+        drawn[0] = 0
+        report = verify_conjecture(quartic_problem, digits=30, depth=depth)
+        seen.append((replace(report, **echoed), drawn[0]))
+    assert seen[0] == seen[1] == seen[2]
+    report, _ = seen[0]
+    assert (report.monotone_convergents, report.cauchy_digits) == (None, None)
+    assert report.verdict == "inconclusive" and report.terms_used is not None

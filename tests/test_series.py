@@ -18,7 +18,6 @@ from gcf_forge import (
 )
 from gcf_forge import parse_polynomial as P
 from gcf_forge import series
-from gcf_forge.numerics import agreement_digits
 from gcf_forge.poly import common_denominator, factor_rational
 
 from oracles import (
@@ -35,7 +34,6 @@ from oracles import (
     pi_squared_over_18,
     poly_add,
     polynomial,
-    settle_index,
     terms,
 )
 
@@ -256,7 +254,8 @@ class TestSumToPrecision:
 
     def test_not_convergent_rejected(self):
         # rho = 1: no certified tail, so no sum and no term count
-        assert certified_sum(ratio_certificate(Coupling(c=P("n"), d=P("n"))), 10) == (None, None)
+        with pytest.raises(NotConvergent):
+            certified_sum(ratio_certificate(Coupling(c=P("n"), d=P("n"))), 10)
 
     def test_uncertified_onset_raises(self, monkeypatch):
         # a root bound that is too small must not slip past an onset check
@@ -329,9 +328,10 @@ class TestSumToPrecision:
     @pytest.mark.parametrize("digits,depth", [(160, 16), (40, 250)])
     @pytest.mark.parametrize("coupling", CLOSED_FORMS, ids=CLOSED_FORM_IDS)
     def test_closed_form_walks_stay_in_fixed_point(self, coupling, digits, depth, monkeypatch):
-        # the lean tail's looser enclosure still decides the benchmark's jobs alone
+        # the depth moves the switch to the lean tail, whose looser enclosure still decides
+        # the benchmark's jobs alone at their (digits, depth)
         runs = exact_sum_runs(monkeypatch)
-        series.sum_and_walk(ratio_certificate(coupling), digits, depth, digits)
+        series.sum_to_precision(ratio_certificate(coupling), digits, depth)
         assert runs == []
 
     @settings(max_examples=40, deadline=None)
@@ -361,8 +361,8 @@ class TestSumToPrecision:
 def test_error_bound_past_the_onset_stays_below_the_lean_constant(coupling, depth):
     # the fixed-point pass's e_k, replayed from k = 0 in Fractions: past a switch k0 > onset
     # every e_k is at most B = max(e_k0, slack), the constant the lean loop adds to E for
-    # each term. k0 = max(depth, onset + 1) is the switch of a walk whose enclosure has not
-    # certified the settle test below the depth
+    # each term. k0 = max(depth, onset + 1) is the switch of a pass whose enclosure has not
+    # kept S_k away from 0 below the depth
     onset, _, _, slack, _ = series._stop_rule(ratio_certificate(coupling), 10)
     k0 = max(depth, onset + 1)
     c, d = coupling.c, coupling.d
@@ -397,34 +397,30 @@ def test_lean_constant_covers_the_worst_error_the_ratio_bound_allows(rho):
 
 
 def handed_radii(coupling, digits: int, depth: int):
-    """Run the fixed-point pass as verify does (cap ten digits below the sum) and record
-    every enclosure it hands to enclosure_to_real and _cauchy_digits. (result, calls)."""
+    """Run the fixed-point pass and record every enclosure it hands to enclosure_to_real.
+    (result, calls)."""
     calls = []
+    enclosure_to_real = series.enclosure_to_real
 
-    def spy(name, fn):
-        def recorded(*args):
-            calls.append((name, args))
-            return fn(*args)
-
-        return recorded
+    def spy(*args):
+        calls.append(args)
+        return enclosure_to_real(*args)
 
     stop = series._stop_rule(ratio_certificate(coupling), digits)
     bits = series.working_precision(digits)
-    with patch.object(series, "enclosure_to_real", spy("sum", series.enclosure_to_real)):
-        with patch.object(series, "_cauchy_digits", spy("walk", series._cauchy_digits)):
-            result = series._fixed_point_pass(coupling, *stop, bits, depth, digits - 10)
+    with patch.object(series, "enclosure_to_real", spy):
+        result = series._fixed_point_pass(coupling, *stop, bits, depth)
     return result, calls
 
 
 @settings(max_examples=80, deadline=None)
-@given(coupling=convergent_couplings(), digits=st.integers(11, 80), depth=st.integers(0, 300))
-@example(coupling=Coupling(c=P("n^2"), d=P("2*n^2 - n")), digits=40, depth=250)  # ends early
+@given(coupling=convergent_couplings(), digits=st.integers(1, 80), depth=st.integers(0, 300))
+@example(coupling=Coupling(c=P("n^2"), d=P("2*n^2 - n")), digits=40, depth=250)
 @example(coupling=Coupling(c=P("n^2"), d=P("2*n^2 - n")), digits=40, depth=100)
-@example(coupling=Coupling(c=P("-n"), d=P("2*n")), digits=30, depth=12)  # a lean walk
+@example(coupling=Coupling(c=P("-n"), d=P("2*n")), digits=30, depth=12)  # a lean sum
 def test_radii_cover_the_error_bound_replayed_in_fractions(coupling, digits, depth):
-    # every radius the pass hands on covers the bound replayed here in Fractions: e_k per
-    # term up to the lean loop, then B = max(e_k, slack) per term, and past the end m of a
-    # switched walk the tail bound (|u_m| + B) p/q on |S_j - S_m| 2^F on top
+    # the radius the pass hands on covers the bound replayed here in Fractions: e_k per
+    # term up to the switch, then B = max(e_k, slack) per term in the lean loop
     certificate = ratio_certificate(coupling)
     onset, _, q, slack, p = series._stop_rule(certificate, digits)
     try:
@@ -432,66 +428,18 @@ def test_radii_cover_the_error_bound_replayed_in_fractions(coupling, digits, dep
     except ZeroDenominatorFactor:
         assume(False)
     assume(result is not None)
-    stop = result[1] - 1
+    [(low, high, F, _)] = calls
     c, d = coupling.c, coupling.d
-    F = next(args[2] for _, args in calls)  # enclosure_to_real and _cauchy_digits alike
-    settle = settle_index(certificate, digits)
-    u, e, s, E, lean, line = Fraction(1 << F), 0, 0, 0, None, []  # u_{-1} = 2^F over d(1)
-    for k in range(max(stop, depth, onset + 1) + 1):
+    u, e, s, E, lean = Fraction(1 << F), 0, 0, 0, False  # u_{-1} = 2^F over d(1)
+    for k in range(result[1]):
         ratio = (c(k) if k else 1) / d(k + 1)
         u = math.floor(u * ratio)
-        if lean is None:
+        if not lean:
             e = math.ceil(e * abs(ratio)) + 1
-        s, E = s + u, E + (e if lean is None else B)
-        line.append((s, u, E))
-        switched = settle <= k < depth and q * (abs(s) - E) > p * (abs(u) + e)
-        if lean is None and (k == max(depth, onset + 1) or switched):
-            lean, B = k, max(e, slack)
-    end = max(stop, lean) if lean < depth else math.inf
-    tail = 0 if end >= depth else (abs(line[end][1]) + B) * Fraction(p, q)
-
-    def replayed(j):  # (center, radius) of S_j
-        return line[j][::2] if j <= end else (line[end][0], line[end][2] + tail)
-
-    for name, args in calls:
-        if name == "sum":
-            low, high = args[:2]
-            assert (low + high) // 2 == line[stop][0] and (high - low) // 2 >= line[stop][2]
-        else:
-            (half, last, *_), h = args, (depth + 1) // 2
-            for (center, radius), j in ((half, h), (last, depth)):
-                assert center == replayed(j)[0] and radius >= replayed(j)[1], j
-            # the radius _cauchy_digits gives S_N - S_h: max(E_N - E_h, tail)
-            spread = max([last[1] - half[1], *args[4:]])
-            assert spread >= (replayed(depth)[1] - replayed(h)[1] if h <= end else tail)
-
-
-class TestCauchyDigits:
-    def test_bracket_carries_the_tail_error(self):
-        # S_h = 1 within 2^-64, and S_N - S_h = 10 2^-64 within 10 2^-64: the ratio
-        # lies between (2^64 - 1) / 20 ~ 9.2e17 and infinity
-        half, last = (1 << 64, 1), ((1 << 64) + 10, 11)
-        assert series._cauchy_digits(half, last, 64, 17, 0) == 17
-        assert series._cauchy_digits(half, last, 64, 18, 0) is None
-        # a tail below E_N - E_h leaves the bracket as it is
-        assert series._cauchy_digits(half, last, 64, 17, 3) == 17
-        assert series._cauchy_digits(half, last, 64, 18, 3) is None
-
-    def test_tail_is_the_spread_of_one_tail_reading(self):
-        # S_h and S_N both read as 1 within 2^-64 off one tail bound, with
-        # |S_N - S_h| <= 10 2^-64: the ratio lies between (2^64 - 1) / 10 ~ 1.8e18
-        # and infinity, where a zero spread would call it infinite
-        at = (1 << 64, 1)
-        assert series._cauchy_digits(at, at, 64, 18, 10) == 18
-        assert series._cauchy_digits(at, at, 64, 19, 10) is None
-        assert series._cauchy_digits(at, at, 64, 19, 0) == 19
-
-    def test_matches_agreement_digits_when_decided(self):
-        # x = 1/S: S_h = 3/2 and S_N = 3/2 + 2^-40 to within 2^-100
-        F, s_h = 100, 3 << 99
-        s_N = s_h + (1 << 60)
-        x_h, x_N = (1 << F, s_h), (1 << F, s_N)
-        assert series._cauchy_digits((s_h, 1), (s_N, 2), F, 30, 0) == agreement_digits(x_h, x_N, 30)
+        s, E = s + u, E + (B if lean else e)
+        if not lean and k > onset and (k >= depth or q * (abs(s) - E) > p * (abs(u) + e)):
+            lean, B = True, max(e, slack)
+    assert (low + high) // 2 == s and (high - low) // 2 >= E
 
 
 class TestCentralBinomialSum:

@@ -167,7 +167,7 @@ class TestBoundaryAndCollapse:
 
 class TestPincherleEvidence:
     def test_monotone_decreasing(self, quartic_problem, quartic_coupling):
-        _, _, monotone, cauchy, _ = exact_coupled_walk(quartic_problem, quartic_coupling, 64)
+        monotone, cauchy, _ = exact_coupled_walk(quartic_problem, quartic_coupling, 64)
         assert monotone
         assert cauchy >= 5
 
@@ -206,7 +206,8 @@ class TestVerifyConjecture:
         assert report.exact_identity_depth == 64
         assert report.numerator_product_depth == 64
         assert report.casoratian_depth == 64
-        assert report.monotone_convergents
+        # the certified sum proves the limit, so no convergent is walked
+        assert (report.monotone_convergents, report.cauchy_digits) == (None, None)
         assert report.other_couplings == ()
 
     def test_wrong_target_refuted_at_depth(self, quartic_a, quartic_b):
@@ -246,9 +247,10 @@ class TestVerifyConjecture:
     def test_gcf_value_tracks_last_convergent(self, quartic_problem):
         depth = 64
         report = verify_conjecture(quartic_problem, digits=25, depth=depth)
-        x_depth = reference_convergents(quartic_problem, depth)[-1].x
+        xs = [row.x for row in reference_convergents(quartic_problem, depth)]
+        x_depth, cauchy = xs[-1], agreement_digits_loop(xs[(depth + 1) // 2], xs[-1], 25)
         gap = abs(exact_value(report.gcf_value) - x_depth)
-        tolerance = Fraction(1, 10**report.cauchy_digits) * max(1, abs(x_depth))
+        tolerance = Fraction(1, 10**cauchy) * max(1, abs(x_depth))
         assert gap <= tolerance
 
     def test_one_walk_per_call(self, quartic_problem, monkeypatch):
@@ -356,14 +358,6 @@ class TestVerifyConjecture:
         monkeypatch.setattr(series, "_fixed_point_pass", lambda *args: None)
         assert verify_conjecture(quartic_problem, digits=10, depth=32) == report
 
-    def test_undecided_cauchy_bracket_falls_back_to_exact_walk(self, quartic_problem, monkeypatch):
-        # an enclosure that leaves the digit count open must not be read as 0 digits
-        report = verify_conjecture(quartic_problem, digits=10, depth=32)
-        monkeypatch.setattr(series, "_cauchy_digits", lambda *args: None)
-        calls = walk_calls(monkeypatch)
-        assert verify_conjecture(quartic_problem, digits=10, depth=32) == report
-        assert counts(calls) == (0, 1, 1)
-
     def test_vanishing_partial_sum_through_verify(self):
         # c = -8, d = 2n^2 converges with S_1 = 1/2 - 8/(2 * 8) = 0, so B_1 = 0;
         # the pass cannot sign S_1 and the exact pass raises
@@ -411,7 +405,9 @@ def test_pass_matches_exact_walk(coupling, depth, digits):
     report = outcome(problem, digits, depth)
     with patch.object(series, "_fixed_point_pass", lambda *args: None):
         assert outcome(problem, digits, depth) == report
-    if isinstance(report, VerificationReport):
+    if isinstance(report, VerificationReport) and report.classification == "convergent":
+        assert (report.monotone_convergents, report.cauchy_digits) == (None, None)
+    elif isinstance(report, VerificationReport):  # verify picked a coupling without a sum
         xs = [row.x for row in reference_convergents(problem, depth)]
         monotone = None not in xs and all(x > y for x, y in zip(xs, xs[1:]))
         halfway, last = xs[(depth + 1) // 2], xs[depth]
