@@ -21,7 +21,6 @@ from .errors import (
     OnsetPastBudget,
     ProblemFileError,
     UnknownSymbol,
-    ZeroDenominatorConvergent,
     ZeroDenominatorFactor,
     ZeroPartialNumerator,
     ZeroPolynomial,
@@ -64,7 +63,6 @@ __all__ = [
     "RatioCertificate",
     "UnknownSymbol",
     "VerificationReport",
-    "ZeroDenominatorConvergent",
     "ZeroDenominatorFactor",
     "ZeroPartialNumerator",
     "ZeroPolynomial",

@@ -57,14 +57,6 @@ class ZeroDenominatorFactor(GcfForgeError):
         self.index = index
 
 
-class ZeroDenominatorConvergent(GcfForgeError):
-    """B_n = 0 at some index, so the convergent value x_n is undefined."""
-
-    def __init__(self, index: int):
-        super().__init__(f"convergent denominator vanishes at n = {index}")
-        self.index = index
-
-
 class NotConvergent(GcfForgeError):
     """The ratio certificate does not classify the series as convergent."""
 

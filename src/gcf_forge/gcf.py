@@ -92,13 +92,17 @@ def check_coupling(problem: GcfProblem, coupling: Coupling) -> None:
 def structural_walk(
     problem: GcfProblem, depth: int, cap: int
 ) -> tuple[bool, int, tuple[int, int]]:
-    """Walk an uncoupled problem's recurrence once, in ints, for the convergents it reports.
+    """Walk a problem's recurrence once, in ints, for the convergents it reports.
 
-    Returns (monotone, cauchy digits, last): whether x_0 > x_1 > ... > x_depth, all defined;
-    agreement_digits(x_h, x_depth, cap) with h = (depth + 1) // 2, or 0 when either is
-    undefined; and x_n as the unreduced pair (A'_n, B'_n) at the largest n <= depth with
-    B_n != 0. It steps :func:`_frames`. W_n = A_n B_{n-1} - A_{n-1} B_n obeys W_0 = -1 and
-    W_n = -a(n) W_{n-1}, so its sign is a parity bit, and x_{n-1} > x_n iff W_n B_{n-1} B_n < 0.
+    Returns (monotone, cauchy digits, last), the contract of both walks, which skip an
+    undefined x_n rather than refuse it (the limit is taken in the extended plane, where
+    finitely many x_n = infinity change nothing): whether x_0 > x_1 > ... > x_depth, all
+    defined; agreement_digits(x_h, x_depth, cap) with h = (depth + 1) // 2, or 0 when either
+    is undefined; and the deepest defined x_n, n <= depth, as an unreduced int pair, here
+    (A'_n, B'_n) with B_n != 0. :func:`~gcf_forge.series.coupled_walk` keeps the same
+    contract for a coupled problem. It steps :func:`_frames`. W_n = A_n B_{n-1} - A_{n-1} B_n
+    obeys W_0 = -1 and W_n = -a(n) W_{n-1}, so its sign is a parity bit, and x_{n-1} > x_n
+    iff W_n B_{n-1} B_n < 0.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")

@@ -42,12 +42,6 @@ class Polynomial:
         """-1 for the zero polynomial."""
         return len(self.numerators) - 1
 
-    @property
-    def leading_coefficient(self) -> Fraction:
-        if self.is_zero:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return Fraction(self.numerators[-1], self.denominator)
-
     def __call__(self, n: RationalLike) -> Fraction:
         """Exact evaluation at an integer or rational point, in ints."""
         if self.is_zero:
@@ -153,10 +147,6 @@ class FactoredPolynomial:
         """(num, den, multiplicity) of each rational root num/den in lowest terms (den > 0),
         ascending by root; a linear factor n - num/den is stored as (-num + den n) / den."""
         return [(-f.numerators[0], f.denominator, m) for f, m in self.factors if f.degree == 1]
-
-    def rational_roots(self) -> list[tuple[Fraction, int]]:
-        """(root, multiplicity) pairs, ascending by root."""
-        return [(Fraction(num, den), m) for num, den, m in self.root_pairs()]
 
 
 def common_denominator(*polys: Polynomial) -> int:

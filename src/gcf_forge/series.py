@@ -8,9 +8,10 @@ certified geometric tail bound in fixed point, where ints of about F bits
 enclose the exact prefix sum in [s - E, s + E] 2^-F; the exact cascade runs
 only when that enclosure cannot decide the stop or the rounding. The pass
 only sums: a coupled problem's convergents are x_n = 1/S_n exactly, so a
-certified sum S != 0 proves that they converge to 1/S, and the pass reads
-no convergent past its stop, whatever the depth. Only a coupling without a
-convergent series walks its convergents to the depth.
+certified sum S != 0 proves that they converge to 1/S, in the extended plane
+where finitely many undefined x_n (S_n = 0) change no limit, and the sum
+takes no depth. Only a coupling without a convergent series walks its
+convergents to the depth, skipping an undefined one.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import NotConvergent, OnsetPastBudget, ZeroDenominatorConvergent, ZeroDenominatorFactor
+from .errors import NotConvergent, OnsetPastBudget, ZeroDenominatorFactor
 from .factorize import Coupling
 from .numerics import (
     agreement_digits,
@@ -121,8 +122,8 @@ def _geometric_onset(certificate: RatioCertificate, p: int, r: int) -> int:
     return K
 
 
-def _stop_rule(certificate: RatioCertificate, digits: int) -> tuple[int, int, int, int, int]:
-    """(onset, budget, q, slack, p): stop at the first k >= onset with budget |t_k| <= q.
+def _stop_rule(certificate: RatioCertificate, digits: int) -> tuple[int, int, int, int]:
+    """(onset, budget, q, slack): stop at the first k >= onset with budget |t_k| <= q.
 
     With |rho| = a/b, rho_bar = (a + b) / 2b bounds the ratio from :func:`_geometric_onset` on,
     so the tail after k is at most |t_k| p/q with p/q = rho_bar / (1 - rho_bar) = (a + b) / (b - a)
@@ -137,48 +138,42 @@ def _stop_rule(certificate: RatioCertificate, digits: int) -> tuple[int, int, in
     g = math.gcd(a + b, b - a)
     p, q = (a + b) // g, (b - a) // g
     slack = -(-4 * b // (b - a))  # 2 / (1 - rho_bar) = 4b / (b - a), rounded up
-    return onset, 2 * 10**digits * p, q, slack, p
+    return onset, 2 * 10**digits * p, q, slack
 
 
-def sum_to_precision(certificate: RatioCertificate, digits: int, depth: int):
+def sum_to_precision(certificate: RatioCertificate, digits: int):
     """(value, terms): a convergent certificate's sum within 10^(-digits), and the terms it used.
 
     value is rounded to working_precision(digits) bits, and terms is the count at which
-    :func:`_stop_rule` stops. For a coupled problem x_n = 1/S_n (the coupling passed
-    :func:`~gcf_forge.gcf.check_coupling`), so a partial sum S_n = 0 leaves x_n undefined:
-    it raises ZeroDenominatorConvergent(n) when n is at most both the depth and the stop.
-    :func:`_exact_sum` runs whenever :func:`_fixed_point_pass` cannot decide, so the result
-    is the same either way. Raises NotConvergent for any other certificate, and
-    OnsetPastBudget for a geometric onset past ONSET_BUDGET, before either pass forms a term.
+    :func:`_stop_rule` stops. No partial sum is read as a convergent, so a vanishing S_n
+    refuses nothing. :func:`_exact_sum` runs whenever :func:`_fixed_point_pass` cannot
+    decide, so the result is the same either way. Raises NotConvergent for any other
+    certificate, and OnsetPastBudget for a geometric onset past ONSET_BUDGET, before either
+    pass forms a term.
     """
     if certificate.classification != CONVERGENT:
         raise NotConvergent(f"a {certificate.classification} series has no certified sum")
     stop = _stop_rule(certificate, digits)
     bits = working_precision(digits)
-    if found := _fixed_point_pass(certificate.coupling, *stop, bits, depth):
+    if found := _fixed_point_pass(certificate.coupling, *stop, bits):
         return found
-    terms, total = _exact_sum(certificate.coupling, *stop[:3], depth)
+    terms, total = _exact_sum(certificate.coupling, *stop[:3])
     return rational_to_real(total, bits), terms
 
 
-def _fixed_point_pass(
-    coupling: Coupling, onset: int, budget: int, q: int, slack: int, p: int, bits: int,
-    depth: int,
-):
+def _fixed_point_pass(coupling: Coupling, onset: int, budget: int, q: int, slack: int, bits: int):
     """:func:`sum_to_precision`'s (value, terms) in fixed point, or None if it cannot decide.
 
     With c' = L c and d' = L d, u_k = floor(u_{k-1} c'(k) / d'(k+1)) is within
     e_k = ceil(e_{k-1} |c'(k) / d'(k+1)|) + 1 of t_k 2^F, so with s and E the sums of u and e,
     [s - E, s + E] 2^-F encloses S_k. The stop |t_k| <= q/budget holds if
     |u_k| + e_k <= thr = floor(q 2^F / budget) and fails if |u_k| - e_k > thr. None when
-    neither is certain, when |s_k| <= E_k at a k <= depth (S_k may vanish), or when the
-    stop's enclosure rounds two ways.
+    neither is certain, or when the stop's enclosure rounds two ways (as one that straddles
+    0 does).
 
-    The per-term loop ends at the stop or at the switch: the first k > onset that reaches the
-    depth or has q (|s_k| - E_k) > p (|u_k| + e_k). Past the onset |c'(k) / d'(k+1)| <= rho_bar
-    and d'(k+1) != 0, so the tail after k is at most |t_k| p/q, p/q = rho_bar / (1 - rho_bar),
-    and the second test keeps every later S_j away from 0. There also e_j < rho_bar e_{j-1} + 2
-    <= B = max(e_k, slack) for j > k (:func:`_stop_rule`): a lean loop runs on to the stop,
+    The per-term loop ends at the stop or at the switch, the first k > onset. Past the onset
+    |c'(k) / d'(k+1)| <= rho_bar and d'(k+1) != 0, so e_j < rho_bar e_{j-1} + 2 <=
+    B = max(e_k, slack) for j > k (:func:`_stop_rule`): a lean loop runs on to the stop,
     tests u against thr +- B alone and takes E_k + (j - k) B for E_j.
     """
     scale = common_denominator(coupling.c, coupling.d)
@@ -195,13 +190,11 @@ def _fixed_point_pass(
         u = u * ck // dk
         e = -(-e * abs(ck) // abs(dk)) + 1
         s, E = s + u, E + e
-        if k <= depth and abs(s) <= E:
-            return None  # S_k may vanish, and with it B_k
         if k >= onset and abs(u) - e <= thr:
             if abs(u) + e > thr:
                 return None  # the stop is uncertain
             break
-        if k > onset and (k >= depth or q * (abs(s) - E) > p * (abs(u) + e)):
+        if k > onset:
             # |u| <= thr - B stops for certain, |u| > thr + B goes on, and between is undecided
             switch, B = k, max(e, slack)
             high = thr + B
@@ -218,15 +211,12 @@ def _fixed_point_pass(
     return None if value is None else (value, k + 1)
 
 
-def _exact_sum(coupling: Coupling, onset: int, budget: int, q: int, depth: int):
+def _exact_sum(coupling: Coupling, onset: int, budget: int, q: int):
     """(k + 1, (T_k, D_k)) on :func:`cascade` at the first k >= onset with budget |C_k| <= q |D_k|.
 
-    That is :func:`_stop_rule`'s stop, and (T_k, D_k) is S_k unreduced. x_n = D_n/T_n, so
-    T_n = 0 raises ZeroDenominatorConvergent(n) for n <= depth.
+    That is :func:`_stop_rule`'s stop, and (T_k, D_k) is S_k unreduced.
     """
     for k, (C, D, T) in enumerate(cascade(coupling)):
-        if k <= depth and T == 0:
-            raise ZeroDenominatorConvergent(k)
         if k >= onset:
             # a nonzero budget |C| has at least budget.bit_length() + C.bit_length() - 1
             # bits, so bit lengths rule the stop out without forming the large products
@@ -238,16 +228,17 @@ def _exact_sum(coupling: Coupling, onset: int, budget: int, q: int, depth: int):
 def coupled_walk(coupling: Coupling, depth: int, cap: int) -> tuple[bool, int, tuple[int, int]]:
     """Walk a coupled problem's convergents x_n = 1/S_n = D_n/T_n to depth, on :func:`cascade`.
 
-    Returns (monotone, cauchy digits, last) as :func:`~gcf_forge.gcf.structural_walk` does:
-    whether x_0 > x_1 > ... > x_depth, agreement_digits(x_h, x_depth, cap) with
-    h = (depth + 1) // 2, and x_depth as the unreduced int pair (D_depth, T_depth).
-    T_n = 0 raises ZeroDenominatorConvergent(n), and x_{n-1} > x_n iff t_n = C_n/D_n and
-    S_{n-1} S_n share a sign: x_{n-1} - x_n = t_n / (S_{n-1} S_n).
+    Returns (monotone, cauchy digits, last) as :func:`~gcf_forge.gcf.structural_walk` does,
+    with last = (D_n, T_n), and skips an undefined x_n (T_n = 0) the same way. x_0 = d(1) is
+    defined, and x_{n-1} > x_n iff t_n = C_n/D_n and S_{n-1} S_n share a sign:
+    x_{n-1} - x_n = t_n / (S_{n-1} S_n).
     """
     monotone, negative, half = True, False, (depth + 1) // 2
     for k, (C, D, T) in enumerate(cascade(coupling)):
-        if T == 0:
-            raise ZeroDenominatorConvergent(k)
+        if T:
+            last = D, T
+        else:
+            monotone = False
         # signs by comparison: ^ on big ints would allocate a new int
         was_negative, negative = negative, (T < 0) != (D < 0)  # S_k < 0; S_{-1} = 0
         if ((C < 0) != (D < 0)) != (was_negative != negative):  # x_{k-1} <= x_k
@@ -255,4 +246,5 @@ def coupled_walk(coupling: Coupling, depth: int, cap: int) -> tuple[bool, int, t
         if k == half:
             at_half = D, T
         if k == depth:
-            return monotone, agreement_digits(at_half, (D, T), cap), (D, T)
+            cauchy = agreement_digits(at_half, (D, T), cap) if at_half[1] and T else 0
+            return monotone, cauchy, last

@@ -4,10 +4,11 @@ Given a problem, the pipeline finds a coupling and confirms the boundary
 selection rule b0 = d(1). The coupling is checked once as a polynomial
 identity, which proves the structural identities at every depth. The
 convergents are then x_n = 1/S_n exactly, so for a convergent series a
-certified sum S != 0 proves the limit 1/S: the pipeline sums the series,
-walks no convergent, and compares 1/S to the target. Only a problem whose
-coupling gives no convergent series, or that has no coupling, walks its
-convergents to the depth.
+certified sum S != 0 proves the limit 1/S, whatever finitely many S_n
+vanish: the pipeline sums the series without a depth, walks no convergent,
+and compares 1/S to the target. Only a problem whose coupling gives no
+convergent series, or that has no coupling, walks its convergents to the
+depth, and reports the deepest defined one.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def verify_conjecture(
 ) -> VerificationReport:
     """Run the whole pipeline and fill a report.
 
-    verified: every structural identity holds to the full depth and the
+    verified: the structural identities are proved as polynomial identities, and the
     reciprocal of the certified sum matches the target to >= digits.
     refuted-at-depth: the pipeline produced a certified value that misses
     the target at the tested precision (a finite-precision statement).
@@ -101,7 +102,7 @@ def verify_conjecture(
     if coupling is not None:
         check_coupling(problem, coupling)  # the identities then hold at every depth
     if convergent:
-        series_value, terms_used = sum_to_precision(certificate, digits + DIGIT_MARGIN, depth)
+        series_value, terms_used = sum_to_precision(certificate, digits + DIGIT_MARGIN)
         gcf_value = real_reciprocal(series_value)
         monotone = cauchy_digits = None
     else:

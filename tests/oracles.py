@@ -145,9 +145,19 @@ def reconstruct(factored) -> tuple:
     return out
 
 
+def leading_coefficient(p) -> Fraction:
+    """The coefficient of the highest power of n in a nonzero Polynomial, as a Fraction."""
+    return Fraction(p.numerators[-1], p.denominator)
+
+
+def rational_roots(factored) -> list[tuple[Fraction, int]]:
+    """(root, multiplicity) pairs of a factorization, ascending by root, as Fractions."""
+    return [(Fraction(num, den), m) for num, den, m in factored.root_pairs()]
+
+
 def integer_roots(factored, start: int) -> list[int]:
     """Integer roots >= start of a factorization, ascending, from its rational roots."""
-    return [int(r) for r, _ in factored.rational_roots() if r.denominator == 1 and r >= start]
+    return [int(r) for r, _ in rational_roots(factored) if r.denominator == 1 and r >= start]
 
 
 def central_binomial_sum(z: Fraction | int, digits: int) -> Fraction:
@@ -382,7 +392,7 @@ from gcf_forge.expr import (
 from gcf_forge.factorize import Coupling
 from gcf_forge.gcf import GcfProblem, _frames, _scale
 from gcf_forge.poly import Polynomial, factor_rational
-from gcf_forge.series import cascade, sum_to_precision
+from gcf_forge.series import cascade
 
 
 def polynomial(coefficients) -> Polynomial:
@@ -400,12 +410,6 @@ def convergent_frames(problem: GcfProblem, depth: int) -> list[tuple[int, int]]:
 def cascade_frames(coupling, count: int) -> list[tuple[int, int, int]]:
     """The program's (C_k, D_k, T_k) for k = 0..count-1: t_k = C_k/D_k, S_k = T_k/D_k."""
     return list(islice(cascade(coupling), count))
-
-
-def certified_sum(certificate, digits: int):
-    """(value, terms used) of a convergent certificate's sum to 10^(-digits). At depth 0 the
-    sum reads only x_0 = 1/t_0 among the convergents, so no vanishing S_n refuses it."""
-    return sum_to_precision(certificate, digits, 0)
 
 
 _OPERATOR_CHARS = set("+-*/^()")

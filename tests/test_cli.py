@@ -571,14 +571,15 @@ UNCOUPLED = {"name": "uncoupled_decreasing", "b0": "2", "a": "-(n^2 + 2)", "b": 
 RHO_ONE = {"name": "rho_one_coupled", "b0": "1", "a": "-2*n^2*(2*n^2 - n)", "b": "4*n^2 + 3*n + 1"}
 
 
-def _check_inconclusive_golden(tmp_path, capsys, doc, depth):
-    # no sum to compare, so the deepest convergent is the reported value
+def _check_inconclusive_golden(tmp_path, capsys, doc, depth=None):
+    # no target, or no sum to compare and the deepest convergent is the reported value
     path = tmp_path / f"{doc['name']}.json"
     path.write_text(json.dumps(doc))
     report = tmp_path / "report.json"
-    code = main(["verify", str(path), "--depth", str(depth), "--json", str(report)])
+    extra = [] if depth is None else ["--depth", str(depth)]
+    code = main(["verify", str(path), *extra, "--json", str(report)])
     out, err = capsys.readouterr()
-    golden = f"{doc['name']}.depth-{depth}.verify"
+    golden = doc["name"] + ("" if depth is None else f".depth-{depth}") + ".verify"
     assert out == (GOLDEN / f"{golden}.txt").read_text() + f"report written to {report}\n"
     assert err == ""
     assert report.read_text() == (GOLDEN / f"{golden}.json").read_text()
@@ -590,6 +591,12 @@ def test_golden_verify_uncoupled(tmp_path, capsys, depth):
     # no coupling, so the three-term walk alone gives the convergents; they fall
     # strictly, and at depth 4000 the halfway one agrees with the last to 30 digits
     _check_inconclusive_golden(tmp_path, capsys, UNCOUPLED, depth)
+
+
+def test_golden_verify_scaled(tmp_path, capsys):
+    # S_1 = 0 leaves x_1 undefined, which changes no limit: the certified sum gives
+    # 2/(1 - J_0(4)) at the default depth
+    _check_inconclusive_golden(tmp_path, capsys, SCALED)
 
 
 @pytest.mark.parametrize("depth", [16, 4000])

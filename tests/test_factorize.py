@@ -16,6 +16,7 @@ from gcf_forge import (
 from gcf_forge import parse_polynomial as P
 
 from oracles import (
+    leading_coefficient,
     poly_add,
     poly_of,
     poly_trim,
@@ -124,7 +125,7 @@ def cancelling_instances(draw):
         c = -d.shift(1)
     else:
         lower = draw(st.lists(st.fractions(-4, 4, max_denominator=3), max_size=d.degree))
-        c = polynomial(lower) + polynomial([0] * d.degree + [-d.leading_coefficient])
+        c = polynomial(lower) + polynomial([0] * d.degree + [-leading_coefficient(d)])
     return -(c * d), c + d.shift(1), Coupling(c=c, d=d)
 
 

@@ -14,7 +14,6 @@ from gcf_forge import (
     GcfProblem,
     InvalidProblem,
     Polynomial,
-    ZeroDenominatorConvergent,
     ratio_certificate,
     structural_walk,
     verify_conjecture,
@@ -22,11 +21,11 @@ from gcf_forge import (
 from gcf_forge import parse_polynomial as P
 from gcf_forge import series
 from gcf_forge.gcf import _scale, check_coupling
+from gcf_forge.series import sum_to_precision
 
 from oracles import (
     ConvergentTriple,
     agreement_digits_loop,
-    certified_sum,
     convergent_frames,
     polynomial,
     reference_convergents,
@@ -49,19 +48,18 @@ def reference_frames(problem, depth: int) -> list[tuple]:
 def reference_walk(rows: list[ConvergentTriple], coupling=None, cap: int = 30):
     """A walk's (monotone, cauchy digits, last) at depth len(rows) - 1, from the convergent rows.
 
-    The cauchy digits compare x_h, h = (depth + 1) // 2, with x_depth (0 when either is
-    undefined), and last is the deepest defined x_n. With a coupling, the rows must also
-    show what the walk takes from the operator factorization, A_n = prod d(j) and
-    x_n S_n = 1, at every index.
+    An undefined x_n (B_n = 0) is recorded as None. The cauchy digits compare x_h,
+    h = (depth + 1) // 2, with x_depth (0 when either is undefined), and last is the deepest
+    defined x_n. With a coupling, the rows must also show what the walk takes from the
+    operator factorization, A_n = prod d(j) and x_n S_n = 1 (S_n = 0 where x_n is None),
+    at every index.
     """
     depth = len(rows) - 1
     xs = [t.x for t in rows]
     if coupling is not None:
         products = accumulate((coupling.d(j) for j in range(1, depth + 2)), operator.mul)
         for t, p, s in zip(rows, products, reference_partial_sums(coupling, depth + 1)):
-            if t.x is None:
-                raise ZeroDenominatorConvergent(t.n)
-            if t.A != p or t.x * s != 1:
+            if t.A != p or (s != 0 if t.x is None else t.x * s != 1):
                 raise AssertionError(f"the coupling does not collapse the rows at n = {t.n}")
     halfway, last = xs[(depth + 1) // 2], xs[-1]
     return (
@@ -83,10 +81,10 @@ def exact_coupled_walk(problem, coupling, depth, cap=30):
     return series.coupled_walk(coupling, depth, cap)
 
 
-def exact_sum(certificate, digits, depth):
+def exact_sum(certificate, digits):
     """sum_to_precision with the fixed-point pass off: the exact sum alone."""
     with patch.object(series, "_fixed_point_pass", lambda *args: None):
-        return series.sum_to_precision(certificate, digits, depth)
+        return series.sum_to_precision(certificate, digits)
 
 
 def brute_force_frames(b0, a_of, b_of, depth):
@@ -234,6 +232,8 @@ class TestStructuralWalk:
     # flips there, with and without the coupling
     @example(Coupling(c=P("-n/2"), d=P("3 - 2*n")), 0, "cd")
     @example(Coupling(c=P("5/2 - n"), d=P("3 - 2*n")), 0, "cd")
+    # divergent with S_1 = 1 - 1 = 0, so B_1 = 0: both walks skip x_1
+    @example(Coupling(c=P("-n"), d=P("1")), 0, "cd")
     def test_matches_fraction_reference(self, coupling, agree, bumped):
         # agree > 0 hands the walk a coupling that matches the problem's only
         # up to index agree. It fails the polynomial identity, so check_coupling
@@ -247,27 +247,20 @@ class TestStructuralWalk:
             d_bump = zero if bumped == "c" else bump
             coupling = Coupling(c=coupling.c + c_bump, d=coupling.d + d_bump)
         table = reference_convergents(problem, 40)
-        certificate = ratio_certificate(coupling)
-        if not agree and certificate.classification == "convergent":
-            summed = certified_sum(certificate, 10)  # the fixed-point pass, if it decides
         for depth in range(41):
             rows = table[: depth + 1]
-            assert reduced_last(structural_walk(problem, depth, 30)) == reference_walk(rows)
+            walked = reduced_last(structural_walk(problem, depth, 30))
+            assert walked == reference_walk(rows, None if agree else coupling)
             if agree:
                 with pytest.raises(ValueError, match="does not give"):
                     exact_coupled_walk(problem, coupling, depth)
                 continue
-            try:
-                monotone, cauchy, last = reference_walk(rows, coupling)
-            except ZeroDenominatorConvergent as err:
-                with pytest.raises(ZeroDenominatorConvergent) as got:
-                    exact_coupled_walk(problem, coupling, depth)
-                assert got.value.index == err.index
-                continue
-            walked = reduced_last(exact_coupled_walk(problem, coupling, depth))
-            assert walked == (monotone, cauchy, last)
-            if certificate.classification == "convergent":  # no S_n with n <= depth vanishes
-                assert exact_sum(certificate, 10, depth) == summed
+            # the coupled walk skips a vanishing S_n as the three-term walk skips B_n = 0
+            assert reduced_last(exact_coupled_walk(problem, coupling, depth)) == walked
+        certificate = ratio_certificate(coupling)
+        if not agree and certificate.classification == "convergent":
+            # a vanishing S_n refuses no sum, and the fixed-point pass, if it decides, agrees
+            assert sum_to_precision(certificate, 10) == exact_sum(certificate, 10)
 
     def test_flagship_deep_pin(self, quartic_problem, quartic_coupling):
         sums = reference_partial_sums(quartic_coupling, 1501)
@@ -303,17 +296,6 @@ class TestStructuralWalk:
         with pytest.raises(BoundaryRuleViolation):
             exact_coupled_walk(shifted, quartic_coupling, 10)
 
-    def test_vanishing_partial_sum_is_a_zero_denominator(self):
-        # c = -n, d = 1: S_1 = 1 - 1 = 0, so B_1 = S_1 * d(1) d(2) = 0
-        coupling = Coupling(c=P("-n"), d=P("1"))
-        problem = euler_problem(coupling)
-        with pytest.raises(ZeroDenominatorConvergent) as err:
-            reference_walk(reference_convergents(problem, 5), coupling)
-        assert err.value.index == 1
-        with pytest.raises(ZeroDenominatorConvergent) as err:
-            exact_coupled_walk(problem, coupling, 5)
-        assert err.value.index == 1
-
     def test_non_coupling_is_a_caller_error(self, quartic_problem):
         # b0 = d(1) holds, but c(n) + d(n+1) misses b(n) by n - 1
         with pytest.raises(ValueError, match="does not give"):
@@ -328,14 +310,14 @@ class Deferred(Exception):
     """The fixed-point pass left a decision to the exact pass."""
 
 
-def fixed_point_sum(certificate, digits, depth):
+def fixed_point_sum(certificate, digits):
     """sum_to_precision with the exact pass barred, so the fixed-point pass must decide alone."""
 
     def barred(coupling):
         raise Deferred
 
     with patch.object(series, "cascade", barred):
-        return series.sum_to_precision(certificate, digits, depth)
+        return series.sum_to_precision(certificate, digits)
 
 
 class TestLeanTail:
@@ -354,25 +336,23 @@ class TestLeanTail:
         ids=["alternating", "negative-rho", "growing-12", "growing-60", "wide"],
     )
     def test_matches_exact_pass_around_the_onset_and_stop(self, coupling, digits):
+        # the pass switches at the onset + 1, and these stop later, in the lean loop
         certificate = ratio_certificate(coupling)
         onset = series._stop_rule(certificate, digits)[0]
-        stop = certified_sum(certificate, digits)[1] - 1
+        stop = sum_to_precision(certificate, digits)[1] - 1
         assert onset + 1 < stop
-        # the depth moves the switch: at the onset + 1, at the depth, or where S_k settles
-        for depth in (0, onset, onset + 1, onset + 2, stop - 1, stop, stop + 7):
-            summed = fixed_point_sum(certificate, digits, depth)
-            assert summed == exact_sum(certificate, digits, depth)
+        assert fixed_point_sum(certificate, digits) == exact_sum(certificate, digits)
 
 
 @settings(max_examples=200, deadline=None)
-@given(coupling=convergent_couplings(), digits=st.integers(1, 60), depth=st.integers(0, 400))
-def test_fixed_point_pass_matches_exact_pass(coupling, digits, depth):
+@given(coupling=convergent_couplings(), digits=st.integers(1, 60))
+def test_fixed_point_pass_matches_exact_pass(coupling, digits):
     certificate = ratio_certificate(coupling)
     try:
-        summed = fixed_point_sum(certificate, digits, depth)
+        summed = fixed_point_sum(certificate, digits)
     except Deferred:
         assume(False)
-    assert summed == exact_sum(certificate, digits, depth)
+    assert summed == exact_sum(certificate, digits)
 
 
 def test_stop_on_the_threshold_in_the_per_term_loop_defers():
@@ -386,12 +366,11 @@ def test_stop_on_the_threshold_in_the_per_term_loop_defers():
     onset, budget, q, *_ = series._stop_rule(certificate, 10)
     assert onset == 30
     assert budget * (Fraction(1, 2**31) / m) == q
-    for depth in (0, 40):
-        with pytest.raises(Deferred):
-            fixed_point_sum(certificate, 10, depth)
-        summed = series.sum_to_precision(certificate, 10, depth)
-        assert summed == exact_sum(certificate, 10, depth)
-        assert summed[1] == 31  # the exact pass stops on the threshold: |t_30| <= q / budget
+    with pytest.raises(Deferred):
+        fixed_point_sum(certificate, 10)
+    summed = series.sum_to_precision(certificate, 10)
+    assert summed == exact_sum(certificate, 10)
+    assert summed[1] == 31  # the exact pass stops on the threshold: |t_30| <= q / budget
 
 
 def terms_drawn(monkeypatch) -> list[int]:
@@ -408,16 +387,33 @@ def terms_drawn(monkeypatch) -> list[int]:
     return drawn
 
 
-def test_convergent_report_does_not_depend_on_the_depth(quartic_problem, monkeypatch):
-    # a convergent job sums to its stop and walks no convergent: past the depths the report
-    # echoes, it is the same at any depth, and it draws the same coefficient values
+#: the report fields that echo the depth
+ECHOED = dict(depth=0, exact_identity_depth=0, numerator_product_depth=0, casoratian_depth=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coupling=convergent_couplings(), digits=st.integers(1, 60))
+@example(coupling=Coupling(c=P("-8"), d=P("2*n^2")), digits=30)  # S_1 = 1/2 - 1/2 = 0
+@example(coupling=Coupling(c=P("-2"), d=P("n^2/2")), digits=30)  # S_1 = 2 - 2 = 0, and L = 2
+def test_convergent_report_does_not_depend_on_the_depth(coupling, digits):
+    # a convergent job sums to its stop and reads no convergent, so a vanishing S_n refuses
+    # nothing and, past the fields that echo the depth, the report is the same at any depth
+    problem = euler_problem(coupling)
+    shallow = verify_conjecture(problem, digits=digits, depth=4)
+    assume(shallow.classification == "convergent")  # verify may pick another coupling
+    deep = verify_conjecture(problem, digits=digits, depth=300)
+    assert replace(shallow, **ECHOED) == replace(deep, **ECHOED)
+
+
+def test_flagship_draws_the_same_terms_at_any_depth(quartic_problem, monkeypatch):
+    # the depth reaches no pass: the flagship's report and the coefficient values it draws
+    # are the same at depth 4 as at depth 10^7
     drawn = terms_drawn(monkeypatch)
-    echoed = dict(depth=0, exact_identity_depth=0, numerator_product_depth=0, casoratian_depth=0)
     seen = []
     for depth in (4, 250, 10**7):
         drawn[0] = 0
         report = verify_conjecture(quartic_problem, digits=30, depth=depth)
-        seen.append((replace(report, **echoed), drawn[0]))
+        seen.append((replace(report, **ECHOED), drawn[0]))
     assert seen[0] == seen[1] == seen[2]
     report, _ = seen[0]
     assert (report.monotone_convergents, report.cauchy_digits) == (None, None)

@@ -21,6 +21,7 @@ from oracles import (
     poly_shift,
     poly_trim,
     polynomial,
+    rational_roots,
     reconstruct,
     sympy_factor_rational,
 )
@@ -220,7 +221,7 @@ class TestFactorRational:
 
     def test_rational_roots_listing(self):
         f = factor_rational(P("2*n^4 - n^3"))
-        assert f.rational_roots() == [(Fraction(0), 3), (Fraction(1, 2), 1)]
+        assert rational_roots(f) == [(Fraction(0), 3), (Fraction(1, 2), 1)]
 
     @given(p=nonzero_polynomials)
     def test_reconstruction_invariant(self, p):
@@ -237,7 +238,7 @@ class TestFactorRational:
         for r in roots:
             xs = poly_mul(xs, (-r, 1))
         f = factor_rational(polynomial(xs))
-        found = {root: mult for root, mult in f.rational_roots()}
+        found = {root: mult for root, mult in rational_roots(f)}
         for r in set(roots):
             assert found[Fraction(r)] == roots.count(r)
         assert f.residual is None
@@ -263,7 +264,7 @@ class TestSympyOracle:
         lead, roots, residual = sympy_factor_rational(xs)
         f = factor_rational(polynomial(xs))
         assert f.content * f.sign == lead
-        assert f.rational_roots() == roots
+        assert rational_roots(f) == roots
         assert (None if f.residual is None else poly_of(f.residual)) == residual
 
 
@@ -271,7 +272,7 @@ class TestRootAnalysis:
     def test_cauchy_bound_contains_roots(self):
         p = P("(n - 3) * (n + 5) * (2*n - 1)")
         above = root_bound_floor(p.numerators) + 1
-        assert all(abs(r) < above for r, _ in factor_rational(p).rational_roots())
+        assert all(abs(r) < above for r, _ in rational_roots(factor_rational(p)))
 
     def test_integer_roots_from(self):
         p = P("(n - 3) * (n - 1/2) * n")

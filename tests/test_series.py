@@ -9,26 +9,30 @@ from hypothesis import strategies as st
 
 from gcf_forge import (
     Coupling,
+    GcfProblem,
     NotConvergent,
     OnsetPastBudget,
     Polynomial,
     ZeroDenominatorFactor,
     ratio_certificate,
     rational_to_real,
+    verify_conjecture,
 )
 from gcf_forge import parse_polynomial as P
 from gcf_forge import series
 from gcf_forge.poly import common_denominator, factor_rational
+from gcf_forge.series import sum_to_precision
+from gcf_forge.verify import DIGIT_MARGIN
 
 from oracles import (
     cascade_frames,
     central_binomial_sum,
-    certified_sum,
     close_to,
     exact_value,
     fraction_decimal,
     fraction_series_sum,
     integer_roots,
+    leading_coefficient,
     ln2_fraction,
     pi_squared_over_8,
     pi_squared_over_18,
@@ -167,7 +171,7 @@ class TestRatioCertificate:
 
 
 def fraction_reference(certificate, digits: int):
-    """certified_sum's (value, terms used) by the reduced-fraction loop."""
+    """sum_to_precision's (value, terms used) by the reduced-fraction loop."""
     rho_bar = (abs(certificate.rho) + 1) / 2
     onset = series._geometric_onset(certificate, *rho_bar.as_integer_ratio())
     coupling = certificate.coupling
@@ -208,7 +212,7 @@ def convergent_couplings(draw) -> Coupling:
         d = polynomial(draw(st.lists(rationals, max_size=2)) + [draw(nonzero)])
         rho = draw(st.sampled_from([0, 1, -1, 2, -2])) / Fraction(4)
         lower = draw(st.lists(rationals, max_size=d.degree))
-        c = polynomial(poly_add(lower, [0] * d.degree + [rho * d.leading_coefficient]))
+        c = polynomial(poly_add(lower, [0] * d.degree + [rho * leading_coefficient(d)]))
         assume(not c.is_zero and not integer_roots(factor_rational(d), start=1))
     elif shape == "terminating":  # c(m) = 0, so every term from t_m on is 0
         scale, root = draw(nonzero), draw(st.integers(1, 8))
@@ -228,51 +232,51 @@ def convergent_couplings(draw) -> Coupling:
 
 class TestSumToPrecision:
     def test_quartic_sum_50_digits(self, quartic_coupling):
-        value, used = certified_sum(ratio_certificate(quartic_coupling), 50)
+        value, used = sum_to_precision(ratio_certificate(quartic_coupling), 50)
         assert close_to(exact_value(value), pi_squared_over_8(60), 50)
         assert used <= 400
 
     def test_quartic_sum_10_digit_preview(self, quartic_coupling):
-        value, _ = certified_sum(ratio_certificate(quartic_coupling), 10)
+        value, _ = sum_to_precision(ratio_certificate(quartic_coupling), 10)
         assert value.to_decimal(11).startswith("1.2337005501")
 
     def test_geometric_family_sums_to_ln2(self):
-        value, _ = certified_sum(ratio_certificate(GEOMETRIC), 30)
+        value, _ = sum_to_precision(ratio_certificate(GEOMETRIC), 30)
         assert close_to(exact_value(value), ln2_fraction(35), 30)
 
     def test_matches_brute_force_partial_sums(self):
-        value, _ = certified_sum(ratio_certificate(GEOMETRIC), 30)
+        value, _ = sum_to_precision(ratio_certificate(GEOMETRIC), 30)
         brute = sum(terms(GEOMETRIC, 150), Fraction(0))
         assert abs(exact_value(value) - brute) <= 2 * Fraction(1, 10**30)
 
     def test_alternating_terms(self):
         # c = -n keeps |ratio| = 1/2 but alternates term signs
         alternating = Coupling(c=P("-n"), d=P("2*n"))
-        value, _ = certified_sum(ratio_certificate(alternating), 25)
+        value, _ = sum_to_precision(ratio_certificate(alternating), 25)
         brute = sum(terms(alternating, 120), Fraction(0))
         assert abs(exact_value(value) - brute) <= 2 * Fraction(1, 10**25)
 
     def test_not_convergent_rejected(self):
         # rho = 1: no certified tail, so no sum and no term count
         with pytest.raises(NotConvergent):
-            certified_sum(ratio_certificate(Coupling(c=P("n"), d=P("n"))), 10)
+            sum_to_precision(ratio_certificate(Coupling(c=P("n"), d=P("n"))), 10)
 
     def test_uncertified_onset_raises(self, monkeypatch):
         # a root bound that is too small must not slip past an onset check
         # that `python -O` would strip
         monkeypatch.setattr(series, "root_bound_floor", lambda ints: 0)
         with pytest.raises(NotConvergent):
-            certified_sum(ratio_certificate(Coupling(c=P("n^2 + 100"), d=P("2*n^2 - n"))), 10)
+            sum_to_precision(ratio_certificate(Coupling(c=P("n^2 + 100"), d=P("2*n^2 - n"))), 10)
 
     def test_onset_budget_is_inclusive(self, monkeypatch):
         # c = 3, d = n (n + 40): the Cauchy bounds put the onset at 92
         certificate = ratio_certificate(Coupling(c=P("3"), d=P("n*(n + 40)")))
         onset = series._stop_rule(certificate, 10)[0]
         monkeypatch.setattr(series, "ONSET_BUDGET", onset)
-        assert certified_sum(certificate, 10) == fraction_reference(certificate, 10)
+        assert sum_to_precision(certificate, 10) == fraction_reference(certificate, 10)
         monkeypatch.setattr(series, "ONSET_BUDGET", onset - 1)
         with pytest.raises(OnsetPastBudget) as err:
-            certified_sum(certificate, 10)
+            sum_to_precision(certificate, 10)
         assert err.value.onset == onset
 
     @pytest.mark.parametrize("digits", [5, 20, 60, 160])
@@ -290,14 +294,14 @@ class TestSumToPrecision:
     )
     def test_matches_fraction_reference(self, coupling, digits):
         certificate = ratio_certificate(coupling)
-        assert certified_sum(certificate, digits) == fraction_reference(certificate, digits)
+        assert sum_to_precision(certificate, digits) == fraction_reference(certificate, digits)
 
     @settings(max_examples=40, deadline=None)
     @given(coupling=convergent_couplings(), digits=st.integers(1, 300))
     def test_matches_fraction_reference_on_random_couplings(self, coupling, digits):
         certificate = ratio_certificate(coupling)
         assert certificate.classification == "convergent"
-        assert certified_sum(certificate, digits) == fraction_reference(certificate, digits)
+        assert sum_to_precision(certificate, digits) == fraction_reference(certificate, digits)
 
     def test_rounding_midpoint_falls_back_to_exact_sum(self, monkeypatch):
         # the terms 1, 1/256, 0, ... sum to 257/256, halfway between two 8-bit
@@ -306,7 +310,7 @@ class TestSumToPrecision:
         monkeypatch.setattr(series, "working_precision", lambda digits: 8)
         runs = exact_sum_runs(monkeypatch)
         certificate = ratio_certificate(Coupling(c=P("2 - n"), d=P("255*n - 254")))
-        value, used = certified_sum(certificate, 1)
+        value, used = sum_to_precision(certificate, 1)
         assert runs
         assert (value, used) == fraction_reference(certificate, 1)
         assert (exact_value(value), used) == (1, 4)
@@ -316,22 +320,34 @@ class TestSumToPrecision:
         monkeypatch.setattr(series, "working_precision", lambda digits: 8)
         runs = exact_sum_runs(monkeypatch)
         certificate = ratio_certificate(quartic_coupling)
-        assert certified_sum(certificate, 30) == fraction_reference(certificate, 30)
+        assert sum_to_precision(certificate, 30) == fraction_reference(certificate, 30)
         assert runs
 
-    @pytest.mark.parametrize("coupling", CLOSED_FORMS, ids=CLOSED_FORM_IDS)
-    def test_closed_forms_stay_in_fixed_point(self, coupling, monkeypatch):
+    @pytest.mark.parametrize(
+        "coupling,digits",
+        [
+            pytest.param(coupling, digits, id=name if digits == 160 else f"{name}-{digits}")
+            for digits in (160, 40)
+            for coupling, name in zip(CLOSED_FORMS, CLOSED_FORM_IDS)
+        ],
+    )
+    def test_closed_forms_stay_in_fixed_point(self, coupling, digits, monkeypatch):
+        # the lean tail's looser enclosure still decides the benchmark's sums alone, at the
+        # digits of its high-precision and deep-structural jobs
         runs = exact_sum_runs(monkeypatch)
-        certified_sum(ratio_certificate(coupling), 160)
+        sum_to_precision(ratio_certificate(coupling), digits)
         assert runs == []
 
     @pytest.mark.parametrize("digits,depth", [(160, 16), (40, 250)])
     @pytest.mark.parametrize("coupling", CLOSED_FORMS, ids=CLOSED_FORM_IDS)
     def test_closed_form_walks_stay_in_fixed_point(self, coupling, digits, depth, monkeypatch):
-        # the depth moves the switch to the lean tail, whose looser enclosure still decides
-        # the benchmark's jobs alone at their (digits, depth)
+        # the benchmark's verify jobs at their (digits, depth), whose sums carry the digit
+        # margin: a convergent job only sums, at any depth, and its sum never falls back
+        c, d = coupling.c, coupling.d
+        problem = GcfProblem(b0=d(1), a=-(c * d), b=c + d.shift(1))
         runs = exact_sum_runs(monkeypatch)
-        series.sum_to_precision(ratio_certificate(coupling), digits, depth)
+        report = verify_conjecture(problem, digits - DIGIT_MARGIN, depth)
+        assert report.coupling == coupling and report.terms_used is not None
         assert runs == []
 
     @settings(max_examples=40, deadline=None)
@@ -344,27 +360,26 @@ class TestSumToPrecision:
         # reach the rounding, so an enclosure that undercounts them rounds some sums wrongly
         certificate = ratio_certificate(coupling)
         with patch.object(series, "FIXED_POINT_GUARD_BITS", guard):
-            summed = certified_sum(certificate, digits)
+            summed = sum_to_precision(certificate, digits)
         assert summed == fraction_reference(certificate, digits)
 
     def test_error_budget_is_met(self, quartic_coupling):
         # against a much finer run of the same series, exact to 10^-40
-        coarse, _ = certified_sum(ratio_certificate(quartic_coupling), 12)
+        coarse, _ = sum_to_precision(ratio_certificate(quartic_coupling), 12)
         fine = sum(terms(quartic_coupling, 250), Fraction(0))
         assert abs(exact_value(coarse) - fine) <= Fraction(1, 10**12)
 
 
 @settings(max_examples=60, deadline=None)
-@given(coupling=convergent_couplings(), depth=st.integers(0, 300))
+@given(coupling=convergent_couplings())
 # the ratio climbs from about 1/4 at the onset towards 9/10, so e_k climbs past e_k0
-@example(coupling=Coupling(c=P("9/10*n"), d=P("n + 100")), depth=0)
-def test_error_bound_past_the_onset_stays_below_the_lean_constant(coupling, depth):
-    # the fixed-point pass's e_k, replayed from k = 0 in Fractions: past a switch k0 > onset
-    # every e_k is at most B = max(e_k0, slack), the constant the lean loop adds to E for
-    # each term. k0 = max(depth, onset + 1) is the switch of a pass whose enclosure has not
-    # kept S_k away from 0 below the depth
-    onset, _, _, slack, _ = series._stop_rule(ratio_certificate(coupling), 10)
-    k0 = max(depth, onset + 1)
+@example(coupling=Coupling(c=P("9/10*n"), d=P("n + 100")))
+def test_error_bound_past_the_onset_stays_below_the_lean_constant(coupling):
+    # the fixed-point pass's e_k, replayed from k = 0 in Fractions: past its switch
+    # k0 = onset + 1 every e_k is at most B = max(e_k0, slack), the constant the lean loop
+    # adds to E for each term
+    onset, _, _, slack = series._stop_rule(ratio_certificate(coupling), 10)
+    k0 = onset + 1
     c, d = coupling.c, coupling.d
     e = 1  # e_0: u_0 = floor(L 2^F / d'(1)) and u_{-1} is exact
     for k in range(1, k0 + 301):
@@ -388,7 +403,7 @@ def test_lean_constant_covers_the_worst_error_the_ratio_bound_allows(rho):
     coupling = Coupling(c=polynomial([0, 2 * rho] if rho else [1]), d=P("2*n - 1"))
     certificate = ratio_certificate(coupling)
     assert certificate.rho == rho
-    _, _, _, slack, _ = series._stop_rule(certificate, 10)
+    _, _, _, slack = series._stop_rule(certificate, 10)
     rho_bar = (abs(certificate.rho) + 1) / 2
     e = 1
     for k in range(500):
@@ -396,7 +411,7 @@ def test_lean_constant_covers_the_worst_error_the_ratio_bound_allows(rho):
         assert e <= slack, k
 
 
-def handed_radii(coupling, digits: int, depth: int):
+def handed_radii(coupling, digits: int):
     """Run the fixed-point pass and record every enclosure it hands to enclosure_to_real.
     (result, calls)."""
     calls = []
@@ -409,22 +424,21 @@ def handed_radii(coupling, digits: int, depth: int):
     stop = series._stop_rule(ratio_certificate(coupling), digits)
     bits = series.working_precision(digits)
     with patch.object(series, "enclosure_to_real", spy):
-        result = series._fixed_point_pass(coupling, *stop, bits, depth)
+        result = series._fixed_point_pass(coupling, *stop, bits)
     return result, calls
 
 
 @settings(max_examples=80, deadline=None)
-@given(coupling=convergent_couplings(), digits=st.integers(1, 80), depth=st.integers(0, 300))
-@example(coupling=Coupling(c=P("n^2"), d=P("2*n^2 - n")), digits=40, depth=250)
-@example(coupling=Coupling(c=P("n^2"), d=P("2*n^2 - n")), digits=40, depth=100)
-@example(coupling=Coupling(c=P("-n"), d=P("2*n")), digits=30, depth=12)  # a lean sum
-def test_radii_cover_the_error_bound_replayed_in_fractions(coupling, digits, depth):
+@given(coupling=convergent_couplings(), digits=st.integers(1, 80))
+@example(coupling=Coupling(c=P("n^2"), d=P("2*n^2 - n")), digits=40)
+@example(coupling=Coupling(c=P("-n"), d=P("2*n")), digits=30)  # a lean sum
+def test_radii_cover_the_error_bound_replayed_in_fractions(coupling, digits):
     # the radius the pass hands on covers the bound replayed here in Fractions: e_k per
-    # term up to the switch, then B = max(e_k, slack) per term in the lean loop
+    # term up to the switch at the onset + 1, then B = max(e_k, slack) per term in the lean loop
     certificate = ratio_certificate(coupling)
-    onset, _, q, slack, p = series._stop_rule(certificate, digits)
+    onset, _, _, slack = series._stop_rule(certificate, digits)
     try:
-        result, calls = handed_radii(coupling, digits, depth)
+        result, calls = handed_radii(coupling, digits)
     except ZeroDenominatorFactor:
         assume(False)
     assume(result is not None)
@@ -437,7 +451,7 @@ def test_radii_cover_the_error_bound_replayed_in_fractions(coupling, digits, dep
         if not lean:
             e = math.ceil(e * abs(ratio)) + 1
         s, E = s + u, E + (B if lean else e)
-        if not lean and k > onset and (k >= depth or q * (abs(s) - E) > p * (abs(u) + e)):
+        if not lean and k > onset:
             lean, B = True, max(e, slack)
     assert (low + high) // 2 == s and (high - low) // 2 >= E
 
@@ -460,7 +474,7 @@ class TestCentralBinomialSum:
             central_binomial_sum(z, 10)
 
     def test_two_code_paths_one_constant(self, quartic_coupling):
-        via_coupling, _ = certified_sum(ratio_certificate(quartic_coupling), 40)
+        via_coupling, _ = sum_to_precision(ratio_certificate(quartic_coupling), 40)
         via_binomials = central_binomial_sum(2, 40)
         assert abs(exact_value(via_coupling) - via_binomials) <= 2 * Fraction(1, 10**40)
 

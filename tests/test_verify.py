@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import accumulate
 from unittest.mock import patch
 
+import mpmath
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
@@ -15,7 +16,6 @@ from gcf_forge import (
     InvalidProblem,
     OnsetPastBudget,
     VerificationReport,
-    ZeroDenominatorConvergent,
     check_boundary_selection,
     parse_const_expr,
     verify_conjecture,
@@ -358,14 +358,24 @@ class TestVerifyConjecture:
         monkeypatch.setattr(series, "_fixed_point_pass", lambda *args: None)
         assert verify_conjecture(quartic_problem, digits=10, depth=32) == report
 
-    def test_vanishing_partial_sum_through_verify(self):
-        # c = -8, d = 2n^2 converges with S_1 = 1/2 - 8/(2 * 8) = 0, so B_1 = 0;
-        # the pass cannot sign S_1 and the exact pass raises
-        c, d = P("-8"), P("2*n^2")
+    @pytest.mark.parametrize(
+        "c,d,scale",
+        [(P("-8"), P("2*n^2"), 8), (P("-2"), P("n^2/2"), 2)],
+        ids=["vanishing", "scaled_vanishing"],
+    )
+    def test_vanishing_partial_sum_against_a_bessel_oracle(self, c, d, scale):
+        # c = -8, d = 2n^2 gives t_k = (-4)^k / (2 ((k+1)!)^2), so S_1 = 1/2 - 1/2 = 0 and
+        # S = -(J_0(4) - 1)/8 from J_0(x) = sum (-x^2/4)^m / (m!)^2; c = -2, d = n^2/2 gives
+        # 4 t_k. The GCF is scale/(1 - J_0(4)) whatever S_1, checked against mpmath's
+        # Bessel function, which shares nothing with the cascade, at twice the precision
         problem = GcfProblem(b0=d(1), a=-(c * d), b=c + d.shift(1))
-        with pytest.raises(ZeroDenominatorConvergent) as err:
-            verify_conjecture(problem, digits=10, depth=16)
-        assert err.value.index == 1
+        report = verify_conjecture(problem, digits=30, depth=16)
+        assert (report.coupling, report.classification) == (Coupling(c=c, d=d), "convergent")
+        with mpmath.workprec(2 * report.gcf_value.precision_bits):
+            expected = scale / (1 - mpmath.besselj(0, 4))
+            assert abs(report.gcf_value.value - expected) <= expected * mpmath.mpf(10) ** -30
+        if scale == 8:
+            assert report.gcf_value.to_decimal(30).startswith("5.72594287564595679876")
 
     def test_far_onset_refused_before_any_term(self, monkeypatch):
         # c = n + 10^9, d = 2n: rho = 1/2, but the terms grow for about 10^9 indices and
